@@ -45,6 +45,20 @@ SETTINGS = {
 log = logging.getLogger("sflsim")
 
 
+class UsageError(ValueError):
+    """An argument that parses but is out of range (exit 2)."""
+
+
+class SelftestError(RuntimeError):
+    """A selftest invariant did not hold (exit 5)."""
+
+
+def _check(condition, message):
+    """Explicit selftest check; unlike ``assert`` it survives ``python -O``."""
+    if not condition:
+        raise SelftestError(message)
+
+
 def _configure_logging():
     level = os.environ.get("SFL_LOG_LEVEL", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -125,11 +139,7 @@ def _trajectory_smoothness(output, records):
     """L estimate for a finished run: perturbation pairs around the logged
     server trajectory, gradients on device 0's diagnostics probe."""
     state = output.state
-    probe = state.probe_indices[0]
-    x = state.dataset.images[probe]
-    y = state.dataset.labels[probe]
-    device_stack = state.device_stacks.get(0)
-    a = kernel.forward(device_stack, x).output if device_stack else x
+    a, y = diag_mod.probe_batch(state, 0)
     grad_fn = diag_mod.server_grad_fn(state.server_stacks[0], a, y)
     centers = [r.server_params for r in records]
     step = max(1, len(centers) // 8)  # cap the probe work on long runs
@@ -180,12 +190,13 @@ def _format_cost_rows(rows, setting):
 
 def cmd_cost(args):
     setting = dict(SETTINGS[args.setting])
-    if args.devices is not None:
-        setting["devices"] = args.devices
-    if args.samples is not None:
-        setting["samples_per_device"] = args.samples
-    if args.batch is not None:
-        setting["batch_size"] = args.batch
+    for flag, key in (("devices", "devices"), ("samples", "samples_per_device"),
+                      ("batch", "batch_size")):
+        value = getattr(args, flag)
+        if value is not None:
+            if value <= 0:
+                raise UsageError(f"--{flag} must be positive, got {value}")
+            setting[key] = value
     rows = cost_table(args.model, **setting)
     print(_format_cost_rows(rows, setting), end="")
     if args.csv:
@@ -252,12 +263,12 @@ def cmd_selftest(args):
             rec = quantize.quantize(a, 0, 0, 0)
             back = quantize.dequantize(rec)
             tol = rec.scale / 2 + np.spacing(np.abs(a).max())
-            assert np.max(np.abs(back - a)) <= tol
+            _check(np.max(np.abs(back - a)) <= tol, "quantizer round-trip error above scale/2")
 
     def switch_counts():
         for rho in (1, 2, 4, 8):
             on = sum(buffer_mod.switch_is_on(t, rho) for t in range(64))
-            assert on == -(-64 // rho)
+            _check(on == -(-64 // rho), f"rho={rho}: {on} transmission rounds in 64")
 
     def fedavg_identity():
         spec = models.ZOO["tiny_vgg"]()
@@ -266,7 +277,7 @@ def cmd_selftest(args):
         merged = runtime.fedavg([state, state, state], [1, 2, 3])
         for got, want in zip(merged, state):
             for key in want:
-                assert np.array_equal(got[key], want[key])
+                _check(np.array_equal(got[key], want[key]), f"fedavg moved {key}")
 
     def gradient_spot_check():
         rng = np.random.default_rng(2)
@@ -288,14 +299,16 @@ def cmd_selftest(args):
         w[probe] = keep
         layer.bump()
         fd = (up - down) / (2 * eps)
-        assert abs(fd - grads.layers[0]["w"][probe]) <= 1e-6 * max(1.0, abs(fd))
+        _check(abs(fd - grads.layers[0]["w"][probe]) <= 1e-6 * max(1.0, abs(fd)),
+               "dense weight gradient disagrees with finite differences")
 
     def cost_model_pinned():
         spec = models.ZOO["vgg11"]()
         report = netsim.comm_bytes_per_round(
             "split", spec, samples_per_device=10_000, devices=5, batch_size=100
         )
-        assert report.total_bytes == 3_279_925_920
+        _check(report.total_bytes == 3_279_925_920,
+               f"split vgg11 total {report.total_bytes} B != 3,279,925,920 B")
 
     check("quantizer round-trip", quantizer_roundtrip)
     check("transmission schedule counts", switch_counts)
@@ -324,14 +337,20 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except config_mod.ConfigError as exc:
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (config_mod.ConfigError, models.ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (data_mod.DataError, diag_mod.DiagnosticsError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except SelftestError as exc:
+        print(f"selftest failed: {exc}", file=sys.stderr)
+        return EXIT_TRAINING
     except (runtime.TrainingError, kernel.KernelError, quantize.QuantizeError,
-            buffer_mod.BufferError, netsim.NetsimError, AssertionError) as exc:
+            buffer_mod.BufferError, netsim.NetsimError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 

@@ -89,7 +89,12 @@ def record_round(state, t):
     ``state`` is the runtime's TrainState; the fields read here are
     device_stacks / server_stacks (per device, post-SGD, pre-aggregation),
     batches, dataset, probe_indices, diag_rng, buffer, and config (lr,
-    quantized, mode, augment). Reads only — no training state is mutated.
+    quantized, mode, augment). No training state is mutated; the only write
+    is the observer's own probe memo (see probe_batch).
+
+    Per device this costs three server passes: the probe batch, the
+    dequantized probe batch inside quantization_error (which reuses the
+    probe gradient for the clean side), and one per-example pass for G.
     """
     cfg = state.config
     quantized_pipeline = cfg.mode == "replay" and cfg.quantized
@@ -97,20 +102,16 @@ def record_round(state, t):
     max_sample_sq = 0.0
     snapshot = None
     for k in sorted(state.batches):
-        probe = state.probe_indices[k]
-        x = state.dataset.images[probe]
-        y = state.dataset.labels[probe]
-        device_stack = state.device_stacks.get(k)
-        a = kernel.forward(device_stack, x).output if device_stack else x
+        a, y = probe_batch(state, k)
         server = state.server_stacks[k]
         loss, g = _server_probe_gradient(server, a, y)
         grad_sqs.append(float(g @ g))
         losses.append(loss)
-        eps[k] = quantize.quantization_error(a, server, y, quantized=quantized_pipeline)
-        delta[k] = _staleness(state, k, device_stack)
-        for i in range(min(len(y), SAMPLE_GRAD_CAP)):
-            _, gi = _server_probe_gradient(server, a[i : i + 1], y[i : i + 1])
-            max_sample_sq = max(max_sample_sq, float(gi @ gi))
+        eps[k] = quantize.quantization_error(
+            a, server, y, quantized=quantized_pipeline, clean_grad=g
+        )
+        delta[k] = _staleness(state, k, state.device_stacks.get(k))
+        max_sample_sq = max(max_sample_sq, float(_sample_grad_sqs(server, a, y).max()))
         if snapshot is None:
             snapshot = kernel.param_vector(server)
     prior = getattr(state, "diagnostics_records", [])
@@ -126,6 +127,58 @@ def record_round(state, t):
         max_sample_grad_sq=max_sample_sq,
         server_params=snapshot,
     )
+
+
+def probe_batch(state, device_id):
+    """One device's fixed probe as the server sees it: (activations, labels).
+
+    A frozen device stack is the shared global stack and never steps, so
+    its probe activations are kept in ``state.probe_activations``, stamped
+    with the stack's layer identities and versions, and recomputed when any
+    stamp changes. Unfrozen stacks are run afresh on every call: each round
+    clones them anew, and a clone can reuse a freed clone's ids with the
+    same version counts, so the stamp cannot tell the rounds apart.
+    """
+    probe = state.probe_indices[device_id]
+    x = state.dataset.images[probe]
+    y = state.dataset.labels[probe]
+    device_stack = state.device_stacks.get(device_id)
+    if not device_stack:
+        return x, y
+    if not state.frozen_device:
+        return kernel.forward(device_stack, x).output, y
+    stamp = (tuple(id(l) for l in device_stack), tuple(l.version for l in device_stack))
+    memo = state.probe_activations.get(device_id)
+    if memo is None or memo[0] != stamp:
+        a = kernel.forward(device_stack, x).output
+        a.setflags(write=False)  # one array serves every later round
+        memo = state.probe_activations[device_id] = (stamp, a)
+    return memo[1], y
+
+
+def _sample_grad_sqs(server_layers, activations, labels):
+    """Squared norms of the single-sample loss gradients of the first
+    n = min(len(labels), SAMPLE_GRAD_CAP) samples, from one forward and one
+    per-example backward pass, each norm summed in float64.
+
+    Row i of the mean loss's per-example gradient times n is sample i's own
+    loss gradient; the scaling is exact when n is a power of two.
+    """
+    n = min(len(labels), SAMPLE_GRAD_CAP)
+    trace = kernel.forward(server_layers, activations[:n])
+    _, dlogits = kernel.softmax_cross_entropy(trace.output, labels[:n])
+    grads = kernel.backward(server_layers, trace, dlogits * n, per_example=True)
+    flat = [
+        layer_grads[key].reshape(n, -1)
+        for layer_grads in grads.layers
+        for key in sorted(layer_grads)
+    ]
+    # One grad_vector-layout float64 row at a time keeps the peak small.
+    sqs = np.empty(n)
+    for i in range(n):
+        row = np.concatenate([f[i] for f in flat]).astype(np.float64)
+        sqs[i] = row @ row
+    return sqs
 
 
 def _staleness(state, device_id, device_stack):

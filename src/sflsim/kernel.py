@@ -8,6 +8,7 @@ checkpoints use a little-endian binary format with magic ``SFL1``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -53,7 +54,10 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, per_example=False):
+        """(parameter grads, input grad). With ``per_example`` every
+        parameter grad keeps the batch axis in front: row i is the gradient
+        of sample i's share of the loss."""
         raise NotImplementedError
 
     def out_shape(self, in_shape):
@@ -84,9 +88,13 @@ class Dense(Layer):
             raise KernelError(f"dense expects (batch, {self.n_in}), got {x.shape}")
         return x @ self.w + self.b, x
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, per_example=False):
         x = cache
-        return {"w": x.T @ dy, "b": dy.sum(axis=0)}, dy @ self.w.T
+        if per_example:
+            grads = {"w": np.einsum("bi,bo->bio", x, dy), "b": dy}
+        else:
+            grads = {"w": x.T @ dy, "b": dy.sum(axis=0)}
+        return grads, dy @ self.w.T
 
     def out_shape(self, in_shape):
         if in_shape != (self.n_in,):
@@ -129,10 +137,14 @@ class Conv3x3(Layer):
         y += self.b[None, :, None, None]
         return y, xp
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, per_example=False):
         xp = cache
-        dw = np.einsum("bchwij,bohw->ocij", _conv3x3_windows(xp), dy, optimize=True)
-        db = dy.sum(axis=(0, 2, 3))
+        if per_example:
+            dw = np.einsum("bchwij,bohw->bocij", _conv3x3_windows(xp), dy, optimize=True)
+            db = dy.sum(axis=(2, 3))
+        else:
+            dw = np.einsum("bchwij,bohw->ocij", _conv3x3_windows(xp), dy, optimize=True)
+            db = dy.sum(axis=(0, 2, 3))
         dyp = np.pad(dy, ((0, 0), (0, 0), (1, 1), (1, 1)))
         w_flip = self.w[:, :, ::-1, ::-1]
         dx = np.einsum("bohwij,ocij->bchw", _conv3x3_windows(dyp), w_flip, optimize=True)
@@ -171,10 +183,14 @@ class Conv1x1(Layer):
         y += self.b[None, :, None, None]
         return y, x
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, per_example=False):
         x = cache
-        dw = np.einsum("bchw,bohw->oc", x, dy, optimize=True)
-        db = dy.sum(axis=(0, 2, 3))
+        if per_example:
+            dw = np.einsum("bchw,bohw->boc", x, dy, optimize=True)
+            db = dy.sum(axis=(2, 3))
+        else:
+            dw = np.einsum("bchw,bohw->oc", x, dy, optimize=True)
+            db = dy.sum(axis=(0, 2, 3))
         dx = np.einsum("bohw,oc->bchw", dy, self.w, optimize=True)
         return {"w": dw, "b": db}, dx
 
@@ -204,7 +220,7 @@ class MaxPool2x2(Layer):
         y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
         return y, (x.shape, idx)
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, per_example=False):
         (b, c, h, w), idx = cache
         flat = np.zeros((b, c, h // 2, w // 2, 4), dtype=dy.dtype)
         np.put_along_axis(flat, idx[..., None], dy[..., None], axis=-1)
@@ -224,7 +240,7 @@ class ReLU(Layer):
     def forward(self, x):
         return np.maximum(x, 0), x > 0
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, per_example=False):
         return {}, dy * cache
 
     def out_shape(self, in_shape):
@@ -237,7 +253,7 @@ class Flatten(Layer):
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, per_example=False):
         return {}, dy.reshape(cache)
 
     def out_shape(self, in_shape):
@@ -283,15 +299,15 @@ class ResidualBlock(Layer):
         mask = summed > 0
         return np.maximum(summed, 0), (c1, cr, c2, cpm, cs, cps, mask)
 
-    def backward(self, cache, dy):
+    def backward(self, cache, dy, per_example=False):
         c1, cr, c2, cpm, cs, cps, mask = cache
         d_sum = dy * mask
         _, d_main = self.pool_main.backward(cpm, d_sum)
-        g2, d_r1 = self.conv2.backward(c2, d_main)
+        g2, d_r1 = self.conv2.backward(c2, d_main, per_example)
         _, d_a1 = self.relu_mid.backward(cr, d_r1)
-        g1, dx_main = self.conv1.backward(c1, d_a1)
+        g1, dx_main = self.conv1.backward(c1, d_a1, per_example)
         _, d_side = self.pool_skip.backward(cps, d_sum)
-        gs, dx_skip = self.skip.backward(cs, d_side)
+        gs, dx_skip = self.skip.backward(cs, d_side, per_example)
         grads = {f"conv1.{k}": v for k, v in g1.items()}
         grads.update({f"conv2.{k}": v for k, v in g2.items()})
         grads.update({f"skip.{k}": v for k, v in gs.items()})
@@ -346,11 +362,14 @@ def forward(layers, batch):
     )
 
 
-def backward(layers, trace, loss_grad):
+def backward(layers, trace, loss_grad, per_example=False):
     """Exact backprop through a stack using the caches from forward.
 
     Rejects traces from a different stack or taken before a parameter
     update (stale), and gradients whose shape does not match the output.
+    With ``per_example`` the parameter gradients keep the batch index
+    (one row per sample, as in Goodfellow, arXiv:1510.01799); sgd_step
+    rejects them.
     """
     if trace.layer_ids != tuple(id(l) for l in layers):
         raise KernelError("trace does not belong to this layer stack")
@@ -363,7 +382,7 @@ def backward(layers, trace, loss_grad):
     dy = loss_grad
     per_layer = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        grads, dy = layers[i].backward(trace.caches[i], dy)
+        grads, dy = layers[i].backward(trace.caches[i], dy, per_example)
         per_layer[i] = grads
     return Gradients(layers=per_layer, input_grad=dy)
 
@@ -529,9 +548,7 @@ def load_weights(path, layers):
             dims = struct.unpack(f"<{rank}I", take(4 * rank))
             if dims != params[name].shape:
                 raise KernelError(f"checkpoint shape {dims} != param {params[name].shape}")
-            n_bytes = 4 * int(np.prod(dims)) if rank else 4
-            n_items = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(take(4 * n_items), dtype="<f4").reshape(dims)
+            data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
             params[name][...] = data
         layer.bump()
     if off != len(raw):

@@ -18,6 +18,7 @@ f32 values).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -176,7 +177,7 @@ def parse(blob):
     (min_val,) = struct.unpack("<f", take(4))
     (n_labels,) = struct.unpack("<I", take(4))
     labels = np.frombuffer(take(2 * n_labels), dtype="<u2").copy()
-    n = int(np.prod(shape)) if shape else 0
+    n = math.prod(shape) if shape else 0  # Python int: cannot wrap, take() bounds it
     if codec == "q8":
         codes = np.frombuffer(take(n), dtype=np.uint8).reshape(shape).copy()
         values = None
@@ -199,23 +200,28 @@ def parse(blob):
     )
 
 
-def quantization_error(a, server_layers, labels, quantized=True):
+def quantization_error(a, server_layers, labels, quantized=True, clean_grad=None):
     """Gradient gap the codec induces on the server stack.
 
-    Runs the server forward/backward twice, once on the dequantized
-    activations and once on the originals, and returns the L2 norm of the
-    parameter-gradient difference for the batch. Zero when quantization is
-    disabled (identity codec).
+    Runs the server forward/backward on the dequantized activations and on
+    the originals, and returns the L2 norm of the parameter-gradient
+    difference for the batch. A caller that already holds the flat gradient
+    on the originals (``kernel.grad_vector`` layout) passes it as
+    ``clean_grad`` and saves that pass. Zero when quantization is disabled
+    (identity codec).
     """
     if not quantized:
         return 0.0
     a = np.asarray(a)
     rec = quantize(a, round_tag=0, device_id=0, batch_index=0)
     a_hat = dequantize(rec, dtype=a.dtype)
-    vecs = []
-    for x in (a_hat, a):
-        trace = kernel.forward(server_layers, x)
-        _, grad = kernel.softmax_cross_entropy(trace.output, np.asarray(labels))
-        grads = kernel.backward(server_layers, trace, grad)
-        vecs.append(kernel.grad_vector(grads))
-    return float(np.linalg.norm(vecs[0] - vecs[1]))
+    quantized_grad = _loss_grad_vector(server_layers, a_hat, labels)
+    if clean_grad is None:
+        clean_grad = _loss_grad_vector(server_layers, a, labels)
+    return float(np.linalg.norm(quantized_grad - clean_grad))
+
+
+def _loss_grad_vector(server_layers, x, labels):
+    trace = kernel.forward(server_layers, x)
+    _, grad = kernel.softmax_cross_entropy(trace.output, np.asarray(labels))
+    return kernel.grad_vector(kernel.backward(server_layers, trace, grad))

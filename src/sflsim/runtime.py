@@ -89,6 +89,7 @@ class TrainState:
     device_stacks: dict = field(default_factory=dict)  # refs for observers
     server_stacks: dict = field(default_factory=dict)
     diagnostics_records: list = field(default_factory=list)
+    probe_activations: dict = field(default_factory=dict)  # observer memo, frozen stacks only
 
 
 @dataclass

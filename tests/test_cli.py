@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sflsim import cli, data as data_mod
+from sflsim import cli, data as data_mod, models
 
 
 def smoke_config(tmp_path, **overrides):
@@ -97,6 +100,45 @@ def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == cli.EXIT_OK
     stdout = capsys.readouterr().out
     assert "checks passed" in stdout
+
+
+def test_selftest_checks_survive_python_O():
+    # Under -O bare asserts vanish; force the schedule check to fail and
+    # require the run to notice.
+    script = (
+        "import sys\n"
+        "if sys.flags.optimize != 1: sys.exit(99)\n"
+        "from sflsim import buffer, cli\n"
+        "buffer.switch_is_on = lambda t, rho: True\n"
+        "sys.exit(cli.main(['selftest']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_TRAINING, proc.stderr
+    assert "checks passed" not in proc.stdout
+    assert proc.stderr.strip().splitlines() == ["selftest failed: rho=2: 64 transmission rounds in 64"]
+
+
+@pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--devices", "-3"), ("--samples", "0")])
+def test_cost_non_positive_sizes_exit_2(flag, value, capsys):
+    assert cli.main(["cost", flag, value]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"usage error: {flag} must be positive, got {value}"]
+
+
+def test_op_index_beyond_model_exits_3(tmp_path, capsys, monkeypatch):
+    cfg = smoke_config(tmp_path, op_index=40)
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "op_index 40" in capsys.readouterr().err
+
+    def bad_partition(config):
+        raise models.ModelError("split point must leave layers on both sides")
+
+    monkeypatch.setattr(cli.runtime, "run_training", bad_partition)
+    assert cli.main(["run", "--config", str(smoke_config(tmp_path))]) == cli.EXIT_CONFIG
 
 
 def test_unknown_flag_exits_2(capsys):

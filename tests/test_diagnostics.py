@@ -48,25 +48,42 @@ def synth_record(t, eta, gnorm=1.0, loss=1.0, eps=0.0, delta=0.0, max_sq=1.0):
     )
 
 
+def scripted_probe_means(state):
+    """(mean ||g||^2, mean loss) over devices, from fresh raw kernel calls."""
+    sqs, losses = [], []
+    for k in sorted(state.batches):
+        probe = state.probe_indices[k]
+        x = state.dataset.images[probe]
+        y = state.dataset.labels[probe]
+        a = kernel.forward(state.device_stacks[k], x).output
+        trace = kernel.forward(state.server_stacks[k], a)
+        loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
+        grads = kernel.backward(state.server_stacks[k], trace, dlogits)
+        g = kernel.grad_vector(grads)
+        sqs.append(float(g @ g))
+        losses.append(loss)
+    return np.mean(sqs), np.mean(losses)
+
+
+def single_sample_grad_sqs(server, a, y):
+    """The reference for G: one forward/backward per sample."""
+    out = []
+    for i in range(len(y)):
+        trace = kernel.forward(server, a[i : i + 1])
+        _, dlogits = kernel.softmax_cross_entropy(trace.output, y[i : i + 1])
+        g = kernel.grad_vector(kernel.backward(server, trace, dlogits))
+        out.append(float(g @ g))
+    return np.array(out)
+
+
 class TestRecordRound:
     def test_grad_norm_matches_scripted_oracle(self):
         out = runtime.run_training(make_config())
         state = out.state
         rec = state.diagnostics_records[-1]
-        sqs, losses = [], []
-        for k in sorted(state.batches):
-            probe = state.probe_indices[k]
-            x = state.dataset.images[probe]
-            y = state.dataset.labels[probe]
-            a = kernel.forward(state.device_stacks[k], x).output
-            trace = kernel.forward(state.server_stacks[k], a)
-            loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
-            grads = kernel.backward(state.server_stacks[k], trace, dlogits)
-            g = kernel.grad_vector(grads)
-            sqs.append(float(g @ g))
-            losses.append(loss)
-        assert rec.grad_norm_sq == pytest.approx(np.mean(sqs), rel=1e-12)
-        assert rec.loss == pytest.approx(np.mean(losses), rel=1e-12)
+        sq_mean, loss_mean = scripted_probe_means(state)
+        assert rec.grad_norm_sq == pytest.approx(sq_mean, rel=1e-12)
+        assert rec.loss == pytest.approx(loss_mean, rel=1e-12)
 
     def test_lossless_path_zeroes_eps_and_delta(self):
         # quantization off, every round transmits, device frozen.
@@ -103,6 +120,68 @@ class TestRecordRound:
         for a, b in zip(runs[True], runs[False]):
             for key in a:
                 assert np.array_equal(a[key], b[key])
+
+
+class TestSampleGradients:
+    @pytest.mark.parametrize("n", [7, 1])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("model", ["tiny_vgg", "tiny_res"])
+    def test_per_example_norms_match_single_sample_loop(self, model, dtype, rtol, n):
+        # n = 7 is not a power of two, so the dlogits * n rescaling rounds.
+        spec = models.ZOO[model]()
+        built = models.build_model(spec, seed=9, dtype=dtype)
+        device, server = models.partition(built, built.default_split)
+        rng = np.random.default_rng(10)
+        x = rng.uniform(0.0, 1.0, size=(n, *spec.input_shape)).astype(dtype)
+        y = rng.integers(0, spec.num_classes, size=n)
+        a = kernel.forward(device, x).output
+        got = dg._sample_grad_sqs(server, a, y)
+        want = single_sample_grad_sqs(server, a, y)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=rtol)
+
+    def test_only_the_first_cap_samples_count(self):
+        spec = models.ZOO["tiny_vgg"]()
+        built = models.build_model(spec, seed=11)
+        device, server = models.partition(built, built.default_split)
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.0, 1.0, size=(dg.SAMPLE_GRAD_CAP + 5, *spec.input_shape))
+        y = rng.integers(0, spec.num_classes, size=len(x))
+        a = kernel.forward(device, x.astype(np.float32)).output
+        got = dg._sample_grad_sqs(server, a, y)
+        want = single_sample_grad_sqs(server, a[: dg.SAMPLE_GRAD_CAP], y[: dg.SAMPLE_GRAD_CAP])
+        np.testing.assert_allclose(got, want, rtol=1e-5)
+
+
+class TestProbeMemo:
+    def test_unfrozen_split_never_reuses_probe_activations(self):
+        out = runtime.run_training(make_config(mode="split", pretrain_epochs=0, rounds=2))
+        state = out.state
+        assert not state.frozen_device
+        assert state.probe_activations == {}
+        # An in-place write that bumps no version: only a fresh device
+        # forward sees it, a stamped memo would not.
+        for k in sorted(state.batches):
+            state.device_stacks[k][0].params()["w"][...] *= 0.5
+        rec = dg.record_round(state, 2)
+        sq_mean, loss_mean = scripted_probe_means(state)
+        assert rec.loss == pytest.approx(loss_mean, rel=1e-12)
+        assert rec.grad_norm_sq == pytest.approx(sq_mean, rel=1e-12)
+        assert state.probe_activations == {}
+
+    def test_frozen_memo_recomputes_on_version_change(self):
+        out = runtime.run_training(make_config(rounds=2))
+        state = out.state
+        assert state.frozen_device and set(state.probe_activations) == set(state.batches)
+        first, _ = dg.probe_batch(state, 0)
+        again, _ = dg.probe_batch(state, 0)
+        assert again is first
+        theta = kernel.param_vector(state.global_device)
+        kernel.load_param_vector(state.global_device, 0.5 * theta)  # bumps versions
+        fresh, _ = dg.probe_batch(state, 0)
+        x = state.dataset.images[state.probe_indices[0]]
+        assert np.array_equal(fresh, kernel.forward(state.global_device, x).output)
+        assert not np.array_equal(fresh, first)
 
 
 class TestEstimateG:

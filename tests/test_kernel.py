@@ -4,6 +4,7 @@ softmax cross-entropy identities, SGD arithmetic, checkpoint round-trips."""
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -164,6 +165,37 @@ def test_backward_rejects_mismatched_grad_shape():
 
 
 @pytest.mark.parametrize("kind_index", range(7))
+def test_per_example_grads_sum_to_batch_grads(kind_index):
+    layer, shape = make_layer_instances(77)[kind_index]
+    shape = (3, *shape[1:])
+    x = np.random.default_rng(78).standard_normal(shape)
+    trace = kernel.forward([layer], x)
+    dy = np.random.default_rng(79).standard_normal(trace.output.shape)
+    batch = kernel.backward([layer], trace, dy)
+    rows = kernel.backward([layer], trace, dy, per_example=True)
+    assert set(rows.layers[0]) == set(batch.layers[0])
+    for name, g in batch.layers[0].items():
+        assert rows.layers[0][name].shape == (3, *g.shape)
+        np.testing.assert_allclose(rows.layers[0][name].sum(axis=0), g, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(rows.input_grad, batch.input_grad)
+
+
+def test_per_example_grads_keep_stack_checks():
+    rng = np.random.default_rng(5)
+    dense = kernel.Dense(3, 2, rng=rng, dtype=np.float64)
+    layers = [dense]
+    trace = kernel.forward(layers, np.ones((4, 3)))
+    rows = kernel.backward(layers, trace, np.ones((4, 2)), per_example=True)
+    with pytest.raises(kernel.KernelError, match="grad shape"):
+        kernel.sgd_step(layers, rows, lr=0.1)
+    with pytest.raises(kernel.KernelError, match="loss grad shape"):
+        kernel.backward(layers, trace, np.ones((4, 3)), per_example=True)
+    kernel.sgd_step(layers, kernel.backward(layers, trace, np.ones((4, 2))), lr=0.1)
+    with pytest.raises(kernel.KernelError, match="stale"):
+        kernel.backward(layers, trace, np.ones((4, 2)), per_example=True)
+
+
+@pytest.mark.parametrize("kind_index", range(7))
 def test_finite_difference_all_layer_kinds(kind_index):
     # 50 random instances per kind, float64, central differences
     for seed in range(50):
@@ -284,6 +316,13 @@ def test_checkpoint_round_trip_and_errors(tmp_path):
     wrong_arch = [kernel.Dense(4, 4, rng=np.random.default_rng(1))]
     with pytest.raises(kernel.KernelError):
         kernel.load_weights(path, wrong_arch)
+
+    # rank 4 with every dim 65536: 2**64 elements, 0 once wrapped to int64
+    oversized = tmp_path / "oversized.sfl"
+    header = struct.pack("<I", 1) + struct.pack("<BB", kernel.KIND_TAGS["dense"], 2)
+    oversized.write_bytes(b"SFL1" + header + struct.pack("<5I", 4, *(65536,) * 4))
+    with pytest.raises(kernel.KernelError):
+        kernel.load_weights(oversized, wrong_arch)
 
 
 def test_stack_state_round_trip():

@@ -103,6 +103,10 @@ def test_parse_errors():
         quantize.parse(blob[:-2])
     with pytest.raises(quantize.QuantizeError, match="trailing"):
         quantize.parse(blob + b"\x00")
+    # rank 4 with every dim 65536: 2**64 elements, 0 once wrapped to int64
+    oversized = b"QACT" + struct.pack("<IHIB4IffI", 0, 0, 0, 4, *(65536,) * 4, 0.0, 0.0, 0)
+    with pytest.raises(quantize.QuantizeError, match="truncat"):
+        quantize.parse(oversized)
 
 
 def test_quantization_error_matches_scripted_oracle():
@@ -126,6 +130,8 @@ def test_quantization_error_matches_scripted_oracle():
     expected = float(np.linalg.norm(vecs[0] - vecs[1]))
     assert eps == pytest.approx(expected, rel=1e-12)
     assert eps > 0.0
+    # a caller's own clean-side gradient stands in for the second pass
+    assert quantize.quantization_error(a, server, labels, clean_grad=vecs[1]) == eps
 
 
 def test_quantization_error_zero_when_disabled():
