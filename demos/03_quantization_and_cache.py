@@ -18,7 +18,7 @@ def main():
     record = quantize.quantize(
         a, round_tag=0, device_id=0, batch_index=0, labels=labels
     )
-    back = quantize.dequantize(record)
+    back = quantize.decode(record)
     err = float(np.max(np.abs(back - a)))
     bound = record.scale / 2 + float(np.spacing(np.abs(a).max()))
     print(f"tensor {a.shape}, range [{a.min():.3f}, {a.max():.3f}]")

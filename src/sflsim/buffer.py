@@ -60,11 +60,10 @@ class ReplayBuffer:
                 f"store at round {record.round_tag}: switch is off (period {self.period})"
             )
         key = (record.device_id, record.batch_index)
-        blob = quantize.serialize(record)
-        self._sizes[key] = len(blob)
+        self._sizes[key] = quantize.record_wire_bytes(record)
         if self.spill_dir is not None:
             with open(self._path(*key), "wb") as fh:
-                fh.write(blob)
+                fh.write(quantize.serialize(record))
             self._records[key] = None
         else:
             self._records[key] = record

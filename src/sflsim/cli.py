@@ -35,8 +35,6 @@ EXIT_CONFIG = 3
 EXIT_DATA = 4
 EXIT_TRAINING = 5
 
-COST_METHODS = ("classic", "split", "local_loss", "replay_tx", "replay_buffer")
-
 SETTINGS = {
     # The reference comparison point: 5 devices, 10k samples each, batch 100.
     "cifar10-k5": dict(samples_per_device=10_000, devices=5, batch_size=100),
@@ -150,7 +148,7 @@ def cost_table(spec_name, *, samples_per_device, devices, batch_size):
     """Rows of the per-round communication table for one model."""
     spec = models.ZOO[spec_name]()
     rows = []
-    for method in COST_METHODS:
+    for method in netsim.METHODS:
         report = netsim.comm_bytes_per_round(
             method, spec,
             samples_per_device=samples_per_device,
@@ -261,7 +259,7 @@ def cmd_selftest(args):
         for _ in range(100):
             a = rng.normal(0, 3, size=(4, 7)).astype(np.float32)
             rec = quantize.quantize(a, 0, 0, 0)
-            back = quantize.dequantize(rec)
+            back = quantize.decode(rec)
             tol = rec.scale / 2 + np.spacing(np.abs(a).max())
             _check(np.max(np.abs(back - a)) <= tol, "quantizer round-trip error above scale/2")
 

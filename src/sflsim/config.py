@@ -7,6 +7,7 @@ surface immediately instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from . import models, netsim
@@ -72,6 +73,7 @@ def _check_types(raw):
         if key in raw:
             _require(isinstance(raw[key], (int, float)) and not isinstance(raw[key], bool),
                      f"{key} must be a number")
+            _require(math.isfinite(raw[key]), f"{key} must be finite, got {raw[key]!r}")
     for key in _BOOL_FIELDS:
         if key in raw:
             _require(isinstance(raw[key], bool), f"{key} must be true or false")
@@ -155,7 +157,8 @@ def _validate_dataset(cfg):
     _require(out["classes"] == spec.num_classes,
              f"blobs classes {out['classes']} must match model classes {spec.num_classes}")
     _require(out["per_class"] >= 1, "per_class must be >= 1")
-    _require(out["noise_sigma"] >= 0, "noise_sigma must be >= 0")
+    _require(math.isfinite(out["noise_sigma"]) and out["noise_sigma"] >= 0,
+             "noise_sigma must be finite and >= 0")
     _require(len(out["image_shape"]) == 3, "image_shape must be (channels, height, width)")
     return out
 

@@ -7,6 +7,7 @@ Dataset carries disjoint index splits: ``pretrain`` (central warm-up),
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -66,10 +67,23 @@ def generate_blobs(classes, per_class, image_shape=(1, 16, 16), noise_sigma=0.1,
     return Dataset(images=images, labels=labels, splits=make_splits(len(labels), seed))
 
 
-def _read_exact(raw, offset, n, path):
-    if offset + n > len(raw):
-        raise DataError(f"{path}: truncated payload (need {offset + n} bytes, have {len(raw)})")
-    return raw[offset : offset + n], offset + n
+def _read_idx(path, header, magic):
+    """(header counts, uint8 payload) of one IDX ubyte file; the payload
+    must be exactly the product of the counts."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    size = struct.calcsize(header)
+    if len(raw) < size:
+        raise DataError(f"{path}: truncated header (need {size} bytes, have {len(raw)})")
+    found, *counts = struct.unpack(header, raw[:size])
+    if found != magic:
+        raise DataError(f"{path}: bad magic 0x{found:08x}, want 0x{magic:08x}")
+    need = size + math.prod(counts)  # Python ints: cannot wrap
+    if len(raw) < need:
+        raise DataError(f"{path}: truncated payload (need {need} bytes, have {len(raw)})")
+    if len(raw) > need:
+        raise DataError(f"{path}: trailing bytes after payload")
+    return counts, np.frombuffer(raw, dtype=np.uint8, offset=size)
 
 
 def load_idx(image_path, label_path):
@@ -80,27 +94,11 @@ def load_idx(image_path, label_path):
     channel axis is added. All indices land in the train split; callers that
     want pretrain/test portions reassign via make_splits.
     """
-    raw = open(image_path, "rb").read()
-    header, off = _read_exact(raw, 0, 16, image_path)
-    magic, count, rows, cols = struct.unpack(">IIII", header)
-    if magic != IDX_IMAGE_MAGIC:
-        raise DataError(f"{image_path}: bad image magic 0x{magic:08x}, want 0x{IDX_IMAGE_MAGIC:08x}")
-    payload, off = _read_exact(raw, off, count * rows * cols, image_path)
-    if off != len(raw):
-        raise DataError(f"{image_path}: trailing bytes after payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
-    images = (pixels.astype(np.float32) / 255.0)[:, None, :, :]
-
-    raw = open(label_path, "rb").read()
-    header, off = _read_exact(raw, 0, 8, label_path)
-    magic, label_count = struct.unpack(">II", header)
-    if magic != IDX_LABEL_MAGIC:
-        raise DataError(f"{label_path}: bad label magic 0x{magic:08x}, want 0x{IDX_LABEL_MAGIC:08x}")
-    payload, off = _read_exact(raw, off, label_count, label_path)
-    if off != len(raw):
-        raise DataError(f"{label_path}: trailing bytes after payload")
-    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-
+    (count, rows, cols), pixels = _read_idx(image_path, ">IIII", IDX_IMAGE_MAGIC)
+    if rows * cols > 2**31:
+        raise DataError(f"{image_path}: {rows}x{cols} images exceed 2**31 pixels")
+    images = (pixels.reshape(count, rows, cols).astype(np.float32) / 255.0)[:, None, :, :]
+    (label_count,), labels = _read_idx(label_path, ">II", IDX_LABEL_MAGIC)
     if label_count != count:
         raise DataError(f"image/label count mismatch: {count} images, {label_count} labels")
     splits = {
@@ -108,7 +106,7 @@ def load_idx(image_path, label_path):
         "train": np.arange(count),
         "test": np.zeros(0, dtype=np.int64),
     }
-    return Dataset(images=images, labels=labels, splits=splits)
+    return Dataset(images=images, labels=labels.astype(np.int64), splits=splits)
 
 
 def write_idx(image_path, label_path, images, labels):

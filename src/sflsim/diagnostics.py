@@ -93,7 +93,7 @@ def record_round(state, t):
     is the observer's own probe memo (see probe_batch).
 
     Per device this costs three server passes: the probe batch, the
-    dequantized probe batch inside quantization_error (which reuses the
+    decoded probe batch inside quantization_error (which reuses the
     probe gradient for the clean side), and one per-example pass for G.
     """
     cfg = state.config

@@ -60,12 +60,6 @@ class Layer:
         of sample i's share of the loss."""
         raise NotImplementedError
 
-    def out_shape(self, in_shape):
-        raise NotImplementedError
-
-    def forward_macs(self, in_shape):
-        return 0
-
     def bump(self):
         self.version += 1
 
@@ -95,14 +89,6 @@ class Dense(Layer):
         else:
             grads = {"w": x.T @ dy, "b": dy.sum(axis=0)}
         return grads, dy @ self.w.T
-
-    def out_shape(self, in_shape):
-        if in_shape != (self.n_in,):
-            raise KernelError(f"dense expects ({self.n_in},), got {in_shape}")
-        return (self.n_out,)
-
-    def forward_macs(self, in_shape):
-        return self.n_in * self.n_out
 
 
 def _conv3x3_windows(x_padded):
@@ -150,16 +136,6 @@ class Conv3x3(Layer):
         dx = np.einsum("bohwij,ocij->bchw", _conv3x3_windows(dyp), w_flip, optimize=True)
         return {"w": dw, "b": db}, dx
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if c != self.c_in:
-            raise KernelError(f"conv3x3 expects {self.c_in} channels, got {c}")
-        return (self.c_out, h, w)
-
-    def forward_macs(self, in_shape):
-        _, h, w = in_shape
-        return 9 * self.c_in * self.c_out * h * w
-
 
 class Conv1x1(Layer):
     """1x1 convolution (per-pixel channel mix), used as downsample projection."""
@@ -194,16 +170,6 @@ class Conv1x1(Layer):
         dx = np.einsum("bohw,oc->bchw", dy, self.w, optimize=True)
         return {"w": dw, "b": db}, dx
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if c != self.c_in:
-            raise KernelError(f"conv1x1 expects {self.c_in} channels, got {c}")
-        return (self.c_out, h, w)
-
-    def forward_macs(self, in_shape):
-        _, h, w = in_shape
-        return self.c_in * self.c_out * h * w
-
 
 class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2; ties route the gradient to the first max."""
@@ -227,12 +193,6 @@ class MaxPool2x2(Layer):
         tiles = flat.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         return {}, tiles.reshape(b, c, h, w)
 
-    def out_shape(self, in_shape):
-        c, h, w = in_shape
-        if h % 2 or w % 2:
-            raise KernelError(f"maxpool2x2 needs even spatial dims, got {in_shape}")
-        return (c, h // 2, w // 2)
-
 
 class ReLU(Layer):
     kind = "relu"
@@ -243,9 +203,6 @@ class ReLU(Layer):
     def backward(self, cache, dy, per_example=False):
         return {}, dy * cache
 
-    def out_shape(self, in_shape):
-        return in_shape
-
 
 class Flatten(Layer):
     kind = "flatten"
@@ -255,9 +212,6 @@ class Flatten(Layer):
 
     def backward(self, cache, dy, per_example=False):
         return {}, dy.reshape(cache)
-
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
 
 
 class ResidualBlock(Layer):
@@ -312,19 +266,6 @@ class ResidualBlock(Layer):
         grads.update({f"conv2.{k}": v for k, v in g2.items()})
         grads.update({f"skip.{k}": v for k, v in gs.items()})
         return grads, dx_main + dx_skip
-
-    def out_shape(self, in_shape):
-        shape = self.conv1.out_shape(in_shape)
-        shape = self.conv2.out_shape(shape)
-        return self.pool_main.out_shape(shape)
-
-    def forward_macs(self, in_shape):
-        mid = self.conv1.out_shape(in_shape)
-        return (
-            self.conv1.forward_macs(in_shape)
-            + self.conv2.forward_macs(mid)
-            + self.skip.forward_macs(in_shape)
-        )
 
 
 @dataclass

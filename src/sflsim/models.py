@@ -13,6 +13,7 @@ trained here.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 
@@ -45,9 +46,7 @@ class LayerDesc:
     def param_count(self):
         if self.kind == "conv3x3":
             return 9 * self.in_shape[0] * self.arg + self.arg
-        if self.kind == "conv1x1":
-            return self.in_shape[0] * self.arg + self.arg
-        if self.kind == "dense":
+        if self.kind in ("conv1x1", "dense"):
             return self.in_shape[0] * self.arg + self.arg
         if self.kind == "resblock":
             c_in, c_out = self.in_shape[0], self.arg
@@ -234,32 +233,9 @@ def concat_weights(device_stack, server_stack):
     return list(device_stack) + list(server_stack)
 
 
-def clone_stack(layers, dtype=None):
-    """Structural copy of a layer stack with identical parameter bits."""
-    fresh = []
-    throwaway = np.random.default_rng(0)
-    for layer in layers:
-        if layer.kind == "dense":
-            copy = kernel.Dense(layer.n_in, layer.n_out, rng=throwaway, dtype=dtype or layer.w.dtype)
-        elif layer.kind == "conv3x3":
-            copy = kernel.Conv3x3(layer.c_in, layer.c_out, rng=throwaway, dtype=dtype or layer.w.dtype)
-        elif layer.kind == "conv1x1":
-            copy = kernel.Conv1x1(layer.c_in, layer.c_out, rng=throwaway, dtype=dtype or layer.w.dtype)
-        elif layer.kind == "resblock":
-            copy = kernel.ResidualBlock(layer.c_in, layer.c_out, rng=throwaway, dtype=dtype or layer.conv1.w.dtype)
-        elif layer.kind == "maxpool2x2":
-            copy = kernel.MaxPool2x2()
-        elif layer.kind == "relu":
-            copy = kernel.ReLU()
-        elif layer.kind == "flatten":
-            copy = kernel.Flatten()
-        else:
-            raise ModelError(f"cannot clone {layer.kind}")
-        for k, v in layer.params().items():
-            copy.params()[k][...] = v
-        copy.trainable = layer.trainable
-        fresh.append(copy)
-    return fresh
+def clone_stack(layers):
+    """Independent copy of a layer stack with identical parameter bits."""
+    return copy.deepcopy(list(layers))
 
 
 def auxiliary_head(spec, seed, op_index=None):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import models
+from . import models, quantize
 
 GIB = 2**30
 
@@ -99,9 +99,6 @@ class TrafficLedger:
             out[e.device] = (up, down)
         return out
 
-    def devices(self):
-        return sorted({e.device for e in self.entries})
-
 
 @dataclass
 class CostReport:
@@ -132,14 +129,10 @@ class CostReport:
 
 
 def record_bytes(batch, act_elements, rank, quantized):
-    """Exact activation-record wire size for one batch.
-
-    Mirrors the serialized layout: 27 fixed header bytes + 4 per dim +
-    2 per label + payload (1 byte/element quantized, 4 raw).
-    """
-    header = 27 + 4 * rank
+    """Exact activation-record wire size for one batch, by the wire format's
+    own rule: 1 byte per element quantized, 4 raw, plus the batch's labels."""
     payload = batch * act_elements * (CODE_BYTES if quantized else FLOAT_BYTES)
-    return header + LABEL_BYTES * batch + payload
+    return quantize.wire_bytes(rank, batch, payload)
 
 
 def _batched_record_bytes(samples, batch_size, act_elements, rank, quantized):
@@ -159,31 +152,26 @@ def comm_bytes_per_round(method, spec, op_index=None, *, samples_per_device,
     zeros = {p: (0, 0) for p in PURPOSES}
     report = CostReport(method=method, devices=devices, purpose_bytes=zeros)
     act_raw = facts.activation_elements * FLOAT_BYTES * samples_per_device
+    model = 0  # weight bytes synced each way per device
     if method == "classic":
         model = facts.total_params * FLOAT_BYTES
-        report.purpose_bytes["model_up"] = (model, 0)
-        report.purpose_bytes["model_down"] = (0, model)
-    elif method == "split":
-        report.purpose_bytes["activation"] = (act_raw, 0)
-        report.purpose_bytes["gradient"] = (0, act_raw)
-        report.purpose_bytes["labels"] = (LABEL_BYTES * samples_per_device, 0)
-        if not freeze_device:
-            model = facts.device_params * FLOAT_BYTES
-            report.purpose_bytes["model_up"] = (model, 0)
-            report.purpose_bytes["model_down"] = (0, model)
-    elif method == "local_loss":
+    elif method in ("split", "local_loss"):
         report.purpose_bytes["activation"] = (act_raw, 0)
         report.purpose_bytes["labels"] = (LABEL_BYTES * samples_per_device, 0)
-        head_params = facts.activation_elements * spec.num_classes + spec.num_classes
-        model = (facts.device_params + head_params) * FLOAT_BYTES
-        report.purpose_bytes["model_up"] = (model, 0)
-        report.purpose_bytes["model_down"] = (0, model)
+        if method == "local_loss":
+            head_params = facts.activation_elements * spec.num_classes + spec.num_classes
+            model = (facts.device_params + head_params) * FLOAT_BYTES
+        else:
+            report.purpose_bytes["gradient"] = (0, act_raw)
+            model = 0 if freeze_device else facts.device_params * FLOAT_BYTES
     elif method == "replay_tx":
         rank = 1 + len(facts.activation_shape)
         wire = _batched_record_bytes(samples_per_device, batch_size,
                                      facts.activation_elements, rank, quantized)
         report.purpose_bytes["activation"] = (wire, 0)
     # replay_buffer: all zeros
+    report.purpose_bytes["model_up"] = (model, 0)
+    report.purpose_bytes["model_down"] = (0, model)
     return report
 
 

@@ -5,7 +5,7 @@ uses a single (scale, min) pair per tensor: scale = (max - min) / 255, code
 = round-half-away-from-zero((a - min) / scale) clamped to [0, 255]. Internal
 arithmetic runs in float64; the stored scale/min are float32 (wire width),
 and quantization uses the stored float32 values so that requantizing a
-dequantized grid is exact. Constant tensors get scale 0 and all-zero codes.
+decoded grid is exact. Constant tensors get scale 0 and all-zero codes.
 
 A "raw" codec variant carries the untouched float32 payload for runs with
 quantization disabled; decoding it is a bit-exact passthrough.
@@ -29,6 +29,12 @@ from . import kernel
 MAGIC_Q8 = b"QACT"
 MAGIC_RAW = b"RACT"
 
+# The fixed part of a record around its dims: magic, round tag, device id,
+# batch index, rank ... scale, min, label count.
+HEAD = struct.Struct("<4sIHIB")
+TAIL = struct.Struct("<ffI")
+FIXED_BYTES = HEAD.size + TAIL.size
+
 
 class QuantizeError(ValueError):
     """Non-finite input, malformed record bytes, or codec misuse."""
@@ -51,7 +57,7 @@ class ActivationRecord:
     values: np.ndarray | None = None
 
     def payload_bytes(self):
-        n = int(np.prod(self.shape)) if self.shape else 0
+        n = math.prod(self.shape)
         return n if self.codec == "q8" else 4 * n
 
 
@@ -83,14 +89,6 @@ def quantize(a, round_tag, device_id, batch_index, labels=None):
     )
 
 
-def dequantize(record, dtype=np.float32):
-    """Map codes back to values: min + scale * code, float64 internally."""
-    if record.codec == "q8":
-        out = record.min_val + record.scale * record.codes.astype(np.float64)
-        return out.astype(dtype)
-    return record.values.astype(dtype) if dtype != np.float32 else record.values.copy()
-
-
 def encode(a, round_tag, device_id, batch_index, labels=None, quantized=True):
     """Build a record with the quantized (q8) or passthrough (raw) codec."""
     if quantized:
@@ -112,8 +110,12 @@ def encode(a, round_tag, device_id, batch_index, labels=None, quantized=True):
 
 
 def decode(record, dtype=np.float32):
-    """Recover the activation tensor; raw records come back bit-exact."""
-    return dequantize(record, dtype)
+    """Recover the activation tensor: min + scale * code for q8 (float64
+    internally); raw records come back bit-exact."""
+    if record.codec == "q8":
+        out = record.min_val + record.scale * record.codes.astype(np.float64)
+        return out.astype(dtype)
+    return record.values.astype(dtype) if dtype != np.float32 else record.values.copy()
 
 
 def _as_labels(labels):
@@ -125,24 +127,22 @@ def _as_labels(labels):
     return arr.astype(np.uint16)
 
 
+def wire_bytes(rank, n_labels, payload_bytes):
+    """Serialized record size: fixed header + 4 per dim + 2 per label + payload."""
+    return FIXED_BYTES + 4 * rank + 2 * n_labels + payload_bytes
+
+
 def record_wire_bytes(record):
-    """Exact serialized size: header + dims + labels + payload."""
-    rank = len(record.shape)
-    return 4 + 4 + 2 + 4 + 1 + 4 * rank + 4 + 4 + 4 + 2 * len(record.labels) + record.payload_bytes()
+    """Exact serialized size of one record."""
+    return wire_bytes(len(record.shape), len(record.labels), record.payload_bytes())
 
 
 def serialize(record):
     magic = MAGIC_Q8 if record.codec == "q8" else MAGIC_RAW
-    blob = bytearray()
-    blob += magic
-    blob += struct.pack("<I", record.round_tag)
-    blob += struct.pack("<H", record.device_id)
-    blob += struct.pack("<I", record.batch_index)
-    blob += struct.pack("<B", len(record.shape))
-    blob += struct.pack(f"<{len(record.shape)}I", *record.shape)
-    blob += struct.pack("<f", record.scale)
-    blob += struct.pack("<f", record.min_val)
-    blob += struct.pack("<I", len(record.labels))
+    rank = len(record.shape)
+    blob = bytearray(HEAD.pack(magic, record.round_tag, record.device_id, record.batch_index, rank))
+    blob += struct.pack(f"<{rank}I", *record.shape)
+    blob += TAIL.pack(record.scale, record.min_val, len(record.labels))
     blob += record.labels.astype("<u2").tobytes()
     if record.codec == "q8":
         blob += np.ascontiguousarray(record.codes, dtype=np.uint8).tobytes()
@@ -158,7 +158,7 @@ def parse(blob):
         codec = "raw"
     else:
         raise QuantizeError(f"bad record magic {blob[:4]!r}")
-    off = 4
+    off = 0
 
     def take(n):
         nonlocal off
@@ -168,24 +168,19 @@ def parse(blob):
         off += n
         return chunk
 
-    (round_tag,) = struct.unpack("<I", take(4))
-    (device_id,) = struct.unpack("<H", take(2))
-    (batch_index,) = struct.unpack("<I", take(4))
-    (rank,) = struct.unpack("<B", take(1))
-    shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-    (scale,) = struct.unpack("<f", take(4))
-    (min_val,) = struct.unpack("<f", take(4))
-    (n_labels,) = struct.unpack("<I", take(4))
+    _, round_tag, device_id, batch_index, rank = HEAD.unpack(take(HEAD.size))
+    shape = struct.unpack(f"<{rank}I", take(4 * rank))
+    scale, min_val, n_labels = TAIL.unpack(take(TAIL.size))
     labels = np.frombuffer(take(2 * n_labels), dtype="<u2").copy()
-    n = math.prod(shape) if shape else 0  # Python int: cannot wrap, take() bounds it
-    if codec == "q8":
-        codes = np.frombuffer(take(n), dtype=np.uint8).reshape(shape).copy()
-        values = None
-    else:
-        values = np.frombuffer(take(4 * n), dtype="<f4").reshape(shape).copy()
-        codes = None
+    n = math.prod(shape)  # Python int: cannot wrap, take() bounds it
+    payload = take(n if codec == "q8" else 4 * n)
     if off != len(blob):
         raise QuantizeError("trailing bytes after activation record")
+    try:
+        array = np.frombuffer(payload, dtype=np.uint8 if codec == "q8" else "<f4").reshape(shape)
+    except ValueError as exc:  # numpy's own rank and size limits
+        raise QuantizeError(f"record shape {shape} is beyond numpy's limits") from exc
+    codes, values = (array.copy(), None) if codec == "q8" else (None, array.copy())
     return ActivationRecord(
         round_tag=round_tag,
         device_id=device_id,
@@ -203,7 +198,7 @@ def parse(blob):
 def quantization_error(a, server_layers, labels, quantized=True, clean_grad=None):
     """Gradient gap the codec induces on the server stack.
 
-    Runs the server forward/backward on the dequantized activations and on
+    Runs the server forward/backward on the decoded activations and on
     the originals, and returns the L2 norm of the parameter-gradient
     difference for the batch. A caller that already holds the flat gradient
     on the originals (``kernel.grad_vector`` layout) passes it as
@@ -214,7 +209,7 @@ def quantization_error(a, server_layers, labels, quantized=True, clean_grad=None
         return 0.0
     a = np.asarray(a)
     rec = quantize(a, round_tag=0, device_id=0, batch_index=0)
-    a_hat = dequantize(rec, dtype=a.dtype)
+    a_hat = decode(rec, dtype=a.dtype)
     quantized_grad = _loss_grad_vector(server_layers, a_hat, labels)
     if clean_grad is None:
         clean_grad = _loss_grad_vector(server_layers, a, labels)

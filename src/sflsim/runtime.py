@@ -36,8 +36,6 @@ from . import data as data_mod
 from . import diagnostics as diag_mod
 from . import kernel, models, netsim, quantize
 
-MODES = ("classic", "split", "local_loss", "replay")
-
 METRICS_COLUMNS = (
     "round",
     "device",
@@ -333,169 +331,139 @@ def _finish_round(state, t, losses, diag_record):
     )
 
 
-def run_round_classic(state, t):
-    """Full local training on every device, then full-model averaging."""
-    cfg = state.config
-    model_bytes = _stack_param_bytes(state.global_model)
-    losses, states, counts = {}, [], []
-    for k in sorted(state.batches):
-        state.ledger.record(t, k, "down", "model_down", model_bytes)
-        local = models.clone_stack(state.global_model)
-        total = 0.0
-        for batch in state.batches[k]:
-            x, y = _batch_input(state, k, batch)
-            trace = kernel.forward(local, x)
-            loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
-            kernel.sgd_step(local, kernel.backward(local, trace, dlogits), cfg.lr)
-            total += loss * len(y)
-        state.ledger.record(t, k, "up", "model_up", model_bytes)
-        losses[k] = total / len(state.shards[k])
-        states.append(kernel.stack_state(local))
-        counts.append(len(state.shards[k]))
-        state.device_stacks[k] = None
-        state.server_stacks[k] = local
-    diag_record = _maybe_observe(state, t)
-    kernel.load_state(state.global_model, fedavg(states, counts))
-    return _finish_round(state, t, losses, diag_record)
+def _stack_roles(state):
+    """(global stacks each device clones and FedAvg averages, stacks whose
+    weights cross the link each round). A frozen device stack is shared."""
+    if state.config.mode == "classic":
+        return ("model",), ("model",)
+    if state.frozen_device:
+        return ("server",), ()
+    if state.config.mode == "local_loss":
+        return ("device", "head", "server"), ("device", "head")
+    return ("device", "server"), ("device",)
 
 
-def run_round_split(state, t):
-    """Activation up, gradient down, every batch; stacks averaged after."""
-    cfg = state.config
-    frozen = state.frozen_device
-    dev_bytes = _stack_param_bytes(state.global_device)
-    losses, device_states, server_states, counts = {}, [], [], []
-    for k in sorted(state.batches):
-        if frozen:
-            dev = state.global_device
-        else:
-            state.ledger.record(t, k, "down", "model_down", dev_bytes)
-            dev = models.clone_stack(state.global_device)
-        srv = models.clone_stack(state.global_server)
-        total = 0.0
-        for batch in state.batches[k]:
-            x, y = _batch_input(state, k, batch)
-            dtrace = kernel.forward(dev, x)
-            a = dtrace.output
-            state.ledger.record(t, k, "up", "activation", 4 * a.size)
-            state.ledger.record(t, k, "up", "labels", 2 * len(y))
-            loss, cut_grad = _server_step(srv, a, y, cfg.lr)
-            state.ledger.record(t, k, "down", "gradient", 4 * a.size)
-            if not frozen:
-                kernel.sgd_step(dev, kernel.backward(dev, dtrace, cut_grad), cfg.lr)
-            total += loss * len(y)
-        if not frozen:
-            state.ledger.record(t, k, "up", "model_up", dev_bytes)
-            device_states.append(kernel.stack_state(dev))
-        losses[k] = total / len(state.shards[k])
-        server_states.append(kernel.stack_state(srv))
-        counts.append(len(state.shards[k]))
-        state.device_stacks[k] = dev
-        state.server_stacks[k] = srv
-    diag_record = _maybe_observe(state, t)
-    if not frozen:
-        kernel.load_state(state.global_device, fedavg(device_states, counts))
-    kernel.load_state(state.global_server, fedavg(server_states, counts))
-    return _finish_round(state, t, losses, diag_record)
+def _classic_step(state, t, k, b, batch, local):
+    """Full local training: the server step on the whole model."""
+    x, y = _batch_input(state, k, batch)
+    loss, _ = _server_step(local["model"], x, y, state.config.lr)
+    return loss, len(y)
 
 
-def run_round_local_loss(state, t):
-    """Device trains with a local auxiliary-head loss; the server trains on
-    uploaded activations; nothing travels downlink but weight syncs."""
-    cfg = state.config
-    sync_bytes = _stack_param_bytes(state.global_device) + _stack_param_bytes(state.global_head)
-    losses, local_states, server_states, counts = {}, [], [], []
-    n_device_layers = len(state.global_device)
-    for k in sorted(state.batches):
-        state.ledger.record(t, k, "down", "model_down", sync_bytes)
-        dev = models.clone_stack(state.global_device)
-        head = models.clone_stack(state.global_head)
-        srv = models.clone_stack(state.global_server)
-        total = 0.0
-        for batch in state.batches[k]:
-            x, y = _batch_input(state, k, batch)
-            dtrace = kernel.forward(dev, x)
-            a = dtrace.output
-            state.ledger.record(t, k, "up", "activation", 4 * a.size)
-            state.ledger.record(t, k, "up", "labels", 2 * len(y))
-            loss, _ = _server_step(srv, a, y, cfg.lr)
-            # Local update is decoupled: it never alters the activation the
-            # server just consumed, and its gradient stays on the device.
-            htrace = kernel.forward(head, a)
-            _, daux = kernel.softmax_cross_entropy(htrace.output, y)
-            hgrads = kernel.backward(head, htrace, daux)
-            dgrads = kernel.backward(dev, dtrace, hgrads.input_grad)
-            kernel.sgd_step(head, hgrads, cfg.lr)
-            kernel.sgd_step(dev, dgrads, cfg.lr)
-            total += loss * len(y)
-        state.ledger.record(t, k, "up", "model_up", sync_bytes)
-        losses[k] = total / len(state.shards[k])
-        local_states.append(kernel.stack_state(dev) + kernel.stack_state(head))
-        server_states.append(kernel.stack_state(srv))
-        counts.append(len(state.shards[k]))
-        state.device_stacks[k] = dev
-        state.server_stacks[k] = srv
-    diag_record = _maybe_observe(state, t)
-    merged = fedavg(local_states, counts)
-    kernel.load_state(state.global_device, merged[:n_device_layers])
-    kernel.load_state(state.global_head, merged[n_device_layers:])
-    kernel.load_state(state.global_server, fedavg(server_states, counts))
-    return _finish_round(state, t, losses, diag_record)
+def _serve_upload(state, t, k, batch, local):
+    """Device forward, activation and labels up, server step on them;
+    returns (device trace, labels, server loss, cut gradient)."""
+    x, y = _batch_input(state, k, batch)
+    dtrace = kernel.forward(local["device"], x)
+    state.ledger.record(t, k, "up", "activation", 4 * dtrace.output.size)
+    state.ledger.record(t, k, "up", "labels", 2 * len(y))
+    loss, cut_grad = _server_step(local["server"], dtrace.output, y, state.config.lr)
+    return dtrace, y, loss, cut_grad
 
 
-def run_round_replay(state, t):
+def _split_step(state, t, k, b, batch, local):
+    """Activation up, gradient down; a frozen device stack skips its update."""
+    dtrace, y, loss, cut_grad = _serve_upload(state, t, k, batch, local)
+    state.ledger.record(t, k, "down", "gradient", 4 * dtrace.output.size)
+    if not state.frozen_device:
+        dev = local["device"]
+        kernel.sgd_step(dev, kernel.backward(dev, dtrace, cut_grad), state.config.lr)
+    return loss, len(y)
+
+
+def _local_loss_step(state, t, k, b, batch, local):
+    """The device trains through its auxiliary head, never from the
+    server: no gradient travels downlink."""
+    dtrace, y, loss, _ = _serve_upload(state, t, k, batch, local)
+    dev, head, lr = local["device"], local["head"], state.config.lr
+    # Local update is decoupled: it never alters the activation the
+    # server just consumed, and its gradient stays on the device.
+    htrace = kernel.forward(head, dtrace.output)
+    _, daux = kernel.softmax_cross_entropy(htrace.output, y)
+    hgrads = kernel.backward(head, htrace, daux)
+    dgrads = kernel.backward(dev, dtrace, hgrads.input_grad)
+    kernel.sgd_step(head, hgrads, lr)
+    kernel.sgd_step(dev, dgrads, lr)
+    return loss, len(y)
+
+
+def _replay_step(state, t, k, b, batch, local):
     """Quantized activations up on transmission rounds, cache replay on the
-    others; the frozen device stack never receives a gradient or a sync."""
+    others; the frozen device stack never receives a gradient."""
     cfg = state.config
-    on = buffer_mod.switch_is_on(t, cfg.rho)
-    losses, server_states, counts = {}, [], []
+    if buffer_mod.switch_is_on(t, cfg.rho):
+        x, y = _batch_input(state, k, batch)
+        a = kernel.forward(local["device"], x).output
+        record = quantize.encode(
+            a, round_tag=t, device_id=k, batch_index=b, labels=y, quantized=cfg.quantized,
+        )
+        state.buffer.store(record)
+        state.ledger.record(t, k, "up", "activation", quantize.record_wire_bytes(record))
+    else:
+        record = state.buffer.fetch(k, b)
+    loss, _ = _server_step(local["server"], quantize.decode(record), record.labels, cfg.lr)
+    return loss, len(record.labels)
+
+
+_STEPS = {
+    "classic": _classic_step,
+    "split": _split_step,
+    "local_loss": _local_loss_step,
+    "replay": _replay_step,
+}
+
+
+def _check_finite(state, t, losses):
+    """A diverged round fails loudly instead of logging NaN metrics."""
+    stacks = (state.global_model, state.global_device, state.global_head, state.global_server)
+    values = [np.array(list(losses.values()))] + [kernel.param_vector(s) for s in stacks if s]
+    if not all(np.isfinite(v).all() for v in values):
+        raise TrainingError(f"round {t} ({state.config.mode}): non-finite training loss or weights")
+
+
+def run_round(state, t):
+    """One round of any mode: every device trains clones of the global
+    stacks over its shard, one mode step per batch, then FedAvg."""
+    trained, synced = _stack_roles(state)
+    step = _STEPS[state.config.mode]
+    sync_bytes = sum(_stack_param_bytes(getattr(state, f"global_{s}")) for s in synced)
+    losses, states, counts = {}, {s: [] for s in trained}, []
     for k in sorted(state.batches):
-        srv = models.clone_stack(state.global_server)
+        if synced:
+            state.ledger.record(t, k, "down", "model_down", sync_bytes)
+        local = {s: models.clone_stack(getattr(state, f"global_{s}")) for s in trained}
+        local.setdefault("device", state.global_device)
         total = 0.0
         for b, batch in enumerate(state.batches[k]):
-            if on:
-                x, y = _batch_input(state, k, batch)
-                a = kernel.forward(state.global_device, x).output
-                record = quantize.encode(
-                    a, round_tag=t, device_id=k, batch_index=b,
-                    labels=y, quantized=cfg.quantized,
-                )
-                state.buffer.store(record)
-                state.ledger.record(
-                    t, k, "up", "activation", quantize.record_wire_bytes(record)
-                )
-            else:
-                record = state.buffer.fetch(k, b)
-            a_hat = quantize.decode(record)
-            loss, _ = _server_step(srv, a_hat, record.labels, cfg.lr)
-            total += loss * len(record.labels)
+            loss, n = step(state, t, k, b, batch, local)
+            total += loss * n
+        if synced:
+            state.ledger.record(t, k, "up", "model_up", sync_bytes)
         losses[k] = total / len(state.shards[k])
-        server_states.append(kernel.stack_state(srv))
+        for s in trained:
+            states[s].append(kernel.stack_state(local[s]))
         counts.append(len(state.shards[k]))
-        state.device_stacks[k] = state.global_device
-        state.server_stacks[k] = srv
+        state.device_stacks[k] = local["device"]
+        state.server_stacks[k] = local.get("server", local.get("model"))
     diag_record = _maybe_observe(state, t)
-    kernel.load_state(state.global_server, fedavg(server_states, counts))
+    for s in trained:
+        kernel.load_state(getattr(state, f"global_{s}"), fedavg(states[s], counts))
+    _check_finite(state, t, losses)
     return _finish_round(state, t, losses, diag_record)
 
 
-_ROUND_FNS = {
-    "classic": run_round_classic,
-    "split": run_round_split,
-    "local_loss": run_round_local_loss,
-    "replay": run_round_replay,
-}
+# The benchmark harness resolves the round function by mode name.
+run_round_classic = run_round_split = run_round_local_loss = run_round_replay = run_round
 
 
 def run_training(config):
     """Execute T rounds of the configured mode; returns the final model,
     per-round results, and metrics rows. Deterministic under fixed seeds."""
     state = init_state(config)
-    round_fn = _ROUND_FNS[config.mode]
     results, rows = [], []
     for t in range(config.rounds):
         try:
-            result = round_fn(state, t)
+            result = run_round(state, t)
         except (kernel.KernelError, quantize.QuantizeError, buffer_mod.BufferError,
                 buffer_mod.BufferMiss, netsim.NetsimError, data_mod.DataError) as exc:
             raise TrainingError(f"round {t} ({config.mode}): {exc}") from exc

@@ -107,7 +107,7 @@ def quantizer_property_suite(trials, seed):
         assert rec.codes.min() == 0 and rec.codes.max() == 255
 
         # round-trip error <= scale/2 + 1 ulp of the largest magnitude
-        back = quantize.dequantize(rec)
+        back = quantize.decode(rec)
         bound = rec.scale / 2.0 + float(np.spacing(np.abs(a).max()))
         err = float(np.max(np.abs(back.astype(np.float64) - a.astype(np.float64))))
         assert err <= bound, f"trial {t}: round-trip err {err} > bound {bound}"
@@ -121,7 +121,7 @@ def quantizer_property_suite(trials, seed):
     for value in (-3.5, 0.0, 7.25):
         rec = quantize.quantize(np.full(9, value, dtype=np.float32), round_tag=0, device_id=0, batch_index=0)
         assert rec.scale == 0.0 and np.all(rec.codes == 0)
-        assert np.array_equal(quantize.dequantize(rec), np.full(9, value, dtype=np.float32))
+        assert np.array_equal(quantize.decode(rec), np.full(9, value, dtype=np.float32))
 
 
 def make_layer_instances(seed):

@@ -174,6 +174,33 @@ def test_training_errors_exit_5(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_TRAINING
 
 
+@pytest.mark.parametrize("overrides", [
+    {"lr": float("inf")},
+    {"lr": float("nan")},
+    {"device_speed": float("inf")},
+    {"server_speed": float("-inf")},
+    {"dataset": {"kind": "blobs", "per_class": 32, "noise_sigma": float("inf")}},
+])
+def test_non_finite_config_values_exit_3(tmp_path, capsys, overrides):
+    # json writes and reads these as Infinity / NaN
+    cfg = smoke_config(tmp_path, mode="split", rho=1, **overrides)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_diverged_run_exits_5_without_metrics(tmp_path, capsys):
+    # A finite but huge step size overflows the weights in round 0.
+    cfg = smoke_config(tmp_path, mode="split", rho=1, lr=1e30)
+    with np.errstate(all="ignore"):
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == cli.EXIT_TRAINING
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("training error: round 0 (split)") and "non-finite" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_diagnose_violated_bound_warns_but_exits_zero(tmp_path, capsys):
     log = tmp_path / "diag.csv"
     log.write_text(

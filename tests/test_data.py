@@ -3,7 +3,10 @@ round trips, sharding properties, flip augmentation."""
 
 from __future__ import annotations
 
+import gc
 import struct
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +80,20 @@ def test_idx_write_load_round_trip(tmp_path):
     ds = data.load_idx(ip, lp)
     assert np.array_equal(ds.labels, labels)
     assert np.allclose(ds.images, images, atol=1e-7)
+
+
+def test_load_idx_closes_its_files(tmp_path, monkeypatch):
+    # An unclosed file warns from its finaliser, where an error-level
+    # warning cannot propagate; it surfaces through sys.unraisablehook.
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    data.write_idx(ip, lp, np.zeros((3, 1, 2, 2), dtype=np.float32), np.arange(3))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        data.load_idx(ip, lp)
+        gc.collect()
+    assert not unraisable
 
 
 def test_idx_distinct_errors(tmp_path):

@@ -19,7 +19,7 @@ def test_constant_tensor_contract():
     assert rec.scale == 0.0
     assert np.all(rec.codes == 0)
     assert rec.min_val == np.float32(2.5)
-    back = quantize.dequantize(rec)
+    back = quantize.decode(rec)
     assert np.array_equal(back, np.full((3, 4), 2.5, dtype=np.float32))
 
 
@@ -120,7 +120,7 @@ def test_quantization_error_matches_scripted_oracle():
     eps = quantize.quantization_error(a, server, labels)
 
     rec = quantize.quantize(a, round_tag=0, device_id=0, batch_index=0)
-    a_hat = quantize.dequantize(rec, dtype=np.float64)
+    a_hat = quantize.decode(rec, dtype=np.float64)
     vecs = []
     for x in (a_hat, a):
         trace = kernel.forward(server, x)

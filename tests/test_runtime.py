@@ -164,6 +164,28 @@ class TestEquivalence:
             for key in a:
                 assert np.array_equal(a[key], b[key])
 
+    @pytest.mark.parametrize("model", ["tiny_vgg", "tiny_res"])
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_classic_matches_unfrozen_split(self, model, augment):
+        # Classic's batch step is the server step on the whole model, so the
+        # cut changes what crosses the link but no weight or loss bit.
+        runs = {
+            mode: runtime.run_training(make_config(
+                mode=mode, model=model, augment=augment, pretrain_epochs=0, rounds=2))
+            for mode in ("classic", "split")
+        }
+        weights = {
+            mode: [v.tobytes() for layer in kernel.stack_state(out.final_model)
+                   for _, v in sorted(layer.items())]
+            for mode, out in runs.items()
+        }
+        assert weights["classic"] == weights["split"]
+        rows = {
+            mode: [(r["round"], r["device"], r["server_loss"], r["test_acc"]) for r in out.rows]
+            for mode, out in runs.items()
+        }
+        assert rows["classic"] == rows["split"]
+
     def test_frozen_device_forward_constant_across_rounds(self):
         out = runtime.run_training(make_config(mode="replay", rho=2, rounds=5))
         state = out.state
@@ -334,10 +356,10 @@ class TestRunTraining:
         assert pre_acc >= raw_acc
 
     def test_round_error_carries_round_context(self, monkeypatch):
-        def boom(state, t):
+        def boom(state, t, k, b, batch, local):
             raise kernel.KernelError("injected fault")
 
-        monkeypatch.setitem(runtime._ROUND_FNS, "split", boom)
+        monkeypatch.setitem(runtime._STEPS, "split", boom)
         with pytest.raises(runtime.TrainingError, match="round 0"):
             runtime.run_training(make_config(mode="split"))
 
