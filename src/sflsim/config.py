@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import models, netsim
 
@@ -45,8 +46,6 @@ class RunConfig:
     spill_dir: str | None = None
 
 
-_REQUIRED = ("version", "mode", "model", "devices", "rounds", "lr", "batch_size")
-
 _DATASET_KEYS = {
     "blobs": {"kind", "classes", "per_class", "noise_sigma", "image_shape"},
     "idx": {"kind", "images", "labels"},
@@ -58,35 +57,24 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
-_INT_FIELDS = ("version", "devices", "rounds", "batch_size", "rho", "pretrain_epochs", "seed")
-_NUM_FIELDS = ("lr", "device_speed", "server_speed")
-_BOOL_FIELDS = ("quantized", "augment", "freeze_device", "diagnostics")
-_STR_FIELDS = ("mode", "model", "profile")
+_HINTS = typing.get_type_hints(RunConfig)
+_TYPE_WORDS = {int: "an integer", bool: "true or false", str: "a string", dict: "an object"}
 
 
-def _check_types(raw):
-    for key in _INT_FIELDS:
-        if key in raw:
-            _require(isinstance(raw[key], int) and not isinstance(raw[key], bool),
-                     f"{key} must be an integer")
-    for key in _NUM_FIELDS:
-        if key in raw:
-            _require(isinstance(raw[key], (int, float)) and not isinstance(raw[key], bool),
-                     f"{key} must be a number")
-            _require(math.isfinite(raw[key]), f"{key} must be finite, got {raw[key]!r}")
-    for key in _BOOL_FIELDS:
-        if key in raw:
-            _require(isinstance(raw[key], bool), f"{key} must be true or false")
-    for key in _STR_FIELDS:
-        if key in raw:
-            _require(isinstance(raw[key], str), f"{key} must be a string")
-    if raw.get("op_index") is not None:
-        _require(isinstance(raw["op_index"], int) and not isinstance(raw["op_index"], bool),
-                 "op_index must be an integer or null")
-    if raw.get("spill_dir") is not None:
-        _require(isinstance(raw["spill_dir"], str), "spill_dir must be a path string")
-    if "dataset" in raw:
-        _require(isinstance(raw["dataset"], dict), "dataset must be an object")
+def _check_type(key, value, hint):
+    """Reject a value that does not fit a type annotation: int, float
+    (finite), bool, str or dict, optionally ``| None``."""
+    options = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in options:
+        return
+    kind = options[0]
+    if kind is float:
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                 f"{key} must be a number")
+        _require(math.isfinite(value), f"{key} must be finite, got {value!r}")
+    else:
+        _require(isinstance(value, kind) and (kind is bool or not isinstance(value, bool)),
+                 f"{key} must be {_TYPE_WORDS[kind]}" + (" or null" if len(options) > 1 else ""))
 
 
 def from_dict(raw):
@@ -95,13 +83,16 @@ def from_dict(raw):
     known = {f.name for f in fields(RunConfig)}
     unknown = set(raw) - known
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in _REQUIRED if k not in raw]
+    required = [f.name for f in fields(RunConfig)
+                if f.default is MISSING and f.default_factory is MISSING]
+    missing = [k for k in required if k not in raw]
     _require(not missing, f"missing config keys: {missing}")
     _require(
         raw["version"] == SCHEMA_VERSION,
         f"config version must be {SCHEMA_VERSION}, got {raw['version']!r}",
     )
-    _check_types(raw)
+    for key, value in raw.items():
+        _check_type(key, value, _HINTS[key])
     cfg = RunConfig(**raw)
     _require(cfg.mode in MODES, f"mode must be one of {MODES}, got {cfg.mode!r}")
     _require(cfg.model in models.ZOO, f"model must be one of {sorted(models.ZOO)}")
@@ -146,20 +137,23 @@ def _validate_dataset(cfg):
     _require(not unknown, f"unknown dataset keys for {kind!r}: {sorted(unknown)}")
     if kind == "idx":
         _require("images" in raw and "labels" in raw, "idx dataset needs images and labels paths")
-        return {"kind": "idx", "images": str(raw["images"]), "labels": str(raw["labels"])}
-    out = {
-        "kind": "blobs",
-        "classes": int(raw.get("classes", spec.num_classes)),
-        "per_class": int(raw.get("per_class", 200)),
-        "noise_sigma": float(raw.get("noise_sigma", 0.05)),
-        "image_shape": tuple(raw.get("image_shape", spec.input_shape)),
-    }
+        for key in ("images", "labels"):
+            _check_type(key, raw[key], str)
+        return raw
+    out = {"kind": "blobs", "classes": spec.num_classes, "per_class": 200, "noise_sigma": 0.05,
+           "image_shape": spec.input_shape, **raw}
+    for key, hint in (("classes", int), ("per_class", int), ("noise_sigma", float)):
+        _check_type(key, out[key], hint)
+    shape = out["image_shape"]
+    _require(isinstance(shape, (list, tuple)) and len(shape) == 3
+             and all(type(d) is int and d > 0 for d in shape),
+             "image_shape must be three positive integers (channels, height, width)")
+    out["noise_sigma"] = float(out["noise_sigma"])
+    out["image_shape"] = tuple(shape)
     _require(out["classes"] == spec.num_classes,
              f"blobs classes {out['classes']} must match model classes {spec.num_classes}")
     _require(out["per_class"] >= 1, "per_class must be >= 1")
-    _require(math.isfinite(out["noise_sigma"]) and out["noise_sigma"] >= 0,
-             "noise_sigma must be finite and >= 0")
-    _require(len(out["image_shape"]) == 3, "image_shape must be (channels, height, width)")
+    _require(out["noise_sigma"] >= 0, "noise_sigma must be >= 0")
     return out
 
 

@@ -75,14 +75,6 @@ class DiagnosticsRecord:
         return float(np.mean(list(self.delta.values()))) if self.delta else 0.0
 
 
-def _server_probe_gradient(server_layers, activations, labels):
-    """(loss, flat gradient) of the server stack on one probe batch."""
-    trace = kernel.forward(server_layers, activations)
-    loss, dlogits = kernel.softmax_cross_entropy(trace.output, labels)
-    grads = kernel.backward(server_layers, trace, dlogits)
-    return loss, kernel.grad_vector(grads)
-
-
 def record_round(state, t):
     """Measure one round of a running training state.
 
@@ -104,7 +96,8 @@ def record_round(state, t):
     for k in sorted(state.batches):
         a, y = probe_batch(state, k)
         server = state.server_stacks[k]
-        loss, g = _server_probe_gradient(server, a, y)
+        loss, grads = kernel.loss_grads(server, a, y)
+        g = kernel.grad_vector(grads)
         grad_sqs.append(float(g @ g))
         losses.append(loss)
         eps[k] = quantize.quantization_error(
@@ -238,8 +231,7 @@ def server_grad_fn(server_layers, activations, labels):
 
     def fn(theta):
         kernel.load_param_vector(stack, theta)
-        _, g = _server_probe_gradient(stack, activations, labels)
-        return g
+        return kernel.grad_vector(kernel.loss_grads(stack, activations, labels)[1])
 
     return fn
 

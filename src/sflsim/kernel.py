@@ -2,7 +2,8 @@
 
 Layers are stateful objects holding float32 parameters (float64 in test mode)
 and exposing forward/backward with explicit caches. Stack-level helpers run a
-list of layers as one network, validate traces, and apply plain SGD. Weight
+list of layers as one network, validate traces, take the cross-entropy loss
+and its gradients in one call (loss_grads), and apply plain SGD. Weight
 checkpoints use a little-endian binary format with magic ``SFL1``.
 """
 
@@ -64,18 +65,25 @@ class Layer:
         self.version += 1
 
 
-class Dense(Layer):
-    kind = "dense"
+class _WeightBias(Layer):
+    """A layer with weight ``w`` and bias ``b`` (n_out entries), drawn in
+    that order from uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
 
-    def __init__(self, n_in, n_out, rng, dtype=np.float32):
+    def __init__(self, w_shape, n_out, fan_in, rng, dtype):
         super().__init__()
-        self.n_in = int(n_in)
-        self.n_out = int(n_out)
-        self.w = _uniform_init(rng, (self.n_in, self.n_out), self.n_in, dtype)
-        self.b = _uniform_init(rng, (self.n_out,), self.n_in, dtype)
+        self.w = _uniform_init(rng, w_shape, fan_in, dtype)
+        self.b = _uniform_init(rng, (n_out,), fan_in, dtype)
 
     def params(self):
         return {"w": self.w, "b": self.b}
+
+
+class Dense(_WeightBias):
+    kind = "dense"
+
+    def __init__(self, n_in, n_out, rng, dtype=np.float32):
+        self.n_in = int(n_in)
+        super().__init__((self.n_in, int(n_out)), int(n_out), self.n_in, rng, dtype)
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.n_in:
@@ -96,28 +104,23 @@ def _conv3x3_windows(x_padded):
     return np.lib.stride_tricks.sliding_window_view(x_padded, (3, 3), axis=(2, 3))
 
 
-class Conv3x3(Layer):
+def _batch_kept(per_example):
+    """(einsum output prefix, bias-sum axes) of a conv parameter gradient."""
+    return ("b", (2, 3)) if per_example else ("", (0, 2, 3))
+
+
+class Conv3x3(_WeightBias):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved)."""
 
     kind = "conv3x3"
 
     def __init__(self, c_in, c_out, rng, dtype=np.float32):
-        super().__init__()
         self.c_in = int(c_in)
-        self.c_out = int(c_out)
-        fan_in = 9 * self.c_in
-        self.w = _uniform_init(rng, (self.c_out, self.c_in, 3, 3), fan_in, dtype)
-        self.b = _uniform_init(rng, (self.c_out,), fan_in, dtype)
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def _check(self, x):
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise KernelError(f"conv3x3 expects (batch, {self.c_in}, h, w), got {x.shape}")
+        super().__init__((int(c_out), self.c_in, 3, 3), int(c_out), 9 * self.c_in, rng, dtype)
 
     def forward(self, x):
-        self._check(x)
+        if x.ndim != 4 or x.shape[1] != self.c_in:
+            raise KernelError(f"conv3x3 expects (batch, {self.c_in}, h, w), got {x.shape}")
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         y = np.einsum("bchwij,ocij->bohw", _conv3x3_windows(xp), self.w, optimize=True)
         y += self.b[None, :, None, None]
@@ -125,32 +128,23 @@ class Conv3x3(Layer):
 
     def backward(self, cache, dy, per_example=False):
         xp = cache
-        if per_example:
-            dw = np.einsum("bchwij,bohw->bocij", _conv3x3_windows(xp), dy, optimize=True)
-            db = dy.sum(axis=(2, 3))
-        else:
-            dw = np.einsum("bchwij,bohw->ocij", _conv3x3_windows(xp), dy, optimize=True)
-            db = dy.sum(axis=(0, 2, 3))
+        b, axes = _batch_kept(per_example)
+        dw = np.einsum(f"bchwij,bohw->{b}ocij", _conv3x3_windows(xp), dy, optimize=True)
+        db = dy.sum(axis=axes)
         dyp = np.pad(dy, ((0, 0), (0, 0), (1, 1), (1, 1)))
         w_flip = self.w[:, :, ::-1, ::-1]
         dx = np.einsum("bohwij,ocij->bchw", _conv3x3_windows(dyp), w_flip, optimize=True)
         return {"w": dw, "b": db}, dx
 
 
-class Conv1x1(Layer):
+class Conv1x1(_WeightBias):
     """1x1 convolution (per-pixel channel mix), used as downsample projection."""
 
     kind = "conv1x1"
 
     def __init__(self, c_in, c_out, rng, dtype=np.float32):
-        super().__init__()
         self.c_in = int(c_in)
-        self.c_out = int(c_out)
-        self.w = _uniform_init(rng, (self.c_out, self.c_in), self.c_in, dtype)
-        self.b = _uniform_init(rng, (self.c_out,), self.c_in, dtype)
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
+        super().__init__((int(c_out), self.c_in), int(c_out), self.c_in, rng, dtype)
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
@@ -161,12 +155,9 @@ class Conv1x1(Layer):
 
     def backward(self, cache, dy, per_example=False):
         x = cache
-        if per_example:
-            dw = np.einsum("bchw,bohw->boc", x, dy, optimize=True)
-            db = dy.sum(axis=(2, 3))
-        else:
-            dw = np.einsum("bchw,bohw->oc", x, dy, optimize=True)
-            db = dy.sum(axis=(0, 2, 3))
+        b, axes = _batch_kept(per_example)
+        dw = np.einsum(f"bchw,bohw->{b}oc", x, dy, optimize=True)
+        db = dy.sum(axis=axes)
         dx = np.einsum("bohw,oc->bchw", dy, self.w, optimize=True)
         return {"w": dw, "b": db}, dx
 
@@ -226,8 +217,6 @@ class ResidualBlock(Layer):
 
     def __init__(self, c_in, c_out, rng, dtype=np.float32):
         super().__init__()
-        self.c_in = int(c_in)
-        self.c_out = int(c_out)
         self.conv1 = Conv3x3(c_in, c_out, rng, dtype)
         self.conv2 = Conv3x3(c_out, c_out, rng, dtype)
         self.skip = Conv1x1(c_in, c_out, rng, dtype)
@@ -276,7 +265,6 @@ class Trace:
     caches: list
     layer_ids: tuple
     versions: tuple
-    input_shape: tuple
 
 
 @dataclass
@@ -287,9 +275,8 @@ class Gradients:
     input_grad: np.ndarray | None
 
 
-def forward(layers, batch):
+def forward(layers, x):
     """Run a layer stack; returns a Trace consumable by backward."""
-    x = batch
     caches = []
     for layer in layers:
         x, cache = layer.forward(x)
@@ -299,7 +286,6 @@ def forward(layers, batch):
         caches=caches,
         layer_ids=tuple(id(l) for l in layers),
         versions=tuple(l.version for l in layers),
-        input_shape=batch.shape,
     )
 
 
@@ -351,6 +337,14 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad.astype(logits.dtype)
 
 
+def loss_grads(layers, x, labels):
+    """Forward, mean softmax cross-entropy and exact backward of a stack on
+    one batch; returns (loss, Gradients)."""
+    trace = forward(layers, x)
+    loss, dlogits = softmax_cross_entropy(trace.output, labels)
+    return loss, backward(layers, trace, dlogits)
+
+
 def sgd_step(layers, grads, lr):
     """In-place w -= lr * g on trainable layers; frozen layers keep their bits."""
     if len(grads.layers) != len(layers):
@@ -389,20 +383,17 @@ def load_state(layers, state):
         layer.bump()
 
 
-def param_vector(layers):
-    """All parameters flattened into one float64 vector (diagnostics use).
+def _flat(dicts):
+    """The arrays of a list of per-layer dicts as one float64 vector, keys
+    visited in sorted order per layer."""
+    chunks = [d[k].reshape(-1).astype(np.float64) for d in dicts for k in sorted(d)]
+    return np.concatenate(chunks) if chunks else np.zeros(0)
 
-    Keys are visited in sorted order per layer so the layout matches
-    grad_vector and load_param_vector exactly.
-    """
-    chunks = []
-    for layer in layers:
-        params = layer.params()
-        for k in sorted(params):
-            chunks.append(params[k].reshape(-1).astype(np.float64))
-    if not chunks:
-        return np.zeros(0)
-    return np.concatenate(chunks)
+
+def param_vector(layers):
+    """All parameters flattened into one float64 vector (diagnostics use),
+    in the layout of grad_vector and load_param_vector."""
+    return _flat([layer.params() for layer in layers])
 
 
 def load_param_vector(layers, vector):
@@ -425,13 +416,7 @@ def load_param_vector(layers, vector):
 
 def grad_vector(grads):
     """All gradients flattened into one float64 vector, matching param_vector order."""
-    chunks = []
-    for layer_grads in grads.layers:
-        for k in sorted(layer_grads):
-            chunks.append(layer_grads[k].reshape(-1).astype(np.float64))
-    if not chunks:
-        return np.zeros(0)
-    return np.concatenate(chunks)
+    return _flat(grads.layers)
 
 
 def freeze(layers):

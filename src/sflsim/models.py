@@ -261,9 +261,7 @@ def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            trace = kernel.forward(clone, images[take])
-            _, grad = kernel.softmax_cross_entropy(trace.output, labels[take])
-            grads = kernel.backward(clone, trace, grad)
+            _, grads = kernel.loss_grads(clone, images[take], labels[take])
             kernel.sgd_step(clone, grads, lr)
     device, _ = partition(clone, idx)
     kernel.freeze(device)

@@ -64,6 +64,8 @@ class ActivationRecord:
 def quantize(a, round_tag, device_id, batch_index, labels=None):
     """Affine-quantize a tensor to uint8 codes with one (scale, min) pair."""
     a = np.asarray(a)
+    if a.size == 0:
+        raise QuantizeError(f"cannot quantize an empty tensor of shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise QuantizeError("cannot quantize non-finite values")
     a64 = a.astype(np.float64)
@@ -210,13 +212,7 @@ def quantization_error(a, server_layers, labels, quantized=True, clean_grad=None
     a = np.asarray(a)
     rec = quantize(a, round_tag=0, device_id=0, batch_index=0)
     a_hat = decode(rec, dtype=a.dtype)
-    quantized_grad = _loss_grad_vector(server_layers, a_hat, labels)
+    quantized_grad = kernel.grad_vector(kernel.loss_grads(server_layers, a_hat, labels)[1])
     if clean_grad is None:
-        clean_grad = _loss_grad_vector(server_layers, a, labels)
+        clean_grad = kernel.grad_vector(kernel.loss_grads(server_layers, a, labels)[1])
     return float(np.linalg.norm(quantized_grad - clean_grad))
-
-
-def _loss_grad_vector(server_layers, x, labels):
-    trace = kernel.forward(server_layers, x)
-    _, grad = kernel.softmax_cross_entropy(trace.output, np.asarray(labels))
-    return kernel.grad_vector(kernel.backward(server_layers, trace, grad))

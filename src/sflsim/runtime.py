@@ -180,9 +180,7 @@ def _batch_input(state, device, batch):
 def _server_step(server_stack, activation, labels, lr):
     """Forward/loss/backward/SGD on a server stack; the one code path every
     split-family mode shares, so equal inputs give bit-equal weights."""
-    trace = kernel.forward(server_stack, activation)
-    loss, dlogits = kernel.softmax_cross_entropy(trace.output, labels)
-    grads = kernel.backward(server_stack, trace, dlogits)
+    loss, grads = kernel.loss_grads(server_stack, activation, labels)
     kernel.sgd_step(server_stack, grads, lr)
     return loss, grads.input_grad
 
@@ -378,9 +376,7 @@ def _local_loss_step(state, t, k, b, batch, local):
     dev, head, lr = local["device"], local["head"], state.config.lr
     # Local update is decoupled: it never alters the activation the
     # server just consumed, and its gradient stays on the device.
-    htrace = kernel.forward(head, dtrace.output)
-    _, daux = kernel.softmax_cross_entropy(htrace.output, y)
-    hgrads = kernel.backward(head, htrace, daux)
+    _, hgrads = kernel.loss_grads(head, dtrace.output, y)
     dgrads = kernel.backward(dev, dtrace, hgrads.input_grad)
     kernel.sgd_step(head, hgrads, lr)
     kernel.sgd_step(dev, dgrads, lr)

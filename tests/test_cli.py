@@ -189,6 +189,24 @@ def test_non_finite_config_values_exit_3(tmp_path, capsys, overrides):
     assert not (tmp_path / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("per_class", float("inf")),
+    ("per_class", "x"),
+    ("per_class", True),
+    ("noise_sigma", "a"),
+    ("image_shape", 5),
+    ("image_shape", [1, 16, "a"]),
+    ("image_shape", [0, 16, 16]),
+    ("classes", 2.5),
+])
+def test_bad_dataset_fields_exit_3(tmp_path, capsys, field, value):
+    cfg = smoke_config(tmp_path, dataset={"kind": "blobs", field: value})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field} must be")
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_diverged_run_exits_5_without_metrics(tmp_path, capsys):
     # A finite but huge step size overflows the weights in round 0.
     cfg = smoke_config(tmp_path, mode="split", rho=1, lr=1e30)

@@ -67,6 +67,7 @@ def test_wrong_version_rejected():
         ({"op_index": 0}, "op_index"),
         ({"device_speed": 0}, "speeds"),
         ({"op_index": 40}, "op_index"),  # tiny_vgg expands to 11 layers
+        ({"dataset": {"kind": "idx", "images": None, "labels": "b.idx"}}, "images"),
     ],
 )
 def test_invalid_values_rejected(patch, fragment):

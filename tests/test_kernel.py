@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from sflsim import kernel
+from sflsim import kernel, models
 
 from _helpers import conditioned_input, fd_check_layer, make_layer_instances
 
@@ -126,6 +126,32 @@ def test_softmax_cross_entropy_fd_on_logits():
         lo, _ = kernel.softmax_cross_entropy(p, labels)
         numeric[i] = (hi - lo) / (2 * step)
     assert np.max(np.abs(grad - numeric)) < 1e-7
+
+
+@pytest.mark.parametrize("spec", [models.tiny_vgg(), models.tiny_res()], ids=lambda s: s.name)
+def test_loss_grads_is_the_hand_sequence(spec):
+    # forward -> softmax cross-entropy -> backward, bit for bit, in float32
+    model = models.build_model(spec, seed=3)
+    _, server = models.partition(model, model.default_split)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((6, *models.analyze(spec).activation_shape)).astype(np.float32)
+    labels = rng.integers(0, spec.num_classes, size=6)
+    loss, grads = kernel.loss_grads(server, x, labels)
+    trace = kernel.forward(server, x)
+    want_loss, dlogits = kernel.softmax_cross_entropy(trace.output, labels)
+    want = kernel.backward(server, trace, dlogits)
+    assert loss == want_loss
+    pairs = [(grads.input_grad, want.input_grad)]
+    for got, ref in zip(grads.layers, want.layers, strict=True):
+        assert got.keys() == ref.keys()
+        pairs += [(got[k], ref[k]) for k in ref]
+    for got, ref in pairs:
+        assert got.dtype == ref.dtype == np.float32
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    with pytest.raises(kernel.KernelError, match="labels"):
+        kernel.loss_grads(server, x, np.full(6, spec.num_classes))
+    with pytest.raises(kernel.KernelError, match="labels"):
+        kernel.loss_grads(server, x, labels.astype(np.float64))
 
 
 def test_sgd_step_hand_value_and_frozen_bits():

@@ -3,6 +3,8 @@ layer-string parsing, deterministic builds, central pretraining."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,25 @@ def test_build_is_deterministic():
         for k in la.params():
             assert np.array_equal(la.params()[k], lb.params()[k])
     assert not np.array_equal(a.layers[0].params()["w"], c.layers[0].params()["w"])
+
+
+# SHA-256 of build_model(spec, seed=0)'s parameters: per layer index, kind,
+# key (sorted), shape and dtype, then the raw bytes. A change in the order
+# or shape of the init draws moves every trained weight; it fails here first.
+INIT_SHA256 = {
+    "tiny_vgg": "420e017dd4af0406a4db304ee3db186489e3c76091d51353273120cdfbd459b8",
+    "tiny_res": "cdd10d769446c1f22e342aeeb137d4a9eb32146e37d6940917de9ce2324c2904",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INIT_SHA256))
+def test_init_weights_are_pinned(name):
+    digest = hashlib.sha256()
+    for i, layer in enumerate(models.build_model(models.ZOO[name](), seed=0).layers):
+        for key, arr in sorted(layer.params().items()):
+            digest.update(f"{i}.{layer.kind}.{key}{arr.shape}{arr.dtype}".encode())
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == INIT_SHA256[name]
 
 
 def test_forward_shapes_through_zoo():

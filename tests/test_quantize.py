@@ -53,6 +53,19 @@ def test_rejects_non_finite():
         quantize.quantize(np.array([1.0, np.inf]), round_tag=0, device_id=0, batch_index=0)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)])
+def test_empty_tensors(shape):
+    # q8 has no min/max to take, so it refuses with its own error; raw
+    # carries an empty payload and round-trips it
+    empty = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(quantize.QuantizeError, match="empty"):
+        quantize.encode(empty, 0, 0, 0)
+    rec = quantize.encode(empty, 0, 0, 0, quantized=False)
+    back = quantize.parse(quantize.serialize(rec))
+    assert back.shape == shape
+    assert quantize.decode(back).shape == shape
+
+
 def test_wire_format_hand_packed():
     a = np.array([[0.0, 1.0], [2.0, 255.0]], dtype=np.float32)
     labels = np.array([3, 7], dtype=np.uint16)
