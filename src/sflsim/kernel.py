@@ -43,7 +43,6 @@ class Layer:
     kind = "base"
 
     def __init__(self):
-        self.trainable = True
         self.version = 0
 
     def params(self):
@@ -346,11 +345,11 @@ def loss_grads(layers, x, labels):
 
 
 def sgd_step(layers, grads, lr):
-    """In-place w -= lr * g on trainable layers; frozen layers keep their bits."""
+    """In-place w -= lr * g on every layer with parameters."""
     if len(grads.layers) != len(layers):
         raise KernelError("gradient list does not match layer stack")
     for layer, layer_grads in zip(layers, grads.layers):
-        if not layer.trainable or not layer_grads:
+        if not layer_grads:
             continue
         params = layer.params()
         if set(layer_grads) != set(params):
@@ -363,26 +362,6 @@ def sgd_step(layers, grads, lr):
         layer.bump()
 
 
-def stack_state(layers):
-    """Deep copy of all parameter arrays, one dict per layer."""
-    return [{k: v.copy() for k, v in layer.params().items()} for layer in layers]
-
-
-def load_state(layers, state):
-    """Copy a stack_state back into layers (shape-checked, bit-exact)."""
-    if len(state) != len(layers):
-        raise KernelError("state length does not match layer stack")
-    for layer, entry in zip(layers, state):
-        params = layer.params()
-        if set(entry) != set(params):
-            raise KernelError("state keys do not match layer params")
-        for k, v in entry.items():
-            if params[k].shape != v.shape:
-                raise KernelError(f"state shape {v.shape} != param shape {params[k].shape}")
-            params[k][...] = v
-        layer.bump()
-
-
 def _flat(dicts):
     """The arrays of a list of per-layer dicts as one float64 vector, keys
     visited in sorted order per layer."""
@@ -391,13 +370,14 @@ def _flat(dicts):
 
 
 def param_vector(layers):
-    """All parameters flattened into one float64 vector (diagnostics use),
-    in the layout of grad_vector and load_param_vector."""
+    """All parameters flattened into one float64 vector, in the layout of
+    grad_vector and load_param_vector; the one in-memory snapshot format."""
     return _flat([layer.params() for layer in layers])
 
 
 def load_param_vector(layers, vector):
-    """Inverse of param_vector: scatter a flat vector back into the stack."""
+    """Inverse of param_vector: scatter a flat vector back into the stack,
+    cast to each parameter's dtype; every layer's version is bumped."""
     vector = np.asarray(vector, dtype=np.float64).reshape(-1)
     offset = 0
     for layer in layers:
@@ -417,11 +397,6 @@ def load_param_vector(layers, vector):
 def grad_vector(grads):
     """All gradients flattened into one float64 vector, matching param_vector order."""
     return _flat(grads.layers)
-
-
-def freeze(layers):
-    for layer in layers:
-        layer.trainable = False
 
 
 def save_weights(path, layers):

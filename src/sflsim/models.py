@@ -250,8 +250,8 @@ def auxiliary_head(spec, seed, op_index=None):
 
 def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=None):
     """Centrally train a clone of the full model on the pretrain split, then
-    return its device half, frozen. epochs=0 returns the frozen initial half
-    (the no-pretraining ablation). The input model is never mutated."""
+    return its device half. epochs=0 returns the initial half (the
+    no-pretraining ablation). The input model is never mutated."""
     idx = model.default_split if op_index is None else op_index
     clone = clone_stack(model.layers)
     images, labels = dataset.subset("pretrain")
@@ -264,7 +264,6 @@ def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=
             _, grads = kernel.loss_grads(clone, images[take], labels[take])
             kernel.sgd_step(clone, grads, lr)
     device, _ = partition(clone, idx)
-    kernel.freeze(device)
     return device
 
 

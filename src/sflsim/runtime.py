@@ -74,7 +74,7 @@ class TrainState:
     dataset: data_mod.Dataset
     shards: dict  # device -> index array into dataset
     batches: dict  # device -> list of index arrays, fixed across rounds
-    frozen_device: bool
+    frozen_device: bool  # the one freeze rule: the device stack never trains
     global_model: list | None  # classic: the averaged full model
     global_device: list | None  # split family: averaged device stack
     global_server: list | None
@@ -98,54 +98,37 @@ class RunOutput:
     state: TrainState
 
 
-def fedavg(weight_sets, sample_counts):
-    """Sample-count-weighted elementwise mean of stack states.
+def fedavg(vectors, sample_counts):
+    """Sample-count-weighted mean of kernel.param_vector snapshots, one per
+    device; returns one float64 vector.
 
-    Computed as W_0 + sum_k lambda_k * (W_k - W_0): identical inputs give
-    bit-identical output for any counts, and power-of-two rescaling of the
-    inputs rescales the output exactly.
+    Computed as W_0 + sum_k lambda_k * (W_k - W_0), summed in device order:
+    identical inputs give bit-identical output for any counts, and
+    power-of-two rescaling of the inputs rescales the output exactly.
     """
-    weight_sets = list(weight_sets)
+    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
     sample_counts = [int(c) for c in sample_counts]
-    if not weight_sets:
-        raise TrainingError("fedavg needs at least one weight set")
-    if len(weight_sets) != len(sample_counts):
-        raise TrainingError("one sample count per weight set required")
+    if not vectors:
+        raise TrainingError("fedavg needs at least one parameter vector")
+    if len(vectors) != len(sample_counts):
+        raise TrainingError("one sample count per parameter vector required")
     if any(c < 0 for c in sample_counts):
         raise TrainingError("sample counts cannot be negative")
     n = sum(sample_counts)
     if n <= 0:
         raise TrainingError("total sample count must be positive")
-    lambdas = [c / n for c in sample_counts]
-    base = weight_sets[0]
-    for other in weight_sets[1:]:
-        if len(other) != len(base):
-            raise TrainingError("weight sets have different layer counts")
-    out = []
-    for li, layer0 in enumerate(base):
-        agg = {}
-        for key, ref in layer0.items():
-            acc = np.zeros(ref.shape, np.float64)
-            for lam, ws in zip(lambdas, weight_sets):
-                arr = ws[li].get(key)
-                if arr is None or arr.shape != ref.shape:
-                    raise TrainingError(f"weight sets disagree on layer {li} param {key!r}")
-                acc += lam * (arr.astype(np.float64) - ref.astype(np.float64))
-            agg[key] = (ref.astype(np.float64) + acc).astype(ref.dtype)
-        out.append(agg)
-    return out
+    base = vectors[0]
+    if any(v.shape != base.shape for v in vectors):
+        raise TrainingError("parameter vectors have different sizes")
+    acc = np.zeros(base.shape)
+    for c, v in zip(sample_counts, vectors):
+        acc += (c / n) * (v - base)
+    return base + acc
 
 
-def evaluate(model_or_pair, dataset, split="test", batch_size=256):
-    """Argmax accuracy on a dataset split; full precision, no quantization.
-
-    Accepts either one layer stack or a (device_stack, server_stack) pair —
-    the pair is evaluated as its concatenation, so both forms agree exactly.
-    """
-    if isinstance(model_or_pair, tuple):
-        layers = models.concat_weights(*model_or_pair)
-    else:
-        layers = list(model_or_pair)
+def evaluate(layers, dataset, split="test", batch_size=256):
+    """Argmax accuracy of one layer stack on a dataset split; full
+    precision, no quantization."""
     images, labels = dataset.subset(split)
     if len(labels) == 0:
         raise TrainingError(f"split {split!r} is empty")
@@ -158,14 +141,16 @@ def evaluate(model_or_pair, dataset, split="test", batch_size=256):
     return hits / len(labels)
 
 
+def _full_model(state):
+    """The global model as one stack: classic's full model, or the device
+    and server halves joined."""
+    if state.config.mode == "classic":
+        return state.global_model
+    return models.concat_weights(state.global_device, state.global_server)
+
+
 def _stack_param_bytes(layers):
     return 4 * sum(p.size for layer in layers for p in layer.params().values())
-
-
-def _set_trainable(layers):
-    for layer in layers:
-        if layer.params():
-            layer.trainable = True
 
 
 def _batch_input(state, device, batch):
@@ -216,14 +201,13 @@ def init_state(config):
     if any(len(b) == 0 for b in batches.values()):
         raise TrainingError("every device needs at least one batch")
 
-    frozen = config.mode == "replay" or config.freeze_device
     global_model = global_device = global_server = global_head = None
     if config.mode == "classic":
         global_model = model.layers
     else:
-        device_half, server_half = models.partition(model, op_index)
+        global_device, global_server = models.partition(model, op_index)
         if config.pretrain_epochs > 0:
-            device_half = models.pretrain_device_side(
+            global_device = models.pretrain_device_side(
                 model,
                 dataset,
                 epochs=config.pretrain_epochs,
@@ -232,11 +216,6 @@ def init_state(config):
                 seed=int(children[2].generate_state(1)[0]),
                 op_index=op_index,
             )
-        global_device, global_server = device_half, server_half
-        if frozen:
-            kernel.freeze(global_device)
-        else:
-            _set_trainable(global_device)
         if config.mode == "local_loss":
             global_head = models.auxiliary_head(spec, seed=int(model_words[1]), op_index=op_index)
 
@@ -259,7 +238,7 @@ def init_state(config):
         dataset=dataset,
         shards=shards,
         batches=batches,
-        frozen_device=frozen,
+        frozen_device=config.mode == "replay" or config.freeze_device,
         global_model=global_model,
         global_device=global_device,
         global_server=global_server,
@@ -276,13 +255,7 @@ def _load_dataset(config, seed):
     src = dict(config.dataset)
     kind = src.pop("kind")
     if kind == "blobs":
-        return data_mod.generate_blobs(
-            classes=src["classes"],
-            per_class=src["per_class"],
-            image_shape=tuple(src["image_shape"]),
-            noise_sigma=src["noise_sigma"],
-            seed=seed,
-        )
+        return data_mod.generate_blobs(**src, seed=seed)
     dataset = data_mod.load_idx(src["images"], src["labels"])
     dataset.splits.update(data_mod.make_splits(len(dataset.labels), seed))
     return dataset
@@ -315,14 +288,10 @@ def _finish_round(state, t, losses, diag_record):
         cfg.device_speed,
         cfg.server_speed,
     )
-    if cfg.mode == "classic":
-        test_acc = evaluate(state.global_model, state.dataset)
-    else:
-        test_acc = evaluate((state.global_device, state.global_server), state.dataset)
     return RoundResult(
         t=t,
         server_loss=losses,
-        test_acc=test_acc,
+        test_acc=evaluate(_full_model(state), state.dataset),
         traffic=traffic,
         latency_s=latency.round_latency_s,
         diagnostics=diag_record,
@@ -423,7 +392,7 @@ def run_round(state, t):
     trained, synced = _stack_roles(state)
     step = _STEPS[state.config.mode]
     sync_bytes = sum(_stack_param_bytes(getattr(state, f"global_{s}")) for s in synced)
-    losses, states, counts = {}, {s: [] for s in trained}, []
+    losses, vectors, counts = {}, {s: [] for s in trained}, []
     for k in sorted(state.batches):
         if synced:
             state.ledger.record(t, k, "down", "model_down", sync_bytes)
@@ -437,13 +406,13 @@ def run_round(state, t):
             state.ledger.record(t, k, "up", "model_up", sync_bytes)
         losses[k] = total / len(state.shards[k])
         for s in trained:
-            states[s].append(kernel.stack_state(local[s]))
+            vectors[s].append(kernel.param_vector(local[s]))
         counts.append(len(state.shards[k]))
         state.device_stacks[k] = local["device"]
         state.server_stacks[k] = local.get("server", local.get("model"))
     diag_record = _maybe_observe(state, t)
     for s in trained:
-        kernel.load_state(getattr(state, f"global_{s}"), fedavg(states[s], counts))
+        kernel.load_param_vector(getattr(state, f"global_{s}"), fedavg(vectors[s], counts))
     _check_finite(state, t, losses)
     return _finish_round(state, t, losses, diag_record)
 
@@ -465,11 +434,7 @@ def run_training(config):
             raise TrainingError(f"round {t} ({config.mode}): {exc}") from exc
         results.append(result)
         rows.extend(_metrics_rows(config, result))
-    if config.mode == "classic":
-        final = state.global_model
-    else:
-        final = models.concat_weights(state.global_device, state.global_server)
-    return RunOutput(final_model=final, results=results, rows=rows, state=state)
+    return RunOutput(final_model=_full_model(state), results=results, rows=rows, state=state)
 
 
 def _metrics_rows(config, result):

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite-difference gradient checks and conditioned inputs."""
+"""Shared test oracles: finite-difference gradient checks, conditioned inputs
+and a per-layer FedAvg reference."""
 
 from __future__ import annotations
 
@@ -31,6 +32,33 @@ def conditioned_input(rng, shape, margin=1e-3):
                 continue
         return x
     raise RuntimeError("could not condition input")
+
+
+def fedavg_reference(weight_sets, sample_counts):
+    """FedAvg over per-layer parameter dicts, layer by layer and key by key:
+    W_0 + sum_k lambda_k * (W_k - W_0) in float64, summed in set order.
+    Returns the float64 sums (before any cast to the parameter dtype); an
+    exact oracle for the flat-vector ``runtime.fedavg``."""
+    n = sum(sample_counts)
+    lambdas = [c / n for c in sample_counts]
+    out = []
+    for li, layer0 in enumerate(weight_sets[0]):
+        agg = {}
+        for key, ref in layer0.items():
+            acc = np.zeros(ref.shape, np.float64)
+            for lam, ws in zip(lambdas, weight_sets):
+                acc += lam * (ws[li][key].astype(np.float64) - ref.astype(np.float64))
+            agg[key] = ref.astype(np.float64) + acc
+        out.append(agg)
+    return out
+
+
+def flat_state(layer_dicts):
+    """Per-layer parameter dicts as one float64 vector in the layout of
+    ``kernel.param_vector``: layers in order, keys sorted within a layer."""
+    return np.concatenate(
+        [d[k].reshape(-1).astype(np.float64) for d in layer_dicts for k in sorted(d)]
+    )
 
 
 def _objective(layers, x, readout):

@@ -419,18 +419,16 @@ def test_criterion_09_desk_scale_convergence(convergence_runs):
     # aggregation sanity required by the same criterion: identity fixed point
     # and an independently scripted weighted mean
     rng = np.random.default_rng(60)
-    state = [{"w": rng.normal(size=(3, 4)).astype(np.float32)}]
+    vector = rng.normal(size=12).astype(np.float32).astype(np.float64)
     for counts in ([1, 1, 1], [2, 8, 32]):
-        merged = runtime.fedavg([state, state, state], counts)
-        if not np.array_equal(merged[0]["w"], state[0]["w"]):
+        merged = runtime.fedavg([vector, vector, vector], counts)
+        if not np.array_equal(merged, vector):
             failures.append(f"fedavg not a fixed point for counts {counts}")
-    sets = [[{"w": rng.normal(size=(3, 4)).astype(np.float32)}] for _ in range(5)]
+    sets = [rng.normal(size=12).astype(np.float32).astype(np.float64) for _ in range(5)]
     counts = [3, 1, 4, 1, 5]
-    oracle = sum(
-        (c / sum(counts)) * s[0]["w"].astype(np.float64) for c, s in zip(counts, sets)
-    )
+    oracle = sum((c / sum(counts)) * s for c, s in zip(counts, sets))
     merged = runtime.fedavg(sets, counts)
-    if not np.allclose(merged[0]["w"], oracle.astype(np.float32), rtol=1e-6, atol=1e-7):
+    if not np.allclose(merged.astype(np.float32), oracle.astype(np.float32), rtol=1e-6, atol=1e-7):
         failures.append("fedavg disagrees with the scripted weighted mean")
 
     elapsed = convergence_runs["elapsed"] + (time.perf_counter() - t0)

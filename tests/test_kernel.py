@@ -154,20 +154,13 @@ def test_loss_grads_is_the_hand_sequence(spec):
         kernel.loss_grads(server, x, labels.astype(np.float64))
 
 
-def test_sgd_step_hand_value_and_frozen_bits():
+def test_sgd_step_hand_value():
     rng = np.random.default_rng(3)
     dense = kernel.Dense(1, 1, rng=rng, dtype=np.float64)
     dense.params()["w"][:] = 1.0
     grads = kernel.Gradients(layers=[{"w": np.array([[0.5]]), "b": np.zeros(1)}], input_grad=None)
     kernel.sgd_step([dense], grads, lr=0.1)
     assert dense.params()["w"][0, 0] == pytest.approx(0.95)
-
-    frozen = kernel.Dense(4, 4, rng=np.random.default_rng(5))
-    before = frozen.params()["w"].copy()
-    frozen.trainable = False
-    g = kernel.Gradients(layers=[{"w": np.ones((4, 4), np.float32), "b": np.ones(4, np.float32)}], input_grad=None)
-    kernel.sgd_step([frozen], g, lr=0.5)
-    assert np.array_equal(frozen.params()["w"], before)
 
 
 def test_backward_rejects_stale_trace():
@@ -351,15 +344,19 @@ def test_checkpoint_round_trip_and_errors(tmp_path):
         kernel.load_weights(oversized, wrong_arch)
 
 
-def test_stack_state_round_trip():
+def test_param_vector_round_trip():
     init = np.random.default_rng(51)
     layers = [kernel.Dense(3, 4, rng=init), kernel.ReLU(), kernel.Dense(4, 2, rng=init)]
-    state = kernel.stack_state(layers)
-    state[0]["w"] += 1.0  # copies, not views
-    assert not np.array_equal(state[0]["w"], layers[0].params()["w"])
+    vector = kernel.param_vector(layers)
+    vector += 1.0  # a copy, not a view
+    assert not np.array_equal(vector[4:16].reshape(3, 4), layers[0].params()["w"])  # keys sorted: b, w
 
     other = [kernel.Dense(3, 4, rng=np.random.default_rng(1)), kernel.ReLU(), kernel.Dense(4, 2, rng=np.random.default_rng(2))]
-    kernel.load_state(other, kernel.stack_state(layers))
+    versions = [layer.version for layer in other]
+    kernel.load_param_vector(other, kernel.param_vector(layers))
     assert np.array_equal(other[0].params()["w"], layers[0].params()["w"])
+    assert kernel.param_vector(other).tobytes() == kernel.param_vector(layers).tobytes()
+    assert all(layer.params()["w"].dtype == np.float32 for layer in other[::2])
+    assert [layer.version for layer in other] == [v + 1 for v in versions]
     with pytest.raises(kernel.KernelError):
-        kernel.load_state(other, kernel.stack_state([kernel.Dense(2, 2, rng=init)]))
+        kernel.load_param_vector(other, kernel.param_vector([kernel.Dense(2, 2, rng=init)]))

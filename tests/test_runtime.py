@@ -7,6 +7,7 @@ tests; the equivalence and ledger-agreement tests are paired seeded runs.
 
 import numpy as np
 import pytest
+from _helpers import fedavg_reference, flat_state
 
 from sflsim import config as config_mod
 from sflsim import kernel, models, netsim, runtime
@@ -45,62 +46,61 @@ def small_states(seed, n_sets):
     return sets
 
 
+def small_vectors(seed, n_sets):
+    return [flat_state(s) for s in small_states(seed, n_sets)]
+
+
 class TestFedavg:
     def test_identical_inputs_fixed_point_any_counts(self):
-        state = small_states(0, 1)[0]
+        vector = small_vectors(0, 1)[0]
         for counts in ([1, 1, 1], [1, 2, 4], [7, 1, 3]):
-            merged = runtime.fedavg([state, state, state], counts)
-            for got, want in zip(merged, state):
-                for key in want:
-                    assert np.array_equal(got[key], want[key])
+            merged = runtime.fedavg([vector, vector, vector], counts)
+            assert np.array_equal(merged, vector)
 
     def test_two_scalars_weighted_mean(self):
-        sets = [[{"w": np.array([2.0])}], [{"w": np.array([6.0])}]]
-        merged = runtime.fedavg(sets, [1, 3])
-        assert merged[0]["w"][0] == 5.0
+        merged = runtime.fedavg([np.array([2.0]), np.array([6.0])], [1, 3])
+        assert merged[0] == 5.0
 
     def test_five_sets_match_scripted_weighted_sum(self):
+        vectors = small_vectors(42, 5)
+        counts = [3, 1, 4, 1, 5]
+        merged = runtime.fedavg(vectors, counts)
+        n = sum(counts)
+        oracle = sum((c / n) * v for c, v in zip(counts, vectors))
+        np.testing.assert_allclose(
+            merged.astype(np.float32), oracle.astype(np.float32), rtol=1e-6, atol=1e-7
+        )
+
+    def test_five_sets_byte_equal_to_per_layer_reference(self):
+        # The middle layer of every set has no parameters.
         sets = small_states(42, 5)
         counts = [3, 1, 4, 1, 5]
-        merged = runtime.fedavg(sets, counts)
-        n = sum(counts)
-        for li in range(len(sets[0])):
-            for key in sets[0][li]:
-                oracle = sum(
-                    (c / n) * s[li][key].astype(np.float64)
-                    for c, s in zip(counts, sets)
-                )
-                np.testing.assert_allclose(
-                    merged[li][key], oracle.astype(np.float32), rtol=1e-6, atol=1e-7
-                )
+        merged = runtime.fedavg([flat_state(s) for s in sets], counts)
+        want = flat_state(fedavg_reference(sets, counts))
+        assert merged.dtype == want.dtype == np.float64
+        assert merged.tobytes() == want.tobytes()
 
     def test_power_of_two_rescaling_is_exact(self):
-        sets = small_states(3, 3)
+        vectors = small_vectors(3, 3)
         counts = [2, 5, 1]
-        merged = runtime.fedavg(sets, counts)
-        scaled = [[{k: 0.5 * v for k, v in layer.items()} for layer in s] for s in sets]
-        merged_scaled = runtime.fedavg(scaled, counts)
-        for li in range(len(merged)):
-            for key in merged[li]:
-                assert np.array_equal(merged_scaled[li][key], 0.5 * merged[li][key])
+        merged = runtime.fedavg(vectors, counts)
+        merged_scaled = runtime.fedavg([0.5 * v for v in vectors], counts)
+        assert np.array_equal(merged_scaled, 0.5 * merged)
 
     def test_shape_mismatch_rejected(self):
         a, b = small_states(1, 2)
         b[0]["w"] = b[0]["w"][:2]
         with pytest.raises(runtime.TrainingError):
-            runtime.fedavg([a, b], [1, 1])
+            runtime.fedavg([flat_state(a), flat_state(b)], [1, 1])
 
     def test_zero_total_samples_rejected(self):
-        state = small_states(2, 1)[0]
+        vector = small_vectors(2, 1)[0]
         with pytest.raises(runtime.TrainingError):
-            runtime.fedavg([state, state], [0, 0])
+            runtime.fedavg([vector, vector], [0, 0])
 
     def test_single_device_identity(self):
-        state = small_states(5, 1)[0]
-        merged = runtime.fedavg([state], [17])
-        for got, want in zip(merged, state):
-            for key in want:
-                assert np.array_equal(got[key], want[key])
+        vector = small_vectors(5, 1)[0]
+        assert np.array_equal(runtime.fedavg([vector], [17]), vector)
 
 
 class TestEvaluate:
@@ -125,18 +125,20 @@ class TestEvaluate:
         rng = np.random.default_rng(99)
         state.dataset.labels = rng.integers(0, 2, size=len(state.dataset.labels))
         acc = runtime.evaluate(
-            (state.global_device, state.global_server), state.dataset, split="test"
+            models.concat_weights(state.global_device, state.global_server),
+            state.dataset,
+            split="test",
         )
         assert abs(acc - 0.5) <= 3 * np.sqrt(0.25 / 1000)
 
-    def test_pair_equals_concat_exactly(self):
+    def test_round_acc_equals_concat_exactly(self):
         cfg = make_config()
         state = runtime.init_state(cfg)
-        pair = runtime.evaluate((state.global_device, state.global_server), state.dataset)
+        result = runtime.run_round(state, 0)
         concat = runtime.evaluate(
             models.concat_weights(state.global_device, state.global_server), state.dataset
         )
-        assert pair == concat
+        assert result.test_acc == concat
 
     def test_empty_split_rejected(self):
         cfg = make_config()
@@ -146,9 +148,9 @@ class TestEvaluate:
             runtime.evaluate(state.global_model or [], state.dataset, split="empty")
 
 
-def final_server_state(output):
+def final_server_vector(output):
     n_device = len(output.state.global_device)
-    return kernel.stack_state(output.final_model[n_device:])
+    return kernel.param_vector(output.final_model[n_device:])
 
 
 class TestEquivalence:
@@ -159,10 +161,8 @@ class TestEquivalence:
             ("split", {"freeze_device": True}),
         ]:
             out = runtime.run_training(make_config(mode=mode, rounds=4, **extra))
-            runs[mode] = final_server_state(out)
-        for a, b in zip(runs["replay"], runs["split"]):
-            for key in a:
-                assert np.array_equal(a[key], b[key])
+            runs[mode] = final_server_vector(out)
+        assert runs["replay"].tobytes() == runs["split"].tobytes()
 
     @pytest.mark.parametrize("model", ["tiny_vgg", "tiny_res"])
     @pytest.mark.parametrize("augment", [False, True])
@@ -174,11 +174,7 @@ class TestEquivalence:
                 mode=mode, model=model, augment=augment, pretrain_epochs=0, rounds=2))
             for mode in ("classic", "split")
         }
-        weights = {
-            mode: [v.tobytes() for layer in kernel.stack_state(out.final_model)
-                   for _, v in sorted(layer.items())]
-            for mode, out in runs.items()
-        }
+        weights = {mode: kernel.param_vector(out.final_model).tobytes() for mode, out in runs.items()}
         assert weights["classic"] == weights["split"]
         rows = {
             mode: [(r["round"], r["device"], r["server_loss"], r["test_acc"]) for r in out.rows]
@@ -186,14 +182,21 @@ class TestEquivalence:
         }
         assert rows["classic"] == rows["split"]
 
-    def test_frozen_device_forward_constant_across_rounds(self):
-        out = runtime.run_training(make_config(mode="replay", rho=2, rounds=5))
-        state = out.state
-        probe = state.dataset.images[state.shards[0][:4]]
-        first = kernel.forward(state.global_device, probe).output
-        again = kernel.forward(state.global_device, probe).output
-        assert np.array_equal(first, again)
-        assert not any(layer.trainable for layer in state.global_device)
+    @pytest.mark.parametrize("mode,extra,frozen", [
+        ("replay", {"rho": 2}, True),
+        ("split", {"freeze_device": True}, True),
+        ("split", {}, False),
+    ], ids=["replay", "split_frozen", "split_unfrozen"])
+    def test_frozen_device_weights_constant_across_rounds(self, mode, extra, frozen):
+        # The engine's freeze rule (state.frozen_device) is the only thing
+        # that keeps the pretrained device stack (pretrain_epochs 1) fixed.
+        state = runtime.init_state(make_config(mode=mode, rounds=5, **extra))
+        assert state.frozen_device == frozen
+        before = kernel.param_vector(state.global_device)
+        for t in range(state.config.rounds):
+            runtime.run_round(state, t)
+        after = kernel.param_vector(state.global_device)
+        assert (before.tobytes() == after.tobytes()) == frozen
 
 
 MODE_CASES = [
@@ -311,17 +314,11 @@ class TestRunTraining:
     def test_zero_lr_keeps_weights_constant(self):
         cfg = make_config(mode="split", lr=0.0, rounds=2, pretrain_epochs=0)
         state = runtime.init_state(cfg)
-        before = kernel.stack_state(state.global_device) + kernel.stack_state(
-            state.global_server
-        )
+        before = kernel.param_vector(state.global_device + state.global_server)
         runtime.run_round_split(state, 0)
         runtime.run_round_split(state, 1)
-        after = kernel.stack_state(state.global_device) + kernel.stack_state(
-            state.global_server
-        )
-        for a, b in zip(before, after):
-            for key in a:
-                assert np.array_equal(a[key], b[key])
+        after = kernel.param_vector(state.global_device + state.global_server)
+        assert before.tobytes() == after.tobytes()
 
     def test_loss_trend_window_non_increasing(self):
         # Soft invariant: windowed-mean loss over the run's halves, 5% slack.
@@ -339,7 +336,9 @@ class TestRunTraining:
         out = runtime.run_training(make_config(mode="replay", rho=2))
         state = out.state
         whole = runtime.evaluate(out.final_model, state.dataset)
-        pair = runtime.evaluate((state.global_device, state.global_server), state.dataset)
+        pair = runtime.evaluate(
+            models.concat_weights(state.global_device, state.global_server), state.dataset
+        )
         assert whole == pair == out.results[-1].test_acc
 
     def test_pretraining_beats_no_pretraining_ablation(self):
