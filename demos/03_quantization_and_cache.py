@@ -33,7 +33,7 @@ def main():
           f"header + {len(labels)} u16 labels + {a.size} uint8 codes")
     again = quantize.parse(blob)
     print("survives serialize/parse bit-exactly: "
-          f"{np.array_equal(again.codes, record.codes)}")
+          f"{np.array_equal(again.payload, record.payload)}")
 
     raw_size = netsim.record_bytes(
         batch=16, act_elements=8 * 4 * 4, rank=4, quantized=False

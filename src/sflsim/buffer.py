@@ -80,32 +80,21 @@ class ReplayBuffer:
     def __len__(self):
         return len(self._records)
 
-    def keys(self):
-        return list(self._records)
-
     def total_bytes(self):
         """Wire-format footprint of all live records (the buffer-memory cost)."""
         return sum(self._sizes.values())
 
 
-def buffer_distance_proxy(buf, probes):
-    """Mean distance between cached and fresh activations.
+def buffer_distance_proxy(buf, device_id, batch_index, fresh):
+    """Distance between the cached and a fresh activation batch.
 
-    probes: iterable of (device_id, batch_index, fresh activation batch).
-    For each probe the cached record is decoded and compared to the fresh
-    tensor; the distance is the per-sample L2 norm averaged over samples,
-    then averaged over probes. Zero only when the cache is bit-fresh.
+    The cached record for (device_id, batch_index) is decoded and compared
+    to the fresh tensor; the distance is the per-sample L2 norm averaged
+    over samples. Zero only when the cache is bit-fresh.
     """
-    dists = []
-    for device_id, batch_index, fresh in probes:
-        cached = quantize.decode(buf.fetch(device_id, batch_index), dtype=np.float64)
-        fresh64 = np.asarray(fresh, dtype=np.float64)
-        if cached.shape != fresh64.shape:
-            raise BufferError(
-                f"probe shape {fresh64.shape} != cached shape {cached.shape}"
-            )
-        diff = (cached - fresh64).reshape(len(fresh64), -1)
-        dists.append(float(np.mean(np.linalg.norm(diff, axis=1))))
-    if not dists:
-        raise BufferError("distance proxy needs at least one probe")
-    return float(np.mean(dists))
+    cached = quantize.decode(buf.fetch(device_id, batch_index), dtype=np.float64)
+    fresh64 = np.asarray(fresh, dtype=np.float64)
+    if cached.shape != fresh64.shape:
+        raise BufferError(f"probe shape {fresh64.shape} != cached shape {cached.shape}")
+    diff = (cached - fresh64).reshape(len(fresh64), -1)
+    return float(np.mean(np.linalg.norm(diff, axis=1)))

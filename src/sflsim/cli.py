@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import logging
+import math
 import os
 import sys
 
@@ -230,6 +231,12 @@ def cmd_diagnose(args):
 
 
 def cmd_gen_data(args):
+    for flag in ("classes", "per_class", "height", "width", "seed"):
+        value, least = getattr(args, flag), 0 if flag == "seed" else 1
+        if value < least:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+    if not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
     os.makedirs(args.out, exist_ok=True)
     dataset = data_mod.generate_blobs(
         classes=args.classes,

@@ -11,11 +11,11 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
-from . import models, netsim
+from . import models, netsim, runtime
 
 SCHEMA_VERSION = 1
 
-MODES = ("classic", "split", "local_loss", "replay")
+MODES = tuple(runtime._STEPS)  # one batch step per mode
 
 
 class ConfigError(ValueError):
@@ -94,7 +94,7 @@ def from_dict(raw):
     for key, value in raw.items():
         _check_type(key, value, _HINTS[key])
     cfg = RunConfig(**raw)
-    _require(cfg.mode in MODES, f"mode must be one of {MODES}, got {cfg.mode!r}")
+    _require(cfg.mode in runtime._STEPS, f"mode must be one of {MODES}, got {cfg.mode!r}")
     _require(cfg.model in models.ZOO, f"model must be one of {sorted(models.ZOO)}")
     _require(cfg.devices >= 1, "devices must be >= 1")
     _require(cfg.rounds >= 1, "rounds must be >= 1")

@@ -24,6 +24,7 @@ enabling diagnostics cannot change a training trajectory bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,18 +182,15 @@ def _staleness(state, device_id, device_stack):
     this round's augmentation setting; augmentation draws come from the
     diagnostics RNG so the measurement never consumes training RNG state.
     """
-    buf = getattr(state, "buffer", None)
-    if buf is None:
+    if state.buffer is None:
         return 0.0
     batches = state.batches[device_id]
     b = int(state.diag_rng.integers(len(batches)))
-    if (device_id, b) not in buf.keys():
-        return 0.0
     x = state.dataset.images[batches[b]]
     if state.config.augment:
         x = data_mod.augment_hflip(x, state.diag_rng)
     fresh = kernel.forward(device_stack, x).output
-    return buffer_mod.buffer_distance_proxy(buf, [(device_id, b, fresh)])
+    return buffer_mod.buffer_distance_proxy(state.buffer, device_id, b, fresh)
 
 
 def estimate_G(records):
@@ -340,17 +338,27 @@ def write_diagnostics_csv(path, records, g_hat, l_hat):
 
 
 def read_diagnostics_csv(path):
-    """Rows of the diagnostics CSV as dicts of floats ('' -> None)."""
+    """Rows of the diagnostics CSV as dicts of finite floats and an int ``t``;
+    the running-bound cells are blank (None) before round 2."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
             raise DiagnosticsError(f"{path} is not a diagnostics log")
         rows = []
-        for raw in reader:
+        for i, raw in enumerate(reader, start=1):
             row = {}
             for key in CSV_COLUMNS:
                 value = raw[key]
-                row[key] = None if value == "" else float(value)
+                if value == "" and key in ("lhs_running", "rhs_running"):
+                    row[key] = None
+                    continue
+                try:
+                    row[key] = float(value)
+                except (TypeError, ValueError):  # a missing cell is None
+                    row[key] = math.nan
+                if not math.isfinite(row[key]) or (key == "t" and not row[key].is_integer()):
+                    what = "an integer" if key == "t" else "a finite number"
+                    raise DiagnosticsError(f"{path} row {i} column {key}: {value!r} is not {what}")
             row["t"] = int(row["t"])
             rows.append(row)
     if not rows:

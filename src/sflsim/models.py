@@ -46,7 +46,7 @@ class LayerDesc:
     def param_count(self):
         if self.kind == "conv3x3":
             return 9 * self.in_shape[0] * self.arg + self.arg
-        if self.kind in ("conv1x1", "dense"):
+        if self.kind == "dense":
             return self.in_shape[0] * self.arg + self.arg
         if self.kind == "resblock":
             c_in, c_out = self.in_shape[0], self.arg
@@ -57,9 +57,6 @@ class LayerDesc:
         if self.kind == "conv3x3":
             _, h, w = self.in_shape
             return 9 * self.in_shape[0] * self.arg * h * w
-        if self.kind == "conv1x1":
-            _, h, w = self.in_shape
-            return self.in_shape[0] * self.arg * h * w
         if self.kind == "dense":
             return self.in_shape[0] * self.arg
         if self.kind == "resblock":
@@ -194,8 +191,6 @@ def analyze(spec, op_index=None):
 def _instantiate(desc, rng, dtype):
     if desc.kind == "conv3x3":
         return kernel.Conv3x3(desc.in_shape[0], desc.arg, rng=rng, dtype=dtype)
-    if desc.kind == "conv1x1":
-        return kernel.Conv1x1(desc.in_shape[0], desc.arg, rng=rng, dtype=dtype)
     if desc.kind == "dense":
         return kernel.Dense(desc.in_shape[0], desc.arg, rng=rng, dtype=dtype)
     if desc.kind == "resblock":

@@ -1,13 +1,15 @@
 """Per-tensor affine 8-bit activation quantization and the wire format.
 
-One record covers one batch of activations plus its labels. The affine map
-uses a single (scale, min) pair per tensor: scale = (max - min) / 255, code
-= round-half-away-from-zero((a - min) / scale) clamped to [0, 255]. Internal
-arithmetic runs in float64; the stored scale/min are float32 (wire width),
-and quantization uses the stored float32 values so that requantizing a
-decoded grid is exact. Constant tensors get scale 0 and all-zero codes.
+One record covers one batch of activations plus its labels. Its payload
+array is the only source of its codec and shape: uint8 codes for q8,
+float32 values for raw. The affine map uses a single (scale, min) pair per
+tensor: scale = (max - min) / 255, code = round-half-away-from-zero((a -
+min) / scale) clamped to [0, 255]. Internal arithmetic runs in float64; the
+stored scale/min are float32 (wire width), and quantization uses the stored
+float32 values so that requantizing a decoded grid is exact. Constant
+tensors get scale 0 and all-zero codes.
 
-A "raw" codec variant carries the untouched float32 payload for runs with
+The raw codec carries the untouched float32 payload for runs with
 quantization disabled; decoding it is a bit-exact passthrough.
 
 Wire layout, little-endian: magic (QACT quantized / RACT raw), round tag
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +30,9 @@ from . import kernel
 
 MAGIC_Q8 = b"QACT"
 MAGIC_RAW = b"RACT"
+
+# codec -> (wire magic, payload dtype)
+CODECS = {"q8": (MAGIC_Q8, np.dtype(np.uint8)), "raw": (MAGIC_RAW, np.dtype("<f4"))}
 
 # The fixed part of a record around its dims: magic, round tag, device id,
 # batch index, rank ... scale, min, label count.
@@ -40,90 +45,67 @@ class QuantizeError(ValueError):
     """Non-finite input, malformed record bytes, or codec misuse."""
 
 
-_EMPTY_LABELS = np.zeros(0, dtype=np.uint16)
-
-
 @dataclass
 class ActivationRecord:
     round_tag: int
     device_id: int
     batch_index: int
-    shape: tuple
-    codec: str
     scale: float
     min_val: float
-    labels: np.ndarray = field(default_factory=lambda: _EMPTY_LABELS.copy())
-    codes: np.ndarray | None = None
-    values: np.ndarray | None = None
+    labels: np.ndarray
+    payload: np.ndarray  # uint8 codes (q8) or float32 values (raw)
 
-    def payload_bytes(self):
-        n = math.prod(self.shape)
-        return n if self.codec == "q8" else 4 * n
+    @property
+    def codec(self):
+        return "q8" if self.payload.dtype == np.uint8 else "raw"
 
 
 def quantize(a, round_tag, device_id, batch_index, labels=None):
-    """Affine-quantize a tensor to uint8 codes with one (scale, min) pair."""
-    a = np.asarray(a)
-    if a.size == 0:
-        raise QuantizeError(f"cannot quantize an empty tensor of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise QuantizeError("cannot quantize non-finite values")
-    a64 = a.astype(np.float64)
-    lo = np.float32(a64.min())
-    hi = a64.max()
-    scale = np.float32((hi - float(lo)) / 255.0)
-    if scale == 0.0:
-        codes = np.zeros(a.shape, dtype=np.uint8)
-    else:
-        # round half away from zero: arguments are >= 0 so floor(x + 0.5)
-        x = (a64 - float(lo)) / float(scale)
-        codes = np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
-    return ActivationRecord(
-        round_tag=int(round_tag),
-        device_id=int(device_id),
-        batch_index=int(batch_index),
-        shape=tuple(a.shape),
-        codec="q8",
-        scale=float(scale),
-        min_val=float(lo),
-        labels=_as_labels(labels),
-        codes=codes,
-    )
+    """The q8 record of a tensor: ``encode`` with the affine 8-bit map."""
+    return encode(a, round_tag, device_id, batch_index, labels)
 
 
 def encode(a, round_tag, device_id, batch_index, labels=None, quantized=True):
-    """Build a record with the quantized (q8) or passthrough (raw) codec."""
-    if quantized:
-        return quantize(a, round_tag, device_id, batch_index, labels)
-    a = np.asarray(a, dtype=np.float32)
+    """Build a record: uint8 codes with one (scale, min) pair (q8), or a
+    float32 copy of the tensor (raw)."""
+    a = np.asarray(a) if quantized else np.array(a, dtype=np.float32, order="C")
+    if quantized and a.size == 0:
+        raise QuantizeError(f"cannot quantize an empty tensor of shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise QuantizeError("cannot encode non-finite values")
+    scale, lo, payload = 1.0, 0.0, a
+    if quantized:
+        a64 = a.astype(np.float64)
+        lo = np.float32(a64.min())
+        scale = np.float32((a64.max() - float(lo)) / 255.0)
+        if scale == 0.0:
+            payload = np.zeros(a.shape, dtype=np.uint8)
+        else:
+            # round half away from zero: arguments are >= 0 so floor(x + 0.5)
+            x = (a64 - float(lo)) / float(scale)
+            payload = np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
     return ActivationRecord(
         round_tag=int(round_tag),
         device_id=int(device_id),
         batch_index=int(batch_index),
-        shape=tuple(a.shape),
-        codec="raw",
-        scale=1.0,
-        min_val=0.0,
+        scale=float(scale),
+        min_val=float(lo),
         labels=_as_labels(labels),
-        values=a.copy(),
+        payload=payload,
     )
 
 
 def decode(record, dtype=np.float32):
     """Recover the activation tensor: min + scale * code for q8 (float64
-    internally); raw records come back bit-exact."""
+    internally); raw records come back bit-exact, as a copy."""
     if record.codec == "q8":
-        out = record.min_val + record.scale * record.codes.astype(np.float64)
+        out = record.min_val + record.scale * record.payload.astype(np.float64)
         return out.astype(dtype)
-    return record.values.astype(dtype) if dtype != np.float32 else record.values.copy()
+    return record.payload.astype(dtype)
 
 
 def _as_labels(labels):
-    if labels is None:
-        return _EMPTY_LABELS.copy()
-    arr = np.asarray(labels)
+    arr = np.asarray(() if labels is None else labels)
     if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
         raise QuantizeError("labels must fit in uint16")
     return arr.astype(np.uint16)
@@ -136,29 +118,23 @@ def wire_bytes(rank, n_labels, payload_bytes):
 
 def record_wire_bytes(record):
     """Exact serialized size of one record."""
-    return wire_bytes(len(record.shape), len(record.labels), record.payload_bytes())
+    return wire_bytes(record.payload.ndim, len(record.labels), record.payload.nbytes)
 
 
 def serialize(record):
-    magic = MAGIC_Q8 if record.codec == "q8" else MAGIC_RAW
-    rank = len(record.shape)
-    blob = bytearray(HEAD.pack(magic, record.round_tag, record.device_id, record.batch_index, rank))
-    blob += struct.pack(f"<{rank}I", *record.shape)
+    magic, dtype = CODECS[record.codec]
+    shape = record.payload.shape
+    blob = bytearray(HEAD.pack(magic, record.round_tag, record.device_id, record.batch_index, len(shape)))
+    blob += struct.pack(f"<{len(shape)}I", *shape)
     blob += TAIL.pack(record.scale, record.min_val, len(record.labels))
     blob += record.labels.astype("<u2").tobytes()
-    if record.codec == "q8":
-        blob += np.ascontiguousarray(record.codes, dtype=np.uint8).tobytes()
-    else:
-        blob += np.ascontiguousarray(record.values, dtype="<f4").tobytes()
+    blob += np.ascontiguousarray(record.payload, dtype=dtype).tobytes()
     return bytes(blob)
 
 
 def parse(blob):
-    if blob[:4] == MAGIC_Q8:
-        codec = "q8"
-    elif blob[:4] == MAGIC_RAW:
-        codec = "raw"
-    else:
+    dtype = next((dt for magic, dt in CODECS.values() if blob[:4] == magic), None)
+    if dtype is None:
         raise QuantizeError(f"bad record magic {blob[:4]!r}")
     off = 0
 
@@ -174,27 +150,15 @@ def parse(blob):
     shape = struct.unpack(f"<{rank}I", take(4 * rank))
     scale, min_val, n_labels = TAIL.unpack(take(TAIL.size))
     labels = np.frombuffer(take(2 * n_labels), dtype="<u2").copy()
-    n = math.prod(shape)  # Python int: cannot wrap, take() bounds it
-    payload = take(n if codec == "q8" else 4 * n)
+    # Python int: cannot wrap, take() bounds it
+    payload = take(math.prod(shape) * dtype.itemsize)
     if off != len(blob):
         raise QuantizeError("trailing bytes after activation record")
     try:
-        array = np.frombuffer(payload, dtype=np.uint8 if codec == "q8" else "<f4").reshape(shape)
+        array = np.frombuffer(payload, dtype=dtype).reshape(shape)
     except ValueError as exc:  # numpy's own rank and size limits
         raise QuantizeError(f"record shape {shape} is beyond numpy's limits") from exc
-    codes, values = (array.copy(), None) if codec == "q8" else (None, array.copy())
-    return ActivationRecord(
-        round_tag=round_tag,
-        device_id=device_id,
-        batch_index=batch_index,
-        shape=tuple(shape),
-        codec=codec,
-        scale=scale,
-        min_val=min_val,
-        labels=labels,
-        codes=codes,
-        values=values,
-    )
+    return ActivationRecord(round_tag, device_id, batch_index, scale, min_val, labels, array.copy())
 
 
 def quantization_error(a, server_layers, labels, quantized=True, clean_grad=None):

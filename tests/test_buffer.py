@@ -90,7 +90,7 @@ def test_spill_to_disk_byte_exact(tmp_path):
     assert path.exists()
     assert path.read_bytes() == quantize.serialize(rec)
     got = buf.fetch(3, 7)
-    assert np.array_equal(got.codes, rec.codes)
+    assert np.array_equal(got.payload, rec.payload)
     assert got.labels.tolist() == rec.labels.tolist()
     assert buf.total_bytes() == path.stat().st_size
 
@@ -99,7 +99,7 @@ def test_distance_proxy_zero_for_identical_raw_records():
     buf = buffer.ReplayBuffer(period=1)
     a = np.random.default_rng(0).uniform(-1, 1, size=(3, 2, 2, 2)).astype(np.float32)
     buf.store(quantize.encode(a, round_tag=0, device_id=0, batch_index=0, quantized=False))
-    delta = buffer.buffer_distance_proxy(buf, [(0, 0, a)])
+    delta = buffer.buffer_distance_proxy(buf, 0, 0, a)
     assert delta == 0.0
 
 
@@ -109,7 +109,7 @@ def test_distance_proxy_bounded_by_quantization_for_frozen_inputs():
     a = rng.uniform(-1, 1, size=(4, 2, 2, 2)).astype(np.float32)
     rec = quantize.quantize(a, round_tag=0, device_id=0, batch_index=0)
     buf.store(rec)
-    delta = buffer.buffer_distance_proxy(buf, [(0, 0, a)])
+    delta = buffer.buffer_distance_proxy(buf, 0, 0, a)
     # per-sample L2 of quantization noise <= scale/2 * sqrt(elements) + slack
     per_sample_bound = rec.scale / 2 * np.sqrt(8) * 1.001
     assert 0.0 < delta <= per_sample_bound
@@ -120,5 +120,5 @@ def test_distance_proxy_sees_stale_activations():
     a = np.random.default_rng(2).uniform(-1, 1, size=(4, 1, 2, 2)).astype(np.float32)
     buf.store(quantize.encode(a, round_tag=0, device_id=0, batch_index=0, quantized=False))
     fresh = a[:, :, :, ::-1]  # a flip: what this round would have sent
-    stale = buffer.buffer_distance_proxy(buf, [(0, 0, fresh)])
+    stale = buffer.buffer_distance_proxy(buf, 0, 0, fresh)
     assert stale > 0.0

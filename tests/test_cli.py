@@ -129,6 +129,20 @@ def test_cost_non_positive_sizes_exit_2(flag, value, capsys):
     assert captured.err.strip().splitlines() == [f"usage error: {flag} must be positive, got {value}"]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--classes", "0"), ("--per-class", "0"), ("--height", "0"), ("--width", "-2"),
+    ("--seed", "-1"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
+])
+def test_gen_data_bad_arguments_exit_2(tmp_path, flag, value, capsys):
+    out_dir = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(out_dir), flag, value]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {flag} must be")
+    assert not out_dir.exists()
+
+
 def test_op_index_beyond_model_exits_3(tmp_path, capsys, monkeypatch):
     cfg = smoke_config(tmp_path, op_index=40)
     assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
@@ -230,6 +244,28 @@ def test_diagnose_violated_bound_warns_but_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "WARNING: does not hold" in out
     assert "diagnostic, not an error" in out
+
+
+@pytest.mark.parametrize("row,column", [
+    ("1,0.1,abc,0.0,0.0,0.6,0.2,0.9,0.5", "grad_norm_sq"),  # not a number
+    ("1,,1.0,0.0,0.0,0.6,0.2,0.9,0.5", "eta"),  # blank outside the bound columns
+    ("1,0.1,1.0,0.0,0.0,0.6", "gamma"),  # short row: missing cells
+    ("1,0.1,1.0,0.0,inf,0.6,0.2,0.9,0.5", "delta_mean"),  # non-finite
+    ("1,0.1,1.0,0.0,0.0,0.6,0.2,nan,0.5", "lhs_running"),
+    ("1.5,0.1,1.0,0.0,0.0,0.6,0.2,0.9,0.5", "t"),  # not an integer
+])
+def test_diagnose_malformed_log_exits_4(tmp_path, capsys, row, column):
+    log = tmp_path / "diag.csv"
+    log.write_text(
+        "t,eta,grad_norm_sq,eps_mean,delta_mean,loss,gamma,lhs_running,rhs_running\n"
+        "0,0.1,1.0,0.0,0.0,0.7,0.1,,\n" + row + "\n"
+    )
+    assert cli.main(["diagnose", "--log", str(log)]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")
+    assert f"row 2 column {column}:" in err[0]
 
 
 def test_diagnose_at_out_of_range_is_data_error(tmp_path):

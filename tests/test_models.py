@@ -180,7 +180,7 @@ def test_auxiliary_head_shape():
     assert out.shape == (5, spec.num_classes)
 
 
-def test_pretrain_returns_frozen_deterministic_stack():
+def test_pretrain_returns_deterministic_stack():
     spec = models.tiny_vgg()
     ds = data.generate_blobs(classes=2, per_class=40, image_shape=(1, 16, 16), noise_sigma=0.1, seed=7)
     model = models.build_model(spec, seed=7)
@@ -202,7 +202,7 @@ def test_pretrain_returns_frozen_deterministic_stack():
             assert np.array_equal(la.params()[k], lb.params()[k])
 
 
-def test_pretrain_zero_epochs_is_frozen_init():
+def test_pretrain_zero_epochs_is_init():
     spec = models.tiny_vgg()
     ds = data.generate_blobs(classes=2, per_class=20, image_shape=(1, 16, 16), noise_sigma=0.1, seed=8)
     model = models.build_model(spec, seed=21)

@@ -17,7 +17,7 @@ from _helpers import quantizer_property_suite
 def test_constant_tensor_contract():
     rec = quantize.quantize(np.full((3, 4), 2.5, dtype=np.float32), round_tag=1, device_id=0, batch_index=0)
     assert rec.scale == 0.0
-    assert np.all(rec.codes == 0)
+    assert np.all(rec.payload == 0)
     assert rec.min_val == np.float32(2.5)
     back = quantize.decode(rec)
     assert np.array_equal(back, np.full((3, 4), 2.5, dtype=np.float32))
@@ -29,7 +29,7 @@ def test_rounding_is_half_away_from_zero():
     a = np.array([0.0, 0.5, 2.5, 255.0], dtype=np.float32)
     rec = quantize.quantize(a, round_tag=0, device_id=0, batch_index=0)
     assert rec.scale == 1.0
-    assert rec.codes.tolist() == [0, 1, 3, 255]
+    assert rec.payload.tolist() == [0, 1, 3, 255]
 
 
 def test_endpoint_codes_present():
@@ -37,8 +37,8 @@ def test_endpoint_codes_present():
     for _ in range(100):
         a = rng.uniform(-5, 5, size=17).astype(np.float32)
         rec = quantize.quantize(a, round_tag=0, device_id=0, batch_index=0)
-        assert rec.codes.min() == 0
-        assert rec.codes.max() == 255
+        assert rec.payload.min() == 0
+        assert rec.payload.max() == 255
 
 
 def test_round_trip_error_bound_and_idempotence_bulk():
@@ -62,7 +62,7 @@ def test_empty_tensors(shape):
         quantize.encode(empty, 0, 0, 0)
     rec = quantize.encode(empty, 0, 0, 0, quantized=False)
     back = quantize.parse(quantize.serialize(rec))
-    assert back.shape == shape
+    assert back.payload.shape == shape
     assert quantize.decode(back).shape == shape
 
 
@@ -88,8 +88,8 @@ def test_wire_format_hand_packed():
 
     back = quantize.parse(blob)
     assert back.round_tag == 9 and back.device_id == 2 and back.batch_index == 5
-    assert back.shape == (2, 2)
-    assert np.array_equal(back.codes, rec.codes)
+    assert back.payload.shape == (2, 2)
+    assert np.array_equal(back.payload, rec.payload)
     assert np.array_equal(back.labels, labels)
     assert back.scale == rec.scale and back.min_val == rec.min_val
 
