@@ -209,6 +209,8 @@ def cmd_cost(args):
 
 def cmd_diagnose(args):
     rows = diag_mod.read_diagnostics_csv(args.log)
+    if not args.at and len(rows) < 2:
+        raise diag_mod.DiagnosticsError(f"the bound needs at least 2 rounds; {args.log} holds 1")
     points = sorted(args.at) if args.at else [len(rows)]
     any_warning = False
     for point in points:
@@ -218,13 +220,15 @@ def cmd_diagnose(args):
             )
         row = rows[point - 1]
         lhs, rhs = row["lhs_running"], row["rhs_running"]
-        held = lhs is not None and rhs is not None and lhs <= rhs
+        head = f"after {point:>4} rounds: Gamma {row['gamma']:.6g}  "
+        if lhs is None or rhs is None:  # blank while Gamma is 0
+            any_warning = True
+            print(head + "-> WARNING: bound undefined at this round (no LHS/RHS logged)")
+            continue
+        held = lhs <= rhs
         status = "holds" if held else "WARNING: does not hold"
         any_warning = any_warning or not held
-        print(
-            f"after {point:>4} rounds: Gamma {row['gamma']:.6g}  "
-            f"LHS {lhs:.6g}  RHS {rhs:.6g}  -> bound {status}"
-        )
+        print(f"{head}LHS {lhs:.6g}  RHS {rhs:.6g}  -> bound {status}")
     if any_warning:
         print("note: G and L are sampled estimates; a warning is diagnostic, not an error")
     return EXIT_OK

@@ -108,6 +108,10 @@ def from_dict(raw):
         "rho is only meaningful in replay mode",
     )
     _require(
+        cfg.spill_dir is None or cfg.mode == "replay",
+        "spill_dir is only meaningful in replay mode",
+    )
+    _require(
         not cfg.freeze_device or cfg.mode in ("split", "replay"),
         "freeze_device only applies to split (replay freezes regardless)",
     )

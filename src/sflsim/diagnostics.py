@@ -312,12 +312,14 @@ def format_report(report):
 def write_diagnostics_csv(path, records, g_hat, l_hat):
     """One row per round. lhs_running/rhs_running are the bound's two sides
     over the prefix of rounds up to each row, using the full-run G and L
-    estimates throughout (so the columns are comparable down the file)."""
+    estimates throughout (so the columns are comparable down the file). They
+    are blank on the first row and while Gamma is 0, where the bound is
+    undefined."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for i, rec in enumerate(records):
-            if i >= 1:
+            if i >= 1 and rec.gamma > 0:
                 rep = bound_report(records[: i + 1], g_hat, l_hat)
                 lhs, rhs = rep.lhs, rep.rhs
             else:
@@ -339,7 +341,7 @@ def write_diagnostics_csv(path, records, g_hat, l_hat):
 
 def read_diagnostics_csv(path):
     """Rows of the diagnostics CSV as dicts of finite floats and an int ``t``;
-    the running-bound cells are blank (None) before round 2."""
+    the running-bound cells are blank (None) where the bound is undefined."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):

@@ -14,6 +14,7 @@ replay-mode transmission round), replay_buffer (a replay-mode cached round).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import models, quantize
@@ -21,8 +22,9 @@ from . import models, quantize
 GIB = 2**30
 
 METHODS = ("classic", "split", "local_loss", "replay_tx", "replay_buffer")
-PURPOSES = ("activation", "gradient", "model_up", "model_down", "labels")
-DIRECTIONS = ("up", "down")
+# Every kind of transfer and the one direction it travels.
+PURPOSES = {"activation": "up", "labels": "up", "model_up": "up",
+            "gradient": "down", "model_down": "down"}
 
 FLOAT_BYTES = 4
 CODE_BYTES = 1
@@ -47,57 +49,36 @@ PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    round_index: int
-    device: int
-    direction: str
-    purpose: str
-    nbytes: int
+def _up_down(purpose_bytes):
+    """(bytes up, bytes down) of a {purpose: bytes} map."""
+    up = sum(n for p, n in purpose_bytes.items() if PURPOSES[p] == "up")
+    return up, sum(purpose_bytes.values()) - up
 
 
 class TrafficLedger:
-    """Append-only record of every simulated transfer."""
+    """Bytes of every simulated transfer, summed per (round, device, purpose)."""
 
     def __init__(self):
-        self.entries = []
+        self.entries = Counter()
 
-    def record(self, round_index, device, direction, purpose, nbytes):
-        if direction not in DIRECTIONS:
-            raise NetsimError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    def record(self, round_index, device, purpose, nbytes):
         if purpose not in PURPOSES:
-            raise NetsimError(f"purpose must be one of {PURPOSES}, got {purpose!r}")
+            raise NetsimError(f"purpose must be one of {tuple(PURPOSES)}, got {purpose!r}")
         if nbytes < 0:
             raise NetsimError("byte counts cannot be negative")
-        self.entries.append(LedgerEntry(round_index, device, direction, purpose, int(nbytes)))
+        self.entries[round_index, device, purpose] += int(nbytes)
 
     def total(self, direction=None, purpose=None, round_index=None, device=None):
-        out = 0
-        for e in self.entries:
-            if direction is not None and e.direction != direction:
-                continue
-            if purpose is not None and e.purpose != purpose:
-                continue
-            if round_index is not None and e.round_index != round_index:
-                continue
-            if device is not None and e.device != device:
-                continue
-            out += e.nbytes
-        return out
+        """Bytes summed over the rows that match every given filter."""
+        want = (round_index, device, purpose)
+        return sum(n for key, n in self.entries.items()
+                   if all(w is None or w == v for w, v in zip(want, key))
+                   and direction in (None, PURPOSES[key[2]]))
 
-    def per_device_traffic(self, round_index=None):
-        """{device: (bytes up, bytes down)} over an optional round slice."""
-        out = {}
-        for e in self.entries:
-            if round_index is not None and e.round_index != round_index:
-                continue
-            up, down = out.get(e.device, (0, 0))
-            if e.direction == "up":
-                up += e.nbytes
-            else:
-                down += e.nbytes
-            out[e.device] = (up, down)
-        return out
+    def per_device_traffic(self, round_index, devices):
+        """{device: (bytes up, bytes down)} in one round, for each listed device."""
+        return {k: _up_down({p: self.entries[round_index, k, p] for p in PURPOSES})
+                for k in devices}
 
 
 @dataclass
@@ -106,15 +87,15 @@ class CostReport:
 
     method: str
     devices: int
-    purpose_bytes: dict = field(default_factory=dict)  # purpose -> (up, down) per device
+    purpose_bytes: dict = field(default_factory=dict)  # purpose -> bytes per device
 
     @property
     def per_device_up(self):
-        return sum(up for up, _ in self.purpose_bytes.values())
+        return _up_down(self.purpose_bytes)[0]
 
     @property
     def per_device_down(self):
-        return sum(down for _, down in self.purpose_bytes.values())
+        return _up_down(self.purpose_bytes)[1]
 
     @property
     def total_bytes(self):
@@ -149,29 +130,29 @@ def comm_bytes_per_round(method, spec, op_index=None, *, samples_per_device,
     if method not in METHODS:
         raise NetsimError(f"unknown method {method!r}")
     facts = models.analyze(spec, op_index)
-    zeros = {p: (0, 0) for p in PURPOSES}
+    zeros = dict.fromkeys(PURPOSES, 0)
     report = CostReport(method=method, devices=devices, purpose_bytes=zeros)
     act_raw = facts.activation_elements * FLOAT_BYTES * samples_per_device
     model = 0  # weight bytes synced each way per device
     if method == "classic":
         model = facts.total_params * FLOAT_BYTES
     elif method in ("split", "local_loss"):
-        report.purpose_bytes["activation"] = (act_raw, 0)
-        report.purpose_bytes["labels"] = (LABEL_BYTES * samples_per_device, 0)
+        report.purpose_bytes["activation"] = act_raw
+        report.purpose_bytes["labels"] = LABEL_BYTES * samples_per_device
         if method == "local_loss":
             head_params = facts.activation_elements * spec.num_classes + spec.num_classes
             model = (facts.device_params + head_params) * FLOAT_BYTES
         else:
-            report.purpose_bytes["gradient"] = (0, act_raw)
+            report.purpose_bytes["gradient"] = act_raw
             model = 0 if freeze_device else facts.device_params * FLOAT_BYTES
     elif method == "replay_tx":
         rank = 1 + len(facts.activation_shape)
         wire = _batched_record_bytes(samples_per_device, batch_size,
                                      facts.activation_elements, rank, quantized)
-        report.purpose_bytes["activation"] = (wire, 0)
+        report.purpose_bytes["activation"] = wire
     # replay_buffer: all zeros
-    report.purpose_bytes["model_up"] = (model, 0)
-    report.purpose_bytes["model_down"] = (0, model)
+    report.purpose_bytes["model_up"] = model
+    report.purpose_bytes["model_down"] = model
     return report
 
 
@@ -224,15 +205,8 @@ def transfer_time(nbytes, mbps):
 
 
 @dataclass
-class DeviceLatency:
-    compute_s: float
-    comm_s: float
-    total_s: float
-
-
-@dataclass
 class LatencyReport:
-    per_device: dict
+    per_device: dict  # device -> seconds busy in the round
     round_latency_s: float
     comm_share: float
 
@@ -251,9 +225,9 @@ def round_latency(per_device_traffic, compute, profile, device_speed, server_spe
     for device, (up, down) in sorted(per_device_traffic.items()):
         comm = transfer_time(up, profile.uplink_mbps) + transfer_time(down, profile.downlink_mbps)
         comp = compute.device_units / device_speed + compute.server_units / server_speed
-        per_device[device] = DeviceLatency(compute_s=comp, comm_s=comm, total_s=comp + comm)
+        per_device[device] = comp + comm
         comm_total += comm
         busy_total += comp + comm
-    slowest = max(d.total_s for d in per_device.values())
+    slowest = max(per_device.values())
     share = comm_total / busy_total if busy_total > 0 else 0.0
     return LatencyReport(per_device=per_device, round_latency_s=slowest, comm_share=share)

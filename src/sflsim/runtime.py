@@ -149,10 +149,6 @@ def _full_model(state):
     return models.concat_weights(state.global_device, state.global_server)
 
 
-def _stack_param_bytes(layers):
-    return 4 * sum(p.size for layer in layers for p in layer.params().values())
-
-
 def _batch_input(state, device, batch):
     """Fetch one training batch, applying this device's augmentation draw."""
     x = state.dataset.images[batch]
@@ -272,8 +268,7 @@ def _maybe_observe(state, t):
 
 def _finish_round(state, t, losses, diag_record):
     cfg = state.config
-    traffic = state.ledger.per_device_traffic(round_index=t)
-    traffic = {k: traffic.get(k, (0, 0)) for k in range(cfg.devices)}
+    traffic = state.ledger.per_device_traffic(t, range(cfg.devices))
     method = cfg.mode
     if method == "replay":
         method = "replay_tx" if buffer_mod.switch_is_on(t, cfg.rho) else "replay_buffer"
@@ -322,8 +317,8 @@ def _serve_upload(state, t, k, batch, local):
     returns (device trace, labels, server loss, cut gradient)."""
     x, y = _batch_input(state, k, batch)
     dtrace = kernel.forward(local["device"], x)
-    state.ledger.record(t, k, "up", "activation", 4 * dtrace.output.size)
-    state.ledger.record(t, k, "up", "labels", 2 * len(y))
+    state.ledger.record(t, k, "activation", netsim.FLOAT_BYTES * dtrace.output.size)
+    state.ledger.record(t, k, "labels", netsim.LABEL_BYTES * len(y))
     loss, cut_grad = _server_step(local["server"], dtrace.output, y, state.config.lr)
     return dtrace, y, loss, cut_grad
 
@@ -331,7 +326,7 @@ def _serve_upload(state, t, k, batch, local):
 def _split_step(state, t, k, b, batch, local):
     """Activation up, gradient down; a frozen device stack skips its update."""
     dtrace, y, loss, cut_grad = _serve_upload(state, t, k, batch, local)
-    state.ledger.record(t, k, "down", "gradient", 4 * dtrace.output.size)
+    state.ledger.record(t, k, "gradient", netsim.FLOAT_BYTES * dtrace.output.size)
     if not state.frozen_device:
         dev = local["device"]
         kernel.sgd_step(dev, kernel.backward(dev, dtrace, cut_grad), state.config.lr)
@@ -363,7 +358,7 @@ def _replay_step(state, t, k, b, batch, local):
             a, round_tag=t, device_id=k, batch_index=b, labels=y, quantized=cfg.quantized,
         )
         state.buffer.store(record)
-        state.ledger.record(t, k, "up", "activation", quantize.record_wire_bytes(record))
+        state.ledger.record(t, k, "activation", quantize.record_wire_bytes(record))
     else:
         record = state.buffer.fetch(k, b)
     loss, _ = _server_step(local["server"], quantize.decode(record), record.labels, cfg.lr)
@@ -391,11 +386,12 @@ def run_round(state, t):
     stacks over its shard, one mode step per batch, then FedAvg."""
     trained, synced = _stack_roles(state)
     step = _STEPS[state.config.mode]
-    sync_bytes = sum(_stack_param_bytes(getattr(state, f"global_{s}")) for s in synced)
+    sync_bytes = netsim.FLOAT_BYTES * sum(
+        layer.param_count() for s in synced for layer in getattr(state, f"global_{s}"))
     losses, vectors, counts = {}, {s: [] for s in trained}, []
     for k in sorted(state.batches):
         if synced:
-            state.ledger.record(t, k, "down", "model_down", sync_bytes)
+            state.ledger.record(t, k, "model_down", sync_bytes)
         local = {s: models.clone_stack(getattr(state, f"global_{s}")) for s in trained}
         local.setdefault("device", state.global_device)
         total = 0.0
@@ -403,7 +399,7 @@ def run_round(state, t):
             loss, n = step(state, t, k, b, batch, local)
             total += loss * n
         if synced:
-            state.ledger.record(t, k, "up", "model_up", sync_bytes)
+            state.ledger.record(t, k, "model_up", sync_bytes)
         losses[k] = total / len(state.shards[k])
         for s in trained:
             vectors[s].append(kernel.param_vector(local[s]))

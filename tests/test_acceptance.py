@@ -216,13 +216,15 @@ def test_criterion_03_ledger_matches_cost_model_exactly(desk_runs):
                 f"{mode}: ledger {state.ledger.total(round_index=0)} B != "
                 f"predicted {predicted.total_bytes} B"
             )
+        devices = state.config.devices
         for purpose in netsim.PURPOSES:
-            want_up, want_down = predicted.purpose_bytes[purpose]
-            got_up = state.ledger.total(direction="up", purpose=purpose, round_index=0)
-            got_down = state.ledger.total(direction="down", purpose=purpose, round_index=0)
-            if (got_up, got_down) != (want_up * state.config.devices,
-                                      want_down * state.config.devices):
+            got = state.ledger.total(purpose=purpose, round_index=0)
+            if got != predicted.purpose_bytes[purpose] * devices:
                 failures.append(f"{mode}/{purpose}: ledger disagrees with model")
+        for direction, want in (("up", predicted.per_device_up),
+                                ("down", predicted.per_device_down)):
+            if state.ledger.total(direction=direction, round_index=0) != want * devices:
+                failures.append(f"{mode}/{direction}: ledger disagrees with model")
     elapsed = time.perf_counter() - t0
     if elapsed >= 60:
         failures.append(f"took {elapsed:.1f} s (budget 60 s)")
@@ -447,7 +449,7 @@ def test_criterion_10_latency_directionality(desk_runs):
     lat = {}
     for mode, method in (("split", "split"), ("replay", "replay_tx")):
         state = desk_runs[mode].state
-        traffic = state.ledger.per_device_traffic(round_index=0)
+        traffic = state.ledger.per_device_traffic(0, range(state.config.devices))
         compute = netsim.computation_units(
             method, state.spec, state.op_index,
             samples_per_device=len(state.shards[0]),

@@ -268,6 +268,50 @@ def test_diagnose_malformed_log_exits_4(tmp_path, capsys, row, column):
     assert f"row 2 column {column}:" in err[0]
 
 
+@pytest.mark.parametrize("at", [["--at", "2"], []])
+def test_diagnose_blank_bound_is_undefined_warning(tmp_path, capsys, at):
+    log = tmp_path / "diag.csv"
+    log.write_text(
+        "t,eta,grad_norm_sq,eps_mean,delta_mean,loss,gamma,lhs_running,rhs_running\n"
+        "0,0.0,1.0,0.0,0.0,0.7,0.0,,\n"
+        "1,0.0,1.0,0.0,0.0,0.7,0.0,,\n"
+    )
+    assert cli.main(["diagnose", "--log", str(log), *at]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("after    2 rounds: Gamma 0  ")
+    assert "bound undefined at this round" in lines[0]
+    assert "diagnostic, not an error" in lines[1]
+
+
+def test_diagnose_one_round_log_needs_two_rounds(tmp_path, capsys):
+    log = tmp_path / "diag.csv"
+    log.write_text(
+        "t,eta,grad_norm_sq,eps_mean,delta_mean,loss,gamma,lhs_running,rhs_running\n"
+        "0,0.1,1.0,0.0,0.0,0.7,0.1,,\n"
+    )
+    assert cli.main(["diagnose", "--log", str(log)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")
+    assert "at least 2 rounds" in err[0] and "--at" not in err[0]
+
+
+def test_zero_lr_run_with_diagnostics_exits_0(tmp_path, capsys):
+    cfg = smoke_config(tmp_path, diagnostics=True, rounds=3, lr=0.0)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_OK
+    lines = (out_dir / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3  # header and one row per round
+    assert all(line.endswith(",,") for line in lines[1:])  # bound undefined: Gamma is 0
+    capsys.readouterr()
+    log = str(out_dir / "diagnostics.csv")
+    assert cli.main(["diagnose", "--log", log]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "after    3 rounds" in out and "bound undefined at this round" in out
+
+
 def test_diagnose_at_out_of_range_is_data_error(tmp_path):
     cfg = smoke_config(tmp_path, diagnostics=True, rounds=3)
     out_dir = tmp_path / "out"

@@ -67,6 +67,7 @@ def test_wrong_version_rejected():
         ({"op_index": 0}, "op_index"),
         ({"device_speed": 0}, "speeds"),
         ({"op_index": 40}, "op_index"),  # tiny_vgg expands to 11 layers
+        ({"spill_dir": "cache"}, "spill_dir"),  # the cache exists in replay only
         ({"dataset": {"kind": "idx", "images": None, "labels": "b.idx"}}, "images"),
     ],
 )

@@ -53,15 +53,15 @@ def test_split_frozen_device_skips_model_sync():
 def test_local_loss_bytes_exact():
     report = netsim.comm_bytes_per_round("local_loss", models.vgg11(), **CIFAR_LIKE)
     assert report.total_bytes == 1_644_803_120
-    assert report.purpose_bytes["gradient"] == (0, 0)  # no gradient downlink
+    assert report.purpose_bytes["gradient"] == 0  # no gradient downlink
 
 
 def test_replay_bytes_exact():
     tx = netsim.comm_bytes_per_round("replay_tx", models.vgg11(), **CIFAR_LIKE)
     assert tx.total_bytes == 409_721_500
     assert tx.gib == pytest.approx(0.38158, abs=1e-4)
-    assert tx.purpose_bytes["gradient"] == (0, 0)
-    assert tx.purpose_bytes["model_up"] == (0, 0)
+    assert tx.purpose_bytes["gradient"] == 0
+    assert tx.purpose_bytes["model_up"] == 0
     idle = netsim.comm_bytes_per_round("replay_buffer", models.vgg11(), **CIFAR_LIKE)
     assert idle.total_bytes == 0
 
@@ -122,23 +122,36 @@ def test_transfer_time_hand_value():
         netsim.transfer_time(10, 0.0)
 
 
+def test_purposes_fix_their_directions():
+    assert netsim.PURPOSES == {
+        "activation": "up", "labels": "up", "model_up": "up",
+        "gradient": "down", "model_down": "down",
+    }
+
+
 def test_ledger_totals_and_slices():
     ledger = netsim.TrafficLedger()
-    ledger.record(0, 0, "up", "activation", 100)
-    ledger.record(0, 0, "down", "gradient", 40)
-    ledger.record(0, 1, "up", "activation", 100)
-    ledger.record(1, 0, "up", "labels", 6)
+    ledger.record(0, 0, "activation", 100)
+    ledger.record(0, 0, "gradient", 40)
+    ledger.record(0, 1, "activation", 100)
+    ledger.record(1, 0, "labels", 6)
     assert ledger.total() == 246
     assert ledger.total(direction="up") == 206
     assert ledger.total(round_index=0) == 240
     assert ledger.total(purpose="activation") == 200
     assert ledger.total(device=0) == 146
-    traffic = ledger.per_device_traffic(round_index=0)
+    traffic = ledger.per_device_traffic(0, [0, 1])
     assert traffic == {0: (100, 40), 1: (100, 0)}
+    ledger.record(0, 1, "activation", 60)  # same (round, device, purpose): one row
+    assert len(ledger.entries) == 4  # distinct (round, device, purpose) keys
+    assert ledger.entries[0, 1, "activation"] == 160
+    # a listed device that sent nothing reads (0, 0); queries add no rows
+    assert ledger.per_device_traffic(0, [1, 2]) == {1: (160, 0), 2: (0, 0)}
+    assert len(ledger.entries) == 4
     with pytest.raises(netsim.NetsimError):
-        ledger.record(0, 0, "up", "nonsense", 1)
+        ledger.record(0, 0, "nonsense", 1)
     with pytest.raises(netsim.NetsimError):
-        ledger.record(0, 0, "sideways", "labels", 1)
+        ledger.record(0, 0, "labels", -1)
 
 
 def test_round_latency_composition():
@@ -148,8 +161,8 @@ def test_round_latency_composition():
     report = netsim.round_latency(traffic, compute, profile,
                                   device_speed=5e8, server_speed=5e9)
     # device 0: 1 s compute + 1 s up + 1 s down + 1 s server
-    assert report.per_device[0].total_s == pytest.approx(4.0)
-    assert report.per_device[1].total_s == pytest.approx(2.0)
+    assert report.per_device[0] == pytest.approx(4.0)
+    assert report.per_device[1] == pytest.approx(2.0)
     assert report.round_latency_s == pytest.approx(4.0)  # max over devices
     assert 0.0 < report.comm_share < 1.0
 

@@ -234,15 +234,12 @@ class TestLedgerAgreement:
             )
             assert state.ledger.total(round_index=t) == predicted.total_bytes
             for purpose in netsim.PURPOSES:
-                up, down = predicted.purpose_bytes[purpose]
-                got_up = state.ledger.total(
-                    direction="up", purpose=purpose, round_index=t
-                )
-                got_down = state.ledger.total(
-                    direction="down", purpose=purpose, round_index=t
-                )
-                assert got_up == up * cfg.devices
-                assert got_down == down * cfg.devices
+                got = state.ledger.total(purpose=purpose, round_index=t)
+                assert got == predicted.purpose_bytes[purpose] * cfg.devices
+            got_up = state.ledger.total(direction="up", round_index=t)
+            got_down = state.ledger.total(direction="down", round_index=t)
+            assert got_up == predicted.per_device_up * cfg.devices
+            assert got_down == predicted.per_device_down * cfg.devices
 
 
 class TestTrafficContracts:
