@@ -15,7 +15,7 @@ def main():
     a = rng.normal(0.0, 2.5, size=(16, 8, 4, 4)).astype(np.float32)
     labels = rng.integers(0, 2, size=16).astype(np.uint16)
 
-    record = quantize.quantize(
+    record = quantize.encode(
         a, round_tag=0, device_id=0, batch_index=0, labels=labels
     )
     back = quantize.decode(record)
@@ -60,7 +60,7 @@ def main():
         print(f"\na device that never transmitted raises: {exc}")
 
     try:
-        late = quantize.quantize(a, round_tag=1, device_id=0, batch_index=0)
+        late = quantize.encode(a, round_tag=1, device_id=0, batch_index=0)
         cache.store(late)
     except buffer.BufferError as exc:
         print(f"storing while the switch is off raises: {exc}")

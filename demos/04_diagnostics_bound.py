@@ -41,7 +41,7 @@ def main():
           "ones. Both feed the bound below.")
 
     g_hat = diagnostics.estimate_G(records)
-    l_hat = cli._trajectory_smoothness(out, records)
+    l_hat = diagnostics.trajectory_smoothness(out.state)
     report = diagnostics.bound_report(records, g_hat, l_hat)
     print(f"\nG_hat {g_hat:.4f} (max per-sample gradient norm^2), "
           f"L_hat {l_hat:.4f} (trajectory smoothness)")

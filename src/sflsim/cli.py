@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands
-    run       config -> training -> metrics CSV (+ diagnostics CSV)
+    run       config -> training -> metrics CSV (+ diagnostics CSV), weights.sfl
     cost      per-round communication tables, aligned text and CSV
     diagnose  convergence-bound report from a diagnostics log
     gen-data  write a synthetic dataset as an IDX file pair
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import logging
 import math
@@ -75,7 +76,8 @@ def build_parser():
     p_run = sub.add_parser("run", help="train per a JSON config and write metrics")
     p_run.add_argument("--config", required=True, help="path to a run-config JSON file")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out", default=".", help="directory for metrics/diagnostics CSVs")
+    p_run.add_argument("--out", default=".",
+                       help="directory for metrics, diagnostics and weights.sfl")
     p_run.add_argument("--profile", choices=sorted(netsim.PROFILES),
                        default=None, help="override the config network profile")
 
@@ -121,10 +123,15 @@ def cmd_run(args):
     if cfg.diagnostics:
         records = output.state.diagnostics_records
         g_hat = diag_mod.estimate_G(records)
-        l_hat = _trajectory_smoothness(output, records)
+        l_hat = diag_mod.trajectory_smoothness(output.state)
         diag_path = os.path.join(args.out, "diagnostics.csv")
         diag_mod.write_diagnostics_csv(diag_path, records, g_hat, l_hat)
         print(f"diagnostics written to {diag_path}")
+    weights_path = os.path.join(args.out, "weights.sfl")
+    kernel.save_weights(weights_path, output.final_model + (output.state.global_head or []))
+    with open(weights_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    print(f"weights written to {weights_path} (sha256 {digest})")
     final = output.results[-1]
     total_up = output.state.ledger.total(direction="up")
     total_down = output.state.ledger.total(direction="down")
@@ -132,17 +139,6 @@ def cmd_run(args):
     print(f"total traffic up {total_up} B, down {total_down} B "
           f"({(total_up + total_down) / netsim.GIB:.4f} GiB)")
     return EXIT_OK
-
-
-def _trajectory_smoothness(output, records):
-    """L estimate for a finished run: perturbation pairs around the logged
-    server trajectory, gradients on device 0's diagnostics probe."""
-    state = output.state
-    a, y = diag_mod.probe_batch(state, 0)
-    grad_fn = diag_mod.server_grad_fn(state.server_stacks[0], a, y)
-    centers = [r.server_params for r in records]
-    step = max(1, len(centers) // 8)  # cap the probe work on long runs
-    return diag_mod.estimate_L(grad_fn, centers[::step], state.diag_rng)
 
 
 def cost_table(spec_name, *, samples_per_device, devices, batch_size):
@@ -212,7 +208,7 @@ def cmd_diagnose(args):
     if not args.at and len(rows) < 2:
         raise diag_mod.DiagnosticsError(f"the bound needs at least 2 rounds; {args.log} holds 1")
     points = sorted(args.at) if args.at else [len(rows)]
-    any_warning = False
+    violated = undefined = False
     for point in points:
         if point < 2 or point > len(rows):
             raise diag_mod.DiagnosticsError(
@@ -222,15 +218,17 @@ def cmd_diagnose(args):
         lhs, rhs = row["lhs_running"], row["rhs_running"]
         head = f"after {point:>4} rounds: Gamma {row['gamma']:.6g}  "
         if lhs is None or rhs is None:  # blank while Gamma is 0
-            any_warning = True
+            undefined = True
             print(head + "-> WARNING: bound undefined at this round (no LHS/RHS logged)")
             continue
         held = lhs <= rhs
         status = "holds" if held else "WARNING: does not hold"
-        any_warning = any_warning or not held
+        violated = violated or not held
         print(f"{head}LHS {lhs:.6g}  RHS {rhs:.6g}  -> bound {status}")
-    if any_warning:
+    if violated:
         print("note: G and L are sampled estimates; a warning is diagnostic, not an error")
+    if undefined:
+        print("note: the bound is undefined while Gamma is 0")
     return EXIT_OK
 
 
@@ -269,7 +267,7 @@ def cmd_selftest(args):
         rng = np.random.default_rng(0)
         for _ in range(100):
             a = rng.normal(0, 3, size=(4, 7)).astype(np.float32)
-            rec = quantize.quantize(a, 0, 0, 0)
+            rec = quantize.encode(a, 0, 0, 0)
             back = quantize.decode(rec)
             tol = rec.scale / 2 + np.spacing(np.abs(a).max())
             _check(np.max(np.abs(back - a)) <= tol, "quantizer round-trip error above scale/2")

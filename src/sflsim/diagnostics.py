@@ -234,6 +234,16 @@ def server_grad_fn(server_layers, activations, labels):
     return fn
 
 
+def trajectory_smoothness(state):
+    """L estimate for a finished run: perturbation pairs around the logged
+    server trajectory, gradients on device 0's diagnostics probe."""
+    a, y = probe_batch(state, 0)
+    grad_fn = server_grad_fn(state.server_stacks[0], a, y)
+    centers = [r.server_params for r in state.diagnostics_records]
+    step = max(1, len(centers) // 8)  # cap the probe work on long runs
+    return estimate_L(grad_fn, centers[::step], state.diag_rng)
+
+
 @dataclass
 class BoundReport:
     rounds: int

@@ -3,13 +3,12 @@
 Layers are stateful objects holding float32 parameters (float64 in test mode)
 and exposing forward/backward with explicit caches. Stack-level helpers run a
 list of layers as one network, validate traces, take the cross-entropy loss
-and its gradients in one call (loss_grads), and apply plain SGD. Weight
-checkpoints use a little-endian binary format with magic ``SFL1``.
+and its gradients in one call (loss_grads), and apply plain SGD. A weight
+checkpoint (SFL1) is the stack's own header followed by its param_vector.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -399,58 +398,42 @@ def grad_vector(grads):
     return _flat(grads.layers)
 
 
-def save_weights(path, layers):
-    """Write layer parameters: magic SFL1, layer count, then per layer a kind
-    tag, the number of parameter arrays, and each array as rank + dims (u32)
-    + raw float32 payload. Little-endian throughout."""
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", len(layers))
+def _sfl1_header(layers):
+    """SFL1 header of a stack: magic, u32 layer count, then per layer a u8
+    kind tag and u8 parameter count, and per parameter (sorted keys, the
+    param_vector order) a u32 rank and u32 dims. Little-endian."""
+    blob = bytearray(MAGIC + struct.pack("<I", len(layers)))
     for layer in layers:
         params = layer.params()
         blob += struct.pack("<BB", KIND_TAGS[layer.kind], len(params))
-        for name in params:
-            arr = np.ascontiguousarray(params[name], dtype="<f4")
-            blob += struct.pack("<I", arr.ndim)
-            blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-            blob += arr.tobytes()
+        for k in sorted(params):
+            shape = params[k].shape
+            blob += struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+    return bytes(blob)
+
+
+def save_weights(path, layers):
+    """Write an SFL1 checkpoint: the stack's header, then its param_vector
+    as little-endian float32."""
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(_sfl1_header(layers))
+        fh.write(param_vector(layers).astype("<f4").tobytes())
 
 
 def load_weights(path, layers):
-    """Read an SFL1 checkpoint into an architecture-matched layer stack."""
+    """Read an SFL1 checkpoint into a stack whose own header it must match
+    byte for byte."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise KernelError(f"bad checkpoint magic {raw[:4]!r}")
-    off = 4
-
-    def take(n):
-        nonlocal off
-        if off + n > len(raw):
-            raise KernelError("truncated checkpoint")
-        chunk = raw[off : off + n]
-        off += n
-        return chunk
-
-    (count,) = struct.unpack("<I", take(4))
-    if count != len(layers):
-        raise KernelError(f"checkpoint has {count} layers, stack has {len(layers)}")
-    for layer in layers:
-        tag, n_params = struct.unpack("<BB", take(2))
-        if tag != KIND_TAGS[layer.kind]:
-            raise KernelError(f"checkpoint layer tag {tag} != {layer.kind}")
-        params = layer.params()
-        if n_params != len(params):
-            raise KernelError("checkpoint parameter count mismatch")
-        for name in params:
-            (rank,) = struct.unpack("<I", take(4))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank))
-            if dims != params[name].shape:
-                raise KernelError(f"checkpoint shape {dims} != param {params[name].shape}")
-            data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
-            params[name][...] = data
-        layer.bump()
-    if off != len(raw):
+    header = _sfl1_header(layers)
+    if raw[: len(header)] != header:
+        raise KernelError("checkpoint header does not match this layer stack")
+    payload = raw[len(header) :]
+    size = 4 * sum(layer.param_count() for layer in layers)
+    if len(payload) < size:
+        raise KernelError("truncated checkpoint")
+    if len(payload) > size:
         raise KernelError("trailing bytes after checkpoint payload")
+    load_param_vector(layers, np.frombuffer(payload, dtype="<f4"))

@@ -77,8 +77,6 @@ class ModelFacts:
     activation_elements: int
     device_macs: int
     server_macs: int
-    layer_count: int
-    op_index: int
 
 
 @dataclass
@@ -183,8 +181,6 @@ def analyze(spec, op_index=None):
         activation_elements=int(np.prod(act_shape)),
         device_macs=sum(d.forward_macs() for d in device),
         server_macs=sum(d.forward_macs() for d in server),
-        layer_count=len(descs),
-        op_index=idx,
     )
 
 
@@ -233,14 +229,21 @@ def clone_stack(layers):
     return copy.deepcopy(list(layers))
 
 
+def head_descs(activation_shape, num_classes):
+    """The local-loss head's descriptors: Flatten, then Dense to the classes."""
+    flat = (int(np.prod(activation_shape)),)
+    return [
+        LayerDesc("flatten", tuple(activation_shape), flat),
+        LayerDesc("dense", flat, (num_classes,), num_classes),
+    ]
+
+
 def auxiliary_head(spec, seed, op_index=None):
     """Local-loss head: Flatten + Dense from the split activation to classes."""
     facts = analyze(spec, op_index)
     rng = np.random.default_rng(seed)
-    return [
-        kernel.Flatten(),
-        kernel.Dense(facts.activation_elements, spec.num_classes, rng=rng),
-    ]
+    return [_instantiate(d, rng, np.float32)
+            for d in head_descs(facts.activation_shape, spec.num_classes)]
 
 
 def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=None):

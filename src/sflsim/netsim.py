@@ -140,8 +140,8 @@ def comm_bytes_per_round(method, spec, op_index=None, *, samples_per_device,
         report.purpose_bytes["activation"] = act_raw
         report.purpose_bytes["labels"] = LABEL_BYTES * samples_per_device
         if method == "local_loss":
-            head_params = facts.activation_elements * spec.num_classes + spec.num_classes
-            model = (facts.device_params + head_params) * FLOAT_BYTES
+            head = models.head_descs(facts.activation_shape, spec.num_classes)
+            model = (facts.device_params + sum(d.param_count() for d in head)) * FLOAT_BYTES
         else:
             report.purpose_bytes["gradient"] = act_raw
             model = 0 if freeze_device else facts.device_params * FLOAT_BYTES
@@ -190,7 +190,8 @@ def computation_units(method, spec, op_index=None, *, samples_per_device):
     if method == "split":
         return ComputeReport(2 * facts.device_macs * samples_per_device, server_train)
     if method == "local_loss":
-        head_macs = facts.activation_elements * spec.num_classes
+        head = models.head_descs(facts.activation_shape, spec.num_classes)
+        head_macs = sum(d.forward_macs() for d in head)
         return ComputeReport(2 * (facts.device_macs + head_macs) * samples_per_device, server_train)
     if method == "replay_tx":
         return ComputeReport(facts.device_macs * samples_per_device, server_train)

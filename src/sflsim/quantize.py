@@ -60,11 +60,6 @@ class ActivationRecord:
         return "q8" if self.payload.dtype == np.uint8 else "raw"
 
 
-def quantize(a, round_tag, device_id, batch_index, labels=None):
-    """The q8 record of a tensor: ``encode`` with the affine 8-bit map."""
-    return encode(a, round_tag, device_id, batch_index, labels)
-
-
 def encode(a, round_tag, device_id, batch_index, labels=None, quantized=True):
     """Build a record: uint8 codes with one (scale, min) pair (q8), or a
     float32 copy of the tensor (raw)."""
@@ -174,7 +169,7 @@ def quantization_error(a, server_layers, labels, quantized=True, clean_grad=None
     if not quantized:
         return 0.0
     a = np.asarray(a)
-    rec = quantize(a, round_tag=0, device_id=0, batch_index=0)
+    rec = encode(a, round_tag=0, device_id=0, batch_index=0)
     a_hat = decode(rec, dtype=a.dtype)
     quantized_grad = kernel.grad_vector(kernel.loss_grads(server_layers, a_hat, labels)[1])
     if clean_grad is None:

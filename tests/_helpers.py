@@ -129,7 +129,7 @@ def quantizer_property_suite(trials, seed):
         a = (loc + width * rng.random(size)).astype(np.float32)
         if float(a.max()) == float(a.min()):
             a[0] += np.float32(width)
-        rec = quantize.quantize(a, round_tag=t, device_id=0, batch_index=0)
+        rec = quantize.encode(a, round_tag=t, device_id=0, batch_index=0)
 
         # endpoint codes 0 and 255 both present for non-constant tensors
         assert rec.payload.min() == 0 and rec.payload.max() == 255
@@ -141,13 +141,13 @@ def quantizer_property_suite(trials, seed):
         assert err <= bound, f"trial {t}: round-trip err {err} > bound {bound}"
 
         # quantizing the dequantized grid reproduces codes, scale, and min
-        again = quantize.quantize(back, round_tag=t, device_id=0, batch_index=0)
+        again = quantize.encode(back, round_tag=t, device_id=0, batch_index=0)
         assert np.array_equal(again.payload, rec.payload), f"trial {t}: codes moved"
         assert again.scale == rec.scale and again.min_val == rec.min_val
 
     # constant tensors: scale 0, codes 0, exact reconstruction
     for value in (-3.5, 0.0, 7.25):
-        rec = quantize.quantize(np.full(9, value, dtype=np.float32), round_tag=0, device_id=0, batch_index=0)
+        rec = quantize.encode(np.full(9, value, dtype=np.float32), round_tag=0, device_id=0, batch_index=0)
         assert rec.scale == 0.0 and np.all(rec.payload == 0)
         assert np.array_equal(quantize.decode(rec), np.full(9, value, dtype=np.float32))
 

@@ -486,7 +486,7 @@ def test_criterion_11_convergence_bound_report(convergence_runs):
     t0 = time.perf_counter()
     replay_out = convergence_runs["replay"]
     records = replay_out.state.diagnostics_records
-    l_hat = cli._trajectory_smoothness(replay_out, records)
+    l_hat = diagnostics.trajectory_smoothness(replay_out.state)
 
     failures = []
     sections = []

@@ -107,7 +107,7 @@ def test_distance_proxy_bounded_by_quantization_for_frozen_inputs():
     buf = buffer.ReplayBuffer(period=2)
     rng = np.random.default_rng(1)
     a = rng.uniform(-1, 1, size=(4, 2, 2, 2)).astype(np.float32)
-    rec = quantize.quantize(a, round_tag=0, device_id=0, batch_index=0)
+    rec = quantize.encode(a, round_tag=0, device_id=0, batch_index=0)
     buf.store(rec)
     delta = buffer.buffer_distance_proxy(buf, 0, 0, a)
     # per-sample L2 of quantization noise <= scale/2 * sqrt(elements) + slack

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file outputs, and exit-code categories."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sflsim import cli, data as data_mod, models
+from sflsim import cli, data as data_mod, kernel, models, runtime
 
 
 def smoke_config(tmp_path, **overrides):
@@ -40,6 +41,29 @@ def test_run_smoke_writes_metrics(tmp_path, capsys):
     assert (out_dir / "metrics.csv").exists()
     stdout = capsys.readouterr().out
     assert "final test accuracy" in stdout
+
+
+@pytest.mark.parametrize("mode", ["classic", "split", "local_loss", "replay"])
+def test_run_writes_weights_that_load_back_bit_exactly(tmp_path, capsys, monkeypatch, mode):
+    outputs = []
+    real_run = runtime.run_training
+    monkeypatch.setattr(runtime, "run_training",
+                        lambda cfg: outputs.append(real_run(cfg)) or outputs[-1])
+    cfg = smoke_config(tmp_path, mode=mode, rho=2 if mode == "replay" else 1)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_OK
+    path = out_dir / "weights.sfl"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert f"weights written to {path} (sha256 {digest})" in capsys.readouterr().out
+    (output,) = outputs
+    state = output.state
+    trained = output.final_model + (state.global_head or [])
+    fresh = models.build_model(state.spec, seed=12345).layers
+    if mode == "local_loss":
+        fresh += models.auxiliary_head(state.spec, seed=12345, op_index=state.op_index)
+    assert len(fresh) == len(trained)
+    kernel.load_weights(path, fresh)
+    assert kernel.param_vector(fresh).tobytes() == kernel.param_vector(trained).tobytes()
 
 
 def test_run_with_diagnostics_writes_both_logs(tmp_path):
@@ -231,6 +255,7 @@ def test_diverged_run_exits_5_without_metrics(tmp_path, capsys):
     assert err.startswith("training error: round 0 (split)") and "non-finite" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "metrics.csv").exists()
+    assert not (tmp_path / "weights.sfl").exists()
 
 
 def test_diagnose_violated_bound_warns_but_exits_zero(tmp_path, capsys):
@@ -283,7 +308,7 @@ def test_diagnose_blank_bound_is_undefined_warning(tmp_path, capsys, at):
     assert len(lines) == 2
     assert lines[0].startswith("after    2 rounds: Gamma 0  ")
     assert "bound undefined at this round" in lines[0]
-    assert "diagnostic, not an error" in lines[1]
+    assert lines[1] == "note: the bound is undefined while Gamma is 0"
 
 
 def test_diagnose_one_round_log_needs_two_rounds(tmp_path, capsys):

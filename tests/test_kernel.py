@@ -344,6 +344,20 @@ def test_checkpoint_round_trip_and_errors(tmp_path):
         kernel.load_weights(oversized, wrong_arch)
 
 
+def test_checkpoint_header_of_another_stack_is_rejected(tmp_path):
+    # Same kinds and payload size, different shapes: only the header differs.
+    init = np.random.default_rng(43)
+    path = tmp_path / "weights.sfl"
+    kernel.save_weights(path, [kernel.Dense(2, 3, rng=init)])
+    other = [kernel.Dense(8, 1, rng=init)]
+    before = kernel.param_vector(other)
+    with pytest.raises(kernel.KernelError, match="header"):
+        kernel.load_weights(path, other)
+    assert np.array_equal(kernel.param_vector(other), before)
+    with pytest.raises(kernel.KernelError, match="header"):
+        kernel.load_weights(path, [kernel.Conv1x1(2, 3, rng=init)])
+
+
 def test_param_vector_round_trip():
     init = np.random.default_rng(51)
     layers = [kernel.Dense(3, 4, rng=init), kernel.ReLU(), kernel.Dense(4, 2, rng=init)]

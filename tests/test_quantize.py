@@ -15,7 +15,7 @@ from _helpers import quantizer_property_suite
 
 
 def test_constant_tensor_contract():
-    rec = quantize.quantize(np.full((3, 4), 2.5, dtype=np.float32), round_tag=1, device_id=0, batch_index=0)
+    rec = quantize.encode(np.full((3, 4), 2.5, dtype=np.float32), round_tag=1, device_id=0, batch_index=0)
     assert rec.scale == 0.0
     assert np.all(rec.payload == 0)
     assert rec.min_val == np.float32(2.5)
@@ -27,7 +27,7 @@ def test_rounding_is_half_away_from_zero():
     # range [0, 255] gives scale exactly 1; 0.5 must round up to code 1
     # (numpy's default half-to-even would give 0)
     a = np.array([0.0, 0.5, 2.5, 255.0], dtype=np.float32)
-    rec = quantize.quantize(a, round_tag=0, device_id=0, batch_index=0)
+    rec = quantize.encode(a, round_tag=0, device_id=0, batch_index=0)
     assert rec.scale == 1.0
     assert rec.payload.tolist() == [0, 1, 3, 255]
 
@@ -36,7 +36,7 @@ def test_endpoint_codes_present():
     rng = np.random.default_rng(0)
     for _ in range(100):
         a = rng.uniform(-5, 5, size=17).astype(np.float32)
-        rec = quantize.quantize(a, round_tag=0, device_id=0, batch_index=0)
+        rec = quantize.encode(a, round_tag=0, device_id=0, batch_index=0)
         assert rec.payload.min() == 0
         assert rec.payload.max() == 255
 
@@ -48,9 +48,9 @@ def test_round_trip_error_bound_and_idempotence_bulk():
 
 def test_rejects_non_finite():
     with pytest.raises(quantize.QuantizeError):
-        quantize.quantize(np.array([1.0, np.nan]), round_tag=0, device_id=0, batch_index=0)
+        quantize.encode(np.array([1.0, np.nan]), round_tag=0, device_id=0, batch_index=0)
     with pytest.raises(quantize.QuantizeError):
-        quantize.quantize(np.array([1.0, np.inf]), round_tag=0, device_id=0, batch_index=0)
+        quantize.encode(np.array([1.0, np.inf]), round_tag=0, device_id=0, batch_index=0)
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)])
@@ -69,7 +69,7 @@ def test_empty_tensors(shape):
 def test_wire_format_hand_packed():
     a = np.array([[0.0, 1.0], [2.0, 255.0]], dtype=np.float32)
     labels = np.array([3, 7], dtype=np.uint16)
-    rec = quantize.quantize(a, round_tag=9, device_id=2, batch_index=5, labels=labels)
+    rec = quantize.encode(a, round_tag=9, device_id=2, batch_index=5, labels=labels)
     blob = quantize.serialize(rec)
 
     expected = b"QACT"
@@ -109,7 +109,7 @@ def test_wire_format_raw_codec_round_trip():
 
 def test_parse_errors():
     a = np.arange(6, dtype=np.float32).reshape(2, 3)
-    blob = quantize.serialize(quantize.quantize(a, round_tag=0, device_id=0, batch_index=0))
+    blob = quantize.serialize(quantize.encode(a, round_tag=0, device_id=0, batch_index=0))
     with pytest.raises(quantize.QuantizeError, match="magic"):
         quantize.parse(b"XXXX" + blob[4:])
     with pytest.raises(quantize.QuantizeError, match="truncat"):
@@ -132,7 +132,7 @@ def test_quantization_error_matches_scripted_oracle():
 
     eps = quantize.quantization_error(a, server, labels)
 
-    rec = quantize.quantize(a, round_tag=0, device_id=0, batch_index=0)
+    rec = quantize.encode(a, round_tag=0, device_id=0, batch_index=0)
     a_hat = quantize.decode(rec, dtype=np.float64)
     vecs = []
     for x in (a_hat, a):
