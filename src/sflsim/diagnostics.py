@@ -97,7 +97,7 @@ def record_round(state, t):
     for k in sorted(state.batches):
         a, y = probe_batch(state, k)
         server = state.server_stacks[k]
-        loss, grads = kernel.loss_grads(server, a, y)
+        loss, grads = kernel.loss_grads(server, a, y, input_grad=False)
         g = kernel.grad_vector(grads)
         grad_sqs.append(float(g @ g))
         losses.append(loss)
@@ -140,11 +140,11 @@ def probe_batch(state, device_id):
     if not device_stack:
         return x, y
     if not state.frozen_device:
-        return kernel.forward(device_stack, x).output, y
+        return kernel.predict(device_stack, x), y
     stamp = (tuple(id(l) for l in device_stack), tuple(l.version for l in device_stack))
     memo = state.probe_activations.get(device_id)
     if memo is None or memo[0] != stamp:
-        a = kernel.forward(device_stack, x).output
+        a = kernel.predict(device_stack, x)
         a.setflags(write=False)  # one array serves every later round
         memo = state.probe_activations[device_id] = (stamp, a)
     return memo[1], y
@@ -161,7 +161,8 @@ def _sample_grad_sqs(server_layers, activations, labels):
     n = min(len(labels), SAMPLE_GRAD_CAP)
     trace = kernel.forward(server_layers, activations[:n])
     _, dlogits = kernel.softmax_cross_entropy(trace.output, labels[:n])
-    grads = kernel.backward(server_layers, trace, dlogits * n, per_example=True)
+    grads = kernel.backward(server_layers, trace, dlogits * n, per_example=True,
+                            input_grad=False)
     flat = [
         layer_grads[key].reshape(n, -1)
         for layer_grads in grads.layers
@@ -189,7 +190,7 @@ def _staleness(state, device_id, device_stack):
     x = state.dataset.images[batches[b]]
     if state.config.augment:
         x = data_mod.augment_hflip(x, state.diag_rng)
-    fresh = kernel.forward(device_stack, x).output
+    fresh = kernel.predict(device_stack, x)
     return buffer_mod.buffer_distance_proxy(state.buffer, device_id, b, fresh)
 
 
@@ -229,7 +230,8 @@ def server_grad_fn(server_layers, activations, labels):
 
     def fn(theta):
         kernel.load_param_vector(stack, theta)
-        return kernel.grad_vector(kernel.loss_grads(stack, activations, labels)[1])
+        return kernel.grad_vector(
+            kernel.loss_grads(stack, activations, labels, input_grad=False)[1])
 
     return fn
 

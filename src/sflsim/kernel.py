@@ -2,9 +2,10 @@
 
 Layers are stateful objects holding float32 parameters (float64 in test mode)
 and exposing forward/backward with explicit caches. Stack-level helpers run a
-list of layers as one network, validate traces, take the cross-entropy loss
-and its gradients in one call (loss_grads), and apply plain SGD. A weight
-checkpoint (SFL1) is the stack's own header followed by its param_vector.
+list of layers as one network (forward keeps a Trace for backward, predict
+keeps none), validate traces, take the cross-entropy loss and its gradients
+in one call (loss_grads), and apply plain SGD. A weight checkpoint (SFL1) is
+the stack's own header followed by its param_vector.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, cache, dy, per_example=False):
+    def backward(self, cache, dy, per_example=False, input_grad=True):
         """(parameter grads, input grad). With ``per_example`` every
         parameter grad keeps the batch axis in front: row i is the gradient
-        of sample i's share of the loss."""
+        of sample i's share of the loss. With ``input_grad`` off the input
+        grad is not computed and comes back as None."""
         raise NotImplementedError
 
     def bump(self):
@@ -88,23 +90,18 @@ class Dense(_WeightBias):
             raise KernelError(f"dense expects (batch, {self.n_in}), got {x.shape}")
         return x @ self.w + self.b, x
 
-    def backward(self, cache, dy, per_example=False):
+    def backward(self, cache, dy, per_example=False, input_grad=True):
         x = cache
         if per_example:
             grads = {"w": np.einsum("bi,bo->bio", x, dy), "b": dy}
         else:
             grads = {"w": x.T @ dy, "b": dy.sum(axis=0)}
-        return grads, dy @ self.w.T
+        return grads, dy @ self.w.T if input_grad else None
 
 
 def _conv3x3_windows(x_padded):
     # view of all 3x3 patches: (B, C, H, W, 3, 3)
     return np.lib.stride_tricks.sliding_window_view(x_padded, (3, 3), axis=(2, 3))
-
-
-def _batch_kept(per_example):
-    """(einsum output prefix, bias-sum axes) of a conv parameter gradient."""
-    return ("b", (2, 3)) if per_example else ("", (0, 2, 3))
 
 
 class Conv3x3(_WeightBias):
@@ -124,11 +121,16 @@ class Conv3x3(_WeightBias):
         y += self.b[None, :, None, None]
         return y, xp
 
-    def backward(self, cache, dy, per_example=False):
-        xp = cache
-        b, axes = _batch_kept(per_example)
-        dw = np.einsum(f"bchwij,bohw->{b}ocij", _conv3x3_windows(xp), dy, optimize=True)
-        db = dy.sum(axis=axes)
+    def backward(self, cache, dy, per_example=False, input_grad=True):
+        windows = _conv3x3_windows(cache)
+        if per_example:
+            dw = np.einsum("bchwij,bohw->bocij", windows, dy, optimize=True)
+            db = dy.sum(axis=(2, 3))
+        else:
+            dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
+            db = dy.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return {"w": dw, "b": db}, None
         dyp = np.pad(dy, ((0, 0), (0, 0), (1, 1), (1, 1)))
         w_flip = self.w[:, :, ::-1, ::-1]
         dx = np.einsum("bohwij,ocij->bchw", _conv3x3_windows(dyp), w_flip, optimize=True)
@@ -151,36 +153,55 @@ class Conv1x1(_WeightBias):
         y += self.b[None, :, None, None]
         return y, x
 
-    def backward(self, cache, dy, per_example=False):
+    def backward(self, cache, dy, per_example=False, input_grad=True):
         x = cache
-        b, axes = _batch_kept(per_example)
+        b, axes = ("b", (2, 3)) if per_example else ("", (0, 2, 3))
         dw = np.einsum(f"bchw,bohw->{b}oc", x, dy, optimize=True)
         db = dy.sum(axis=axes)
+        if not input_grad:
+            return {"w": dw, "b": db}, None
         dx = np.einsum("bohw,oc->bchw", dy, self.w, optimize=True)
         return {"w": dw, "b": db}, dx
 
 
+# The four 2x2-window positions, in row-major order: (row, column) offsets.
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 class MaxPool2x2(Layer):
-    """2x2 max pooling, stride 2; ties route the gradient to the first max."""
+    """2x2 max pooling, stride 2, over the four strided quadrant views.
+
+    The backward routes each output gradient to the first quadrant, in
+    row-major order, whose input equals the max; entries that get no
+    gradient are +0.0. A NaN input makes its window's max NaN, which no
+    input equals, so that window routes no gradient (an argmax would pick
+    the NaN); the runtime's non-finite check stops such a run anyway. A
+    window whose max is a tie of -0.0 and +0.0 may output either zero.
+    """
 
     kind = "maxpool2x2"
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
             raise KernelError(f"maxpool2x2 needs even spatial dims, got {x.shape}")
-        b, c, h, w = x.shape
-        tiles = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        flat = tiles.reshape(b, c, h // 2, w // 2, 4)
-        idx = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return y, (x.shape, idx)
+        q = [x[:, :, r::2, c::2] for r, c in _QUADRANTS]
+        # C order whatever the input's layout: a later einsum's summation
+        # order, and so its bits, depends on its operands' strides.
+        y = np.ascontiguousarray(np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3])))
+        return y, (x, y)
 
-    def backward(self, cache, dy, per_example=False):
-        (b, c, h, w), idx = cache
-        flat = np.zeros((b, c, h // 2, w // 2, 4), dtype=dy.dtype)
-        np.put_along_axis(flat, idx[..., None], dy[..., None], axis=-1)
-        tiles = flat.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return {}, tiles.reshape(b, c, h, w)
+    def backward(self, cache, dy, per_example=False, input_grad=True):
+        if not input_grad:
+            return {}, None
+        x, y = cache
+        dx = np.zeros(x.shape, dtype=dy.dtype)
+        free = np.ones(y.shape, dtype=bool)
+        for r, c in _QUADRANTS:
+            hit = x[:, :, r::2, c::2] == y
+            hit &= free
+            np.copyto(dx[:, :, r::2, c::2], dy, where=hit)
+            free ^= hit
+        return {}, dx
 
 
 class ReLU(Layer):
@@ -189,8 +210,8 @@ class ReLU(Layer):
     def forward(self, x):
         return np.maximum(x, 0), x > 0
 
-    def backward(self, cache, dy, per_example=False):
-        return {}, dy * cache
+    def backward(self, cache, dy, per_example=False, input_grad=True):
+        return {}, dy * cache if input_grad else None
 
 
 class Flatten(Layer):
@@ -199,8 +220,8 @@ class Flatten(Layer):
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, cache, dy, per_example=False):
-        return {}, dy.reshape(cache)
+    def backward(self, cache, dy, per_example=False, input_grad=True):
+        return {}, dy.reshape(cache) if input_grad else None
 
 
 class ResidualBlock(Layer):
@@ -240,19 +261,19 @@ class ResidualBlock(Layer):
         mask = summed > 0
         return np.maximum(summed, 0), (c1, cr, c2, cpm, cs, cps, mask)
 
-    def backward(self, cache, dy, per_example=False):
+    def backward(self, cache, dy, per_example=False, input_grad=True):
         c1, cr, c2, cpm, cs, cps, mask = cache
         d_sum = dy * mask
         _, d_main = self.pool_main.backward(cpm, d_sum)
         g2, d_r1 = self.conv2.backward(c2, d_main, per_example)
         _, d_a1 = self.relu_mid.backward(cr, d_r1)
-        g1, dx_main = self.conv1.backward(c1, d_a1, per_example)
+        g1, dx_main = self.conv1.backward(c1, d_a1, per_example, input_grad)
         _, d_side = self.pool_skip.backward(cps, d_sum)
-        gs, dx_skip = self.skip.backward(cs, d_side, per_example)
+        gs, dx_skip = self.skip.backward(cs, d_side, per_example, input_grad)
         grads = {f"conv1.{k}": v for k, v in g1.items()}
         grads.update({f"conv2.{k}": v for k, v in g2.items()})
         grads.update({f"skip.{k}": v for k, v in gs.items()})
-        return grads, dx_main + dx_skip
+        return grads, dx_main + dx_skip if input_grad else None
 
 
 @dataclass
@@ -267,7 +288,9 @@ class Trace:
 
 @dataclass
 class Gradients:
-    """Per-layer parameter gradients (dicts keyed like params()) + input grad."""
+    """Per-layer parameter gradients (dicts keyed like params()) + input grad.
+
+    ``input_grad`` is None when backward ran with ``input_grad=False``."""
 
     layers: list
     input_grad: np.ndarray | None
@@ -287,14 +310,24 @@ def forward(layers, x):
     )
 
 
-def backward(layers, trace, loss_grad, per_example=False):
+def predict(layers, x):
+    """Run a layer stack for its output only; keeps no Trace. Equal, bit
+    for bit, to forward(layers, x).output."""
+    for layer in layers:
+        x = layer.forward(x)[0]
+    return x
+
+
+def backward(layers, trace, loss_grad, per_example=False, input_grad=True):
     """Exact backprop through a stack using the caches from forward.
 
     Rejects traces from a different stack or taken before a parameter
     update (stale), and gradients whose shape does not match the output.
     With ``per_example`` the parameter gradients keep the batch index
     (one row per sample, as in Goodfellow, arXiv:1510.01799); sgd_step
-    rejects them.
+    rejects them. With ``input_grad`` off the bottom layer skips its input
+    gradient, which the parameter gradients never read, and the result's
+    input_grad is None.
     """
     if trace.layer_ids != tuple(id(l) for l in layers):
         raise KernelError("trace does not belong to this layer stack")
@@ -307,7 +340,7 @@ def backward(layers, trace, loss_grad, per_example=False):
     dy = loss_grad
     per_layer = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        grads, dy = layers[i].backward(trace.caches[i], dy, per_example)
+        grads, dy = layers[i].backward(trace.caches[i], dy, per_example, input_grad or i > 0)
         per_layer[i] = grads
     return Gradients(layers=per_layer, input_grad=dy)
 
@@ -335,12 +368,12 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad.astype(logits.dtype)
 
 
-def loss_grads(layers, x, labels):
+def loss_grads(layers, x, labels, input_grad=True):
     """Forward, mean softmax cross-entropy and exact backward of a stack on
-    one batch; returns (loss, Gradients)."""
+    one batch; returns (loss, Gradients). ``input_grad`` as in backward."""
     trace = forward(layers, x)
     loss, dlogits = softmax_cross_entropy(trace.output, labels)
-    return loss, backward(layers, trace, dlogits)
+    return loss, backward(layers, trace, dlogits, input_grad=input_grad)
 
 
 def sgd_step(layers, grads, lr):

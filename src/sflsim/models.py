@@ -259,7 +259,7 @@ def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             take = order[start : start + batch_size]
-            _, grads = kernel.loss_grads(clone, images[take], labels[take])
+            _, grads = kernel.loss_grads(clone, images[take], labels[take], input_grad=False)
             kernel.sgd_step(clone, grads, lr)
     device, _ = partition(clone, idx)
     return device

@@ -171,7 +171,11 @@ def quantization_error(a, server_layers, labels, quantized=True, clean_grad=None
     a = np.asarray(a)
     rec = encode(a, round_tag=0, device_id=0, batch_index=0)
     a_hat = decode(rec, dtype=a.dtype)
-    quantized_grad = kernel.grad_vector(kernel.loss_grads(server_layers, a_hat, labels)[1])
+
+    def grad(x):
+        return kernel.grad_vector(kernel.loss_grads(server_layers, x, labels, input_grad=False)[1])
+
+    quantized_grad = grad(a_hat)
     if clean_grad is None:
-        clean_grad = kernel.grad_vector(kernel.loss_grads(server_layers, a, labels)[1])
+        clean_grad = grad(a)
     return float(np.linalg.norm(quantized_grad - clean_grad))

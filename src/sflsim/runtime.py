@@ -136,7 +136,7 @@ def evaluate(layers, dataset, split="test", batch_size=256):
     for start in range(0, len(labels), batch_size):
         x = images[start : start + batch_size]
         y = labels[start : start + batch_size]
-        logits = kernel.forward(layers, x).output
+        logits = kernel.predict(layers, x)
         hits += int(np.sum(np.argmax(logits, axis=1) == y))
     return hits / len(labels)
 
@@ -158,10 +158,11 @@ def _batch_input(state, device, batch):
     return x, y
 
 
-def _server_step(server_stack, activation, labels, lr):
+def _server_step(server_stack, activation, labels, lr, input_grad=False):
     """Forward/loss/backward/SGD on a server stack; the one code path every
-    split-family mode shares, so equal inputs give bit-equal weights."""
-    loss, grads = kernel.loss_grads(server_stack, activation, labels)
+    mode shares, so equal inputs give bit-equal weights. Returns the loss
+    and, with ``input_grad``, the gradient at the stack's input (else None)."""
+    loss, grads = kernel.loss_grads(server_stack, activation, labels, input_grad)
     kernel.sgd_step(server_stack, grads, lr)
     return loss, grads.input_grad
 
@@ -312,24 +313,27 @@ def _classic_step(state, t, k, b, batch, local):
     return loss, len(y)
 
 
-def _serve_upload(state, t, k, batch, local):
+def _serve_upload(state, t, k, batch, local, input_grad=False):
     """Device forward, activation and labels up, server step on them;
-    returns (device trace, labels, server loss, cut gradient)."""
+    returns (device trace, labels, server loss, cut gradient). The cut
+    gradient is None unless ``input_grad`` asks for it."""
     x, y = _batch_input(state, k, batch)
     dtrace = kernel.forward(local["device"], x)
     state.ledger.record(t, k, "activation", netsim.FLOAT_BYTES * dtrace.output.size)
     state.ledger.record(t, k, "labels", netsim.LABEL_BYTES * len(y))
-    loss, cut_grad = _server_step(local["server"], dtrace.output, y, state.config.lr)
+    loss, cut_grad = _server_step(local["server"], dtrace.output, y, state.config.lr, input_grad)
     return dtrace, y, loss, cut_grad
 
 
 def _split_step(state, t, k, b, batch, local):
     """Activation up, gradient down; a frozen device stack skips its update."""
-    dtrace, y, loss, cut_grad = _serve_upload(state, t, k, batch, local)
+    trains = not state.frozen_device
+    dtrace, y, loss, cut_grad = _serve_upload(state, t, k, batch, local, input_grad=trains)
     state.ledger.record(t, k, "gradient", netsim.FLOAT_BYTES * dtrace.output.size)
-    if not state.frozen_device:
+    if trains:
         dev = local["device"]
-        kernel.sgd_step(dev, kernel.backward(dev, dtrace, cut_grad), state.config.lr)
+        grads = kernel.backward(dev, dtrace, cut_grad, input_grad=False)
+        kernel.sgd_step(dev, grads, state.config.lr)
     return loss, len(y)
 
 
@@ -341,7 +345,7 @@ def _local_loss_step(state, t, k, b, batch, local):
     # Local update is decoupled: it never alters the activation the
     # server just consumed, and its gradient stays on the device.
     _, hgrads = kernel.loss_grads(head, dtrace.output, y)
-    dgrads = kernel.backward(dev, dtrace, hgrads.input_grad)
+    dgrads = kernel.backward(dev, dtrace, hgrads.input_grad, input_grad=False)
     kernel.sgd_step(head, hgrads, lr)
     kernel.sgd_step(dev, dgrads, lr)
     return loss, len(y)
@@ -353,7 +357,7 @@ def _replay_step(state, t, k, b, batch, local):
     cfg = state.config
     if buffer_mod.switch_is_on(t, cfg.rho):
         x, y = _batch_input(state, k, batch)
-        a = kernel.forward(local["device"], x).output
+        a = kernel.predict(local["device"], x)
         record = quantize.encode(
             a, round_tag=t, device_id=k, batch_index=b, labels=y, quantized=cfg.quantized,
         )

@@ -3,6 +3,7 @@ softmax cross-entropy identities, SGD arithmetic, checkpoint round-trips."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 
@@ -50,6 +51,49 @@ def test_maxpool_forward_and_gradient_routing():
     grads = kernel.backward([pool], trace, np.ones_like(trace.output))
     expected = np.array([[[[0.0, 0.0], [0.0, 1.0]]]])
     assert np.array_equal(grads.input_grad, expected)
+
+
+# Which of a window's four quadrants (row-major: 0 top-left, 1 top-right,
+# 2 bottom-left, 3 bottom-right) share its max: all four, and every pair.
+TIE_PATTERNS = [(0, 1, 2, 3), *itertools.combinations(range(4), 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_ties_route_to_first_max_in_row_major_order(dtype):
+    b, c, h, w = 2, 7, 4, 6
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 0.0, size=(b, c, h, w)).astype(dtype)
+    dy = rng.standard_normal((b, c, h // 2, w // 2)).astype(dtype)
+    want_y = np.empty(dy.shape, dtype=dtype)
+    want_dx = np.zeros(x.shape, dtype=dtype)
+    for n, (i, j, r, s) in enumerate(np.ndindex(dy.shape)):
+        tied = TIE_PATTERNS[n % len(TIE_PATTERNS)]
+        top = n % 5  # 0.0 included: a window after ReLU is often all zeros
+        for q in tied:
+            x[i, j, 2 * r + q // 2, 2 * s + q % 2] = top
+        want_y[i, j, r, s] = top
+        first = tied[0]
+        want_dx[i, j, 2 * r + first // 2, 2 * s + first % 2] = dy[i, j, r, s]
+    # The same values in C order and as a transposed copy (reversed strides).
+    transposed = np.ascontiguousarray(x.transpose(3, 2, 1, 0)).transpose(3, 2, 1, 0)
+    assert not transposed.flags["C_CONTIGUOUS"] and np.array_equal(transposed, x)
+    for x_in in (x, transposed):
+        pool = kernel.MaxPool2x2()
+        trace = kernel.forward([pool], x_in)
+        dx = kernel.backward([pool], trace, dy).input_grad
+        for got, want in ((trace.output, want_y), (dx, want_dx)):
+            assert got.flags["C_CONTIGUOUS"]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_maxpool_nan_window_routes_no_gradient():
+    pool = kernel.MaxPool2x2()
+    x = np.array([[[[1.0, np.nan, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]]]])
+    trace = kernel.forward([pool], x)
+    assert np.isnan(trace.output[0, 0, 0, 0]) and trace.output[0, 0, 0, 1] == 8.0
+    dx = kernel.backward([pool], trace, np.ones_like(trace.output)).input_grad
+    assert np.array_equal(dx, [[[[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]]])
 
 
 def test_maxpool_rejects_odd_spatial_dims():
@@ -197,6 +241,45 @@ def test_per_example_grads_sum_to_batch_grads(kind_index):
         assert rows.layers[0][name].shape == (3, *g.shape)
         np.testing.assert_allclose(rows.layers[0][name].sum(axis=0), g, rtol=1e-12, atol=1e-14)
     assert np.array_equal(rows.input_grad, batch.input_grad)
+
+
+def _bottom_stack(kind, rng):
+    """A float32 stack with ``kind`` at the bottom, and its input."""
+    if kind == "dense":
+        return [kernel.Dense(12, 5, rng), kernel.ReLU(), kernel.Dense(5, 3, rng)], (4, 12)
+    make = {"conv3x3": kernel.Conv3x3, "conv1x1": kernel.Conv1x1,
+            "resblock": kernel.ResidualBlock}[kind]
+    n_flat = 3 * (9 if kind == "resblock" else 36)
+    stack = [make(2, 3, rng), kernel.ReLU(), kernel.Flatten(), kernel.Dense(n_flat, 3, rng)]
+    return stack, (4, 2, 6, 6)
+
+
+@pytest.mark.parametrize("per_example", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "conv3x3", "conv1x1", "resblock"])
+def test_backward_without_input_grad_keeps_parameter_grads(kind, per_example):
+    rng = np.random.default_rng(21)
+    layers, shape = _bottom_stack(kind, rng)
+    x = rng.standard_normal(shape).astype(np.float32)
+    trace = kernel.forward(layers, x)
+    dy = rng.standard_normal(trace.output.shape).astype(np.float32)
+    full = kernel.backward(layers, trace, dy, per_example=per_example)
+    cut = kernel.backward(layers, trace, dy, per_example=per_example, input_grad=False)
+    assert full.input_grad is not None and cut.input_grad is None
+    for got, want in zip(cut.layers, full.layers, strict=True):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].dtype == want[k].dtype and got[k].shape == want[k].shape
+            assert got[k].tobytes() == want[k].tobytes()
+
+
+@pytest.mark.parametrize("spec", [models.tiny_vgg(), models.tiny_res()], ids=lambda s: s.name)
+def test_predict_is_forward_output_bit_for_bit(spec):
+    layers = models.build_model(spec, seed=5).layers
+    x = np.random.default_rng(6).standard_normal((5, *spec.input_shape)).astype(np.float32)
+    got = kernel.predict(layers, x)
+    want = kernel.forward(layers, x).output
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_per_example_grads_keep_stack_checks():

@@ -5,6 +5,8 @@ The weighted-mean oracle values are scripted independently inside the
 tests; the equivalence and ledger-agreement tests are paired seeded runs.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from _helpers import fedavg_reference, flat_state
@@ -384,3 +386,48 @@ def test_latency_recorded_positive_and_profile_sensitive():
     fast = runtime.run_training(make_config(profile="wifi", rounds=1))
     slow = runtime.run_training(make_config(profile="3g", rounds=1))
     assert slow.results[0].latency_s > fast.results[0].latency_s > 0
+
+
+# SHA-256 of the final param_vector bytes (the full model, plus the local-loss
+# head) and of the metrics rows after a 2-round run of each mode. A kernel
+# change that keeps values but moves a bit, for instance by handing a later
+# einsum a differently strided operand, changes these digests. They predate
+# the strided maxpool, input_grad=False, predict and the tensordot conv
+# weight gradient, which kept them. They hold for the numpy/BLAS build named
+# in README's "Tests and acceptance gates".
+PINNED_RUNS = {
+    "classic": (
+        {"mode": "classic"},
+        "acfe50ab1f2d56372dca6d94de20ef3c34a2417256aa5e623946656f4366675b",
+        "7accf60a4e7be0505e39ec58577da98073c7372eb3321767d576b83fad647c41",
+    ),
+    "split": (
+        {"mode": "split", "augment": True, "pretrain_epochs": 0},
+        "fa1c3e1b8381e7a3614b579aecce4c4dc39e8ae7f7a8516ec281875447d30fab",
+        "7ab93f42e9ce303f2faee1bb55c0c00f0353a8073669f2973ba18926ceade90e",
+    ),
+    "local_loss": (
+        {"mode": "local_loss"},
+        "7f6f56eccc0d66c5eeab2e4cba1409e96f6f0162692f154c79a837f2eff6b31e",
+        "c6e24a63edf12c59d6265b56dc0db13c218665d7cd9ea9bc729bcadec0646a84",
+    ),
+    "replay": (
+        {"mode": "replay", "model": "tiny_res", "rho": 2, "diagnostics": True},
+        "fbe55bb257c45ce02bd9717b3bbe79074dc64d5e00bd917b95d34edaccf29d55",
+        "17412ecf0852130d4173bb77b38bda7e3f1c400590cf23d4d89b6d7eb6a5cb76",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_RUNS))
+def test_final_weights_are_pinned(mode):
+    overrides, weights_sha, rows_sha = PINNED_RUNS[mode]
+    cfg = make_config(devices=2, rounds=2, seed=7,
+                      dataset={"kind": "blobs", "per_class": 16, "noise_sigma": 0.3},
+                      **overrides)
+    out = runtime.run_training(cfg)
+    stacks = out.final_model + (out.state.global_head or [])
+    weights = kernel.param_vector(stacks).tobytes()
+    rows = repr(out.rows).encode()
+    assert hashlib.sha256(weights).hexdigest() == weights_sha
+    assert hashlib.sha256(rows).hexdigest() == rows_sha
