@@ -99,9 +99,51 @@ class Dense(_WeightBias):
         return grads, dy @ self.w.T if input_grad else None
 
 
-def _conv3x3_windows(x_padded):
-    # view of all 3x3 patches: (B, C, H, W, 3, 3)
-    return np.lib.stride_tricks.sliding_window_view(x_padded, (3, 3), axis=(2, 3))
+# The convolutions are direct matmuls. Each one gets, byte for byte, the
+# operands that numpy builds for the contraction named in its comment (an
+# einsum plan, numpy._core.einsumfunc._parse_eq_to_batch_matmul, or a
+# tensordot): the same values in the same memory layout, so BLAS sums in the
+# same order and no bit differs from the einsum formulation that
+# tests/test_kernel.py keeps as a reference.
+
+
+def _pad1(x):
+    """Zero-pad the two spatial axes by one on each side, in C order."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
+    return xp
+
+
+def _im2col(xp, transposed=False):
+    """The 3x3 windows of a padded (B, C, H+2, W+2) batch as the C-ordered
+    (9C, BHW) matrix: rows in (c, i, j) order, columns in (b, h, w) order.
+    ``transposed`` builds its transpose, the C-ordered (BHW, 9C) matrix,
+    directly rather than by a second copy."""
+    b, c, h, w = xp.shape
+    h, w = h - 2, w - 2
+    if transposed:
+        out = np.empty((b, h, w, c, 3, 3), dtype=xp.dtype)
+        cols = out.transpose(3, 4, 5, 0, 1, 2)
+    else:
+        out = cols = np.empty((c, 3, 3, b, h, w), dtype=xp.dtype)
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xp[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
+    return out.reshape(-1, 9 * c) if transposed else out.reshape(9 * c, -1)
+
+
+def _channel_rows(x):
+    """(B, C, H, W) -> (C, BHW), columns in (b, h, w) order: a view where
+    the layout allows one, else a C-ordered copy."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
+
+def _from_channel_rows(y, like):
+    """A (N, BHW) matmul output as a (B, N, H, W) view, spatial dims as in
+    ``like``."""
+    b, _, h, w = like.shape
+    return y.reshape(-1, b, h, w).transpose(1, 0, 2, 3)
 
 
 class Conv3x3(_WeightBias):
@@ -116,24 +158,28 @@ class Conv3x3(_WeightBias):
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise KernelError(f"conv3x3 expects (batch, {self.c_in}, h, w), got {x.shape}")
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        y = np.einsum("bchwij,ocij->bohw", _conv3x3_windows(xp), self.w, optimize=True)
+        xp = _pad1(x)
+        # ocij,bchwij->bohw
+        y = _from_channel_rows(self.w.reshape(self.w.shape[0], -1) @ _im2col(xp), x)
         y += self.b[None, :, None, None]
         return y, xp
 
     def backward(self, cache, dy, per_example=False, input_grad=True):
-        windows = _conv3x3_windows(cache)
+        rows = _im2col(cache, transposed=True)
         if per_example:
-            dw = np.einsum("bchwij,bohw->bocij", windows, dy, optimize=True)
+            # bohw,bchwij->bocij
+            b, o, h, w = dy.shape
+            dw = (dy.reshape(b, o, h * w) @ rows.reshape(b, h * w, -1)).reshape(b, *self.w.shape)
             db = dy.sum(axis=(2, 3))
         else:
-            dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
+            # np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
+            dw = (_channel_rows(dy) @ rows).reshape(self.w.shape)
             db = dy.sum(axis=(0, 2, 3))
         if not input_grad:
             return {"w": dw, "b": db}, None
-        dyp = np.pad(dy, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        w_flip = self.w[:, :, ::-1, ::-1]
-        dx = np.einsum("bohwij,ocij->bchw", _conv3x3_windows(dyp), w_flip, optimize=True)
+        # ocij,bohwij->bchw on the flipped kernel
+        w_flip = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(self.c_in, -1)
+        dx = _from_channel_rows(w_flip @ _im2col(_pad1(dy)), dy)
         return {"w": dw, "b": db}, dx
 
 
@@ -149,18 +195,31 @@ class Conv1x1(_WeightBias):
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise KernelError(f"conv1x1 expects (batch, {self.c_in}, h, w), got {x.shape}")
-        y = np.einsum("bchw,oc->bohw", x, self.w, optimize=True)
+        if self.c_in == 1:
+            # oc,bchw->bohw: einsum drops the size-1 c axis and only multiplies
+            y = self.w.reshape(1, -1, 1, 1) * x
+        else:
+            # oc,bchw->bohw
+            y = _from_channel_rows(self.w @ _channel_rows(x), x)
         y += self.b[None, :, None, None]
         return y, x
 
     def backward(self, cache, dy, per_example=False, input_grad=True):
         x = cache
-        b, axes = ("b", (2, 3)) if per_example else ("", (0, 2, 3))
-        dw = np.einsum(f"bchw,bohw->{b}oc", x, dy, optimize=True)
-        db = dy.sum(axis=axes)
+        pixels = x.transpose(0, 2, 3, 1)
+        if per_example:
+            # bohw,bchw->boc
+            b, o = dy.shape[:2]
+            dw = dy.reshape(b, o, -1) @ pixels.reshape(b, -1, self.c_in)
+            db = dy.sum(axis=(2, 3))
+        else:
+            # bohw,bchw->oc
+            dw = _channel_rows(dy) @ pixels.reshape(-1, self.c_in)
+            db = dy.sum(axis=(0, 2, 3))
         if not input_grad:
             return {"w": dw, "b": db}, None
-        dx = np.einsum("bohw,oc->bchw", dy, self.w, optimize=True)
+        # oc,bohw->bchw
+        dx = _from_channel_rows(self.w.T @ _channel_rows(dy), dy)
         return {"w": dw, "b": db}, dx
 
 
@@ -185,8 +244,8 @@ class MaxPool2x2(Layer):
         if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
             raise KernelError(f"maxpool2x2 needs even spatial dims, got {x.shape}")
         q = [x[:, :, r::2, c::2] for r, c in _QUADRANTS]
-        # C order whatever the input's layout: a later einsum's summation
-        # order, and so its bits, depends on its operands' strides.
+        # C order whatever the input's layout: the operands a later conv
+        # hands to matmul, and so its bits, depend on its input's strides.
         y = np.ascontiguousarray(np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3])))
         return y, (x, y)
 
@@ -195,12 +254,16 @@ class MaxPool2x2(Layer):
             return {}, None
         x, y = cache
         dx = np.zeros(x.shape, dtype=dy.dtype)
-        free = np.ones(y.shape, dtype=bool)
+        free = None  # windows no earlier quadrant took
         for r, c in _QUADRANTS:
             hit = x[:, :, r::2, c::2] == y
-            hit &= free
+            if free is None:
+                free = ~hit
+            else:
+                hit &= free
+                if (r, c) != _QUADRANTS[-1]:
+                    free ^= hit
             np.copyto(dx[:, :, r::2, c::2], dy, where=hit)
-            free ^= hit
         return {}, dx
 
 

@@ -315,21 +315,24 @@ def _classic_step(state, t, k, b, batch, local):
 
 def _serve_upload(state, t, k, batch, local, input_grad=False):
     """Device forward, activation and labels up, server step on them;
-    returns (device trace, labels, server loss, cut gradient). The cut
-    gradient is None unless ``input_grad`` asks for it."""
+    returns (device trace, activation, labels, server loss, cut gradient).
+    A frozen device stack never backpropagates, so its forward keeps no
+    trace and the trace is None. The cut gradient is None unless
+    ``input_grad`` asks for it."""
     x, y = _batch_input(state, k, batch)
-    dtrace = kernel.forward(local["device"], x)
-    state.ledger.record(t, k, "activation", netsim.FLOAT_BYTES * dtrace.output.size)
+    dtrace = None if state.frozen_device else kernel.forward(local["device"], x)
+    a = kernel.predict(local["device"], x) if dtrace is None else dtrace.output
+    state.ledger.record(t, k, "activation", netsim.FLOAT_BYTES * a.size)
     state.ledger.record(t, k, "labels", netsim.LABEL_BYTES * len(y))
-    loss, cut_grad = _server_step(local["server"], dtrace.output, y, state.config.lr, input_grad)
-    return dtrace, y, loss, cut_grad
+    loss, cut_grad = _server_step(local["server"], a, y, state.config.lr, input_grad)
+    return dtrace, a, y, loss, cut_grad
 
 
 def _split_step(state, t, k, b, batch, local):
     """Activation up, gradient down; a frozen device stack skips its update."""
     trains = not state.frozen_device
-    dtrace, y, loss, cut_grad = _serve_upload(state, t, k, batch, local, input_grad=trains)
-    state.ledger.record(t, k, "gradient", netsim.FLOAT_BYTES * dtrace.output.size)
+    dtrace, a, y, loss, cut_grad = _serve_upload(state, t, k, batch, local, input_grad=trains)
+    state.ledger.record(t, k, "gradient", netsim.FLOAT_BYTES * a.size)
     if trains:
         dev = local["device"]
         grads = kernel.backward(dev, dtrace, cut_grad, input_grad=False)
@@ -340,11 +343,11 @@ def _split_step(state, t, k, b, batch, local):
 def _local_loss_step(state, t, k, b, batch, local):
     """The device trains through its auxiliary head, never from the
     server: no gradient travels downlink."""
-    dtrace, y, loss, _ = _serve_upload(state, t, k, batch, local)
+    dtrace, a, y, loss, _ = _serve_upload(state, t, k, batch, local)
     dev, head, lr = local["device"], local["head"], state.config.lr
     # Local update is decoupled: it never alters the activation the
     # server just consumed, and its gradient stays on the device.
-    _, hgrads = kernel.loss_grads(head, dtrace.output, y)
+    _, hgrads = kernel.loss_grads(head, a, y)
     dgrads = kernel.backward(dev, dtrace, hgrads.input_grad, input_grad=False)
     kernel.sgd_step(head, hgrads, lr)
     kernel.sgd_step(dev, dgrads, lr)

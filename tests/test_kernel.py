@@ -9,8 +9,10 @@ import struct
 
 import numpy as np
 import pytest
+from numpy._core import einsumfunc
 
-from sflsim import kernel, models
+from sflsim import config as config_mod
+from sflsim import diagnostics, kernel, models, runtime
 
 from _helpers import conditioned_input, fd_check_layer, make_layer_instances
 
@@ -40,6 +42,88 @@ def test_conv1x1_is_channel_mix():
     x[0, 1] = 10.0
     y = kernel.forward([conv], x).output
     assert np.all(y == 2.0 * 1.0 + 3.0 * 10.0 + 1.0)
+
+
+# The einsum/tensordot formulation the convolutions had before they became
+# direct matmuls. The kernel must match it byte for byte: values and, on
+# every axis of size > 1, strides (the layout of an output decides how a
+# later contraction sums it).
+
+
+def _windows(x_padded):
+    return np.lib.stride_tricks.sliding_window_view(x_padded, (3, 3), axis=(2, 3))
+
+
+def _reference_conv3x3(w, b, x, dy, per_example, input_grad):
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    y = np.einsum("bchwij,ocij->bohw", _windows(xp), w, optimize=True)
+    y += b[None, :, None, None]
+    if per_example:
+        grads = {"w": np.einsum("bchwij,bohw->bocij", _windows(xp), dy, optimize=True),
+                 "b": dy.sum(axis=(2, 3))}
+    else:
+        grads = {"w": np.tensordot(dy, _windows(xp), axes=([0, 2, 3], [0, 2, 3])),
+                 "b": dy.sum(axis=(0, 2, 3))}
+    dx = None
+    if input_grad:
+        dyp = np.pad(dy, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        dx = np.einsum("bohwij,ocij->bchw", _windows(dyp), w[:, :, ::-1, ::-1], optimize=True)
+    return y, grads, dx
+
+
+def _reference_conv1x1(w, b, x, dy, per_example, input_grad):
+    y = np.einsum("bchw,oc->bohw", x, w, optimize=True)
+    y += b[None, :, None, None]
+    batch, axes = ("b", (2, 3)) if per_example else ("", (0, 2, 3))
+    grads = {"w": np.einsum(f"bchw,bohw->{batch}oc", x, dy, optimize=True),
+             "b": dy.sum(axis=axes)}
+    dx = np.einsum("bohw,oc->bchw", dy, w, optimize=True) if input_grad else None
+    return y, grads, dx
+
+
+def _transposed_copy(a):
+    """The same values with reversed strides."""
+    out = np.ascontiguousarray(a.transpose(3, 2, 1, 0)).transpose(3, 2, 1, 0)
+    assert not out.flags["C_CONTIGUOUS"] and np.array_equal(out, a)
+    return out
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for axis, n in enumerate(want.shape):
+        if n > 1:
+            assert got.strides[axis] == want.strides[axis], (axis, got.strides, want.strides)
+
+
+@pytest.mark.parametrize("c_in", [1, 8, 16])
+@pytest.mark.parametrize("batch", [1, 3, 5, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["conv3x3", "conv1x1"])
+def test_conv_is_its_einsum_reference_byte_for_byte(kind, dtype, batch, c_in):
+    make, reference = {"conv3x3": (kernel.Conv3x3, _reference_conv3x3),
+                       "conv1x1": (kernel.Conv1x1, _reference_conv1x1)}[kind]
+    rng = np.random.default_rng(batch * 100 + c_in)
+    conv = make(c_in, 16, rng, dtype)
+    # A ReLU'd input, as every conv but the first sees: exact zeros included.
+    x_c = np.maximum(rng.standard_normal((batch, c_in, 8, 6)), 0).astype(dtype)
+    dy_c = rng.standard_normal((batch, 16, 8, 6)).astype(dtype)
+    for layout in (lambda a: a, _transposed_copy):
+        x, dy = layout(x_c), layout(dy_c)
+        y, cache = conv.forward(x)
+        for per_example in (False, True):
+            for input_grad in (False, True):
+                want_y, want_grads, want_dx = reference(conv.w, conv.b, x, dy,
+                                                        per_example, input_grad)
+                grads, dx = conv.backward(cache, dy, per_example, input_grad)
+                _assert_same_array(y, want_y)
+                assert grads.keys() == want_grads.keys()
+                for name in want_grads:
+                    _assert_same_array(grads[name], want_grads[name])
+                if input_grad:
+                    _assert_same_array(dx, want_dx)
+                else:
+                    assert dx is None
 
 
 def test_maxpool_forward_and_gradient_routing():
@@ -280,6 +364,30 @@ def test_predict_is_forward_output_bit_for_bit(spec):
     want = kernel.forward(layers, x).output
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_hot_path_does_no_einsum_planning(monkeypatch):
+    def planner(*args, **kwargs):
+        raise AssertionError("einsum_path called")
+
+    # np.einsum(..., optimize=...) plans through einsumfunc's own name.
+    monkeypatch.setattr(np, "einsum_path", planner)
+    monkeypatch.setattr(einsumfunc, "einsum_path", planner)
+    rng = np.random.default_rng(31)
+    for spec in (models.tiny_vgg(), models.tiny_res()):
+        layers = models.build_model(spec, seed=32).layers
+        x = rng.standard_normal((4, *spec.input_shape)).astype(np.float32)
+        labels = rng.integers(0, spec.num_classes, size=4)
+        kernel.loss_grads(layers, x, labels)
+        trace = kernel.forward(layers, x)
+        kernel.backward(layers, trace, np.ones_like(trace.output), per_example=True)
+    cfg = config_mod.from_dict({
+        "version": 1, "mode": "replay", "model": "tiny_res", "devices": 2, "rounds": 1,
+        "lr": 0.05, "batch_size": 8, "pretrain_epochs": 1, "diagnostics": True, "seed": 33,
+        "dataset": {"kind": "blobs", "per_class": 16, "noise_sigma": 0.3},
+    })
+    out = runtime.run_training(cfg)
+    assert diagnostics.record_round(out.state, 1).t == 1
 
 
 def test_per_example_grads_keep_stack_checks():

@@ -391,10 +391,11 @@ def test_latency_recorded_positive_and_profile_sensitive():
 # SHA-256 of the final param_vector bytes (the full model, plus the local-loss
 # head) and of the metrics rows after a 2-round run of each mode. A kernel
 # change that keeps values but moves a bit, for instance by handing a later
-# einsum a differently strided operand, changes these digests. They predate
-# the strided maxpool, input_grad=False, predict and the tensordot conv
-# weight gradient, which kept them. They hold for the numpy/BLAS build named
-# in README's "Tests and acceptance gates".
+# matmul a differently strided operand, changes these digests. They predate
+# the strided maxpool, input_grad=False, predict, the tensordot conv weight
+# gradient and the direct-matmul convolutions, which kept them; the
+# split_frozen pair predates frozen split's trace-free device forward. They
+# hold for the numpy/BLAS build named in README's "Tests and acceptance gates".
 PINNED_RUNS = {
     "classic": (
         {"mode": "classic"},
@@ -405,6 +406,11 @@ PINNED_RUNS = {
         {"mode": "split", "augment": True, "pretrain_epochs": 0},
         "fa1c3e1b8381e7a3614b579aecce4c4dc39e8ae7f7a8516ec281875447d30fab",
         "7ab93f42e9ce303f2faee1bb55c0c00f0353a8073669f2973ba18926ceade90e",
+    ),
+    "split_frozen": (
+        {"mode": "split", "freeze_device": True},
+        "abfdbaf9b58dcf6f52a8900e6951dd8fe1c2388c76262306ce01110da95325a8",
+        "64d00e86c763f3cd2dd17bcedb6e25d565ea14e56cb440ef9c07360a6fe10f14",
     ),
     "local_loss": (
         {"mode": "local_loss"},
