@@ -237,6 +237,8 @@ def cmd_gen_data(args):
         value, least = getattr(args, flag), 0 if flag == "seed" else 1
         if value < least:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+    if args.classes > 256:
+        raise UsageError(f"--classes must be <= 256 (one-byte IDX labels), got {args.classes}")
     if not (math.isfinite(args.sigma) and args.sigma >= 0):
         raise UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
     os.makedirs(args.out, exist_ok=True)

@@ -112,6 +112,10 @@ def from_dict(raw):
         "spill_dir is only meaningful in replay mode",
     )
     _require(
+        cfg.quantized or cfg.mode == "replay",
+        "quantized is only meaningful in replay mode",
+    )
+    _require(
         not cfg.freeze_device or cfg.mode in ("split", "replay"),
         "freeze_device only applies to split (replay freezes regardless)",
     )

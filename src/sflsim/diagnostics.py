@@ -141,7 +141,7 @@ def probe_batch(state, device_id):
         return x, y
     if not state.frozen_device:
         return kernel.predict(device_stack, x), y
-    stamp = (tuple(id(l) for l in device_stack), tuple(l.version for l in device_stack))
+    stamp = kernel.stamp(device_stack)
     memo = state.probe_activations.get(device_id)
     if memo is None or memo[0] != stamp:
         a = kernel.predict(device_stack, x)

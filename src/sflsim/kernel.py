@@ -292,61 +292,63 @@ class ResidualBlock(Layer):
 
     Main path: conv3x3 -> ReLU -> conv3x3 -> maxpool2x2.
     Skip path: conv1x1 -> maxpool2x2. Output: ReLU(main + skip).
-    Halves the spatial dims and maps c_in to c_out channels.
+    Halves the spatial dims and maps c_in to c_out channels. Each path is a
+    layer stack run by the stack-level forward and backward, with their
+    ownership and stale-trace checks.
     """
 
     kind = "resblock"
 
     def __init__(self, c_in, c_out, rng, dtype=np.float32):
         super().__init__()
-        self.conv1 = Conv3x3(c_in, c_out, rng, dtype)
-        self.conv2 = Conv3x3(c_out, c_out, rng, dtype)
-        self.skip = Conv1x1(c_in, c_out, rng, dtype)
-        self.pool_main = MaxPool2x2()
-        self.pool_skip = MaxPool2x2()
-        self.relu_mid = ReLU()
+        conv1 = Conv3x3(c_in, c_out, rng, dtype)
+        conv2 = Conv3x3(c_out, c_out, rng, dtype)
+        skip = Conv1x1(c_in, c_out, rng, dtype)
+        self.named = (("conv1", conv1), ("conv2", conv2), ("skip", skip))
+        self.main = [conv1, ReLU(), conv2, MaxPool2x2()]
+        self.side = [skip, MaxPool2x2()]
+
+    def _keyed(self, of):
+        """``of(sub-layer)`` for each named sub-layer, merged under the
+        block's "<name>.<key>" keys."""
+        return {f"{name}.{k}": v for name, sub in self.named for k, v in of(sub).items()}
 
     def params(self):
-        out = {}
-        for prefix, sub in (("conv1", self.conv1), ("conv2", self.conv2), ("skip", self.skip)):
-            for k, v in sub.params().items():
-                out[f"{prefix}.{k}"] = v
-        return out
+        return self._keyed(lambda sub: sub.params())
+
+    def bump(self):
+        super().bump()
+        for sub in self.main + self.side:
+            sub.bump()
 
     def forward(self, x):
-        a1, c1 = self.conv1.forward(x)
-        r1, cr = self.relu_mid.forward(a1)
-        a2, c2 = self.conv2.forward(r1)
-        main, cpm = self.pool_main.forward(a2)
-        s1, cs = self.skip.forward(x)
-        side, cps = self.pool_skip.forward(s1)
-        summed = main + side
+        main, side = forward(self.main, x), forward(self.side, x)
+        summed = main.output + side.output
         mask = summed > 0
-        return np.maximum(summed, 0), (c1, cr, c2, cpm, cs, cps, mask)
+        return np.maximum(summed, 0), (main, side, mask)
 
     def backward(self, cache, dy, per_example=False, input_grad=True):
-        c1, cr, c2, cpm, cs, cps, mask = cache
+        main, side, mask = cache
         d_sum = dy * mask
-        _, d_main = self.pool_main.backward(cpm, d_sum)
-        g2, d_r1 = self.conv2.backward(c2, d_main, per_example)
-        _, d_a1 = self.relu_mid.backward(cr, d_r1)
-        g1, dx_main = self.conv1.backward(c1, d_a1, per_example, input_grad)
-        _, d_side = self.pool_skip.backward(cps, d_sum)
-        gs, dx_skip = self.skip.backward(cs, d_side, per_example, input_grad)
-        grads = {f"conv1.{k}": v for k, v in g1.items()}
-        grads.update({f"conv2.{k}": v for k, v in g2.items()})
-        grads.update({f"skip.{k}": v for k, v in gs.items()})
-        return grads, dx_main + dx_skip if input_grad else None
+        g_main = backward(self.main, main, d_sum, per_example, input_grad)
+        g_side = backward(self.side, side, d_sum, per_example, input_grad)
+        by_layer = dict(zip(self.main + self.side, g_main.layers + g_side.layers))
+        grads = self._keyed(by_layer.__getitem__)
+        return grads, g_main.input_grad + g_side.input_grad if input_grad else None
+
+
+def stamp(layers):
+    """A stack's identity: its layers' ids and their parameter versions."""
+    return tuple(id(l) for l in layers), tuple(l.version for l in layers)
 
 
 @dataclass
 class Trace:
-    """Forward record: per-layer caches plus identity/version stamps."""
+    """Forward record: per-layer caches plus the stack's stamp."""
 
     output: np.ndarray
     caches: list
-    layer_ids: tuple
-    versions: tuple
+    stamp: tuple
 
 
 @dataclass
@@ -365,12 +367,7 @@ def forward(layers, x):
     for layer in layers:
         x, cache = layer.forward(x)
         caches.append(cache)
-    return Trace(
-        output=x,
-        caches=caches,
-        layer_ids=tuple(id(l) for l in layers),
-        versions=tuple(l.version for l in layers),
-    )
+    return Trace(output=x, caches=caches, stamp=stamp(layers))
 
 
 def predict(layers, x):
@@ -392,9 +389,10 @@ def backward(layers, trace, loss_grad, per_example=False, input_grad=True):
     gradient, which the parameter gradients never read, and the result's
     input_grad is None.
     """
-    if trace.layer_ids != tuple(id(l) for l in layers):
+    ids, versions = stamp(layers)
+    if trace.stamp[0] != ids:
         raise KernelError("trace does not belong to this layer stack")
-    if trace.versions != tuple(l.version for l in layers):
+    if trace.stamp[1] != versions:
         raise KernelError("stale trace: parameters changed since forward")
     if loss_grad.shape != trace.output.shape:
         raise KernelError(

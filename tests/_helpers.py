@@ -61,14 +61,25 @@ def flat_state(layer_dicts):
     )
 
 
-def _objective(layers, x, readout):
-    trace = kernel.forward(layers, x)
-    return float(np.sum(trace.output * readout))
-
-
 def _rel_err(analytic, numeric):
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-8)
     return np.max(np.abs(analytic - numeric)) / scale
+
+
+def central_differences(f, values, step=FD_STEP):
+    """(f(v + h) - f(v - h)) / 2h for every entry v of ``values``, in
+    row-major order: each entry is set in place, ``f()`` is evaluated, and
+    the entry is restored. The one finite-difference loop of the suite."""
+    numeric = np.zeros_like(values)
+    for i in np.ndindex(values.shape):
+        orig = values[i]
+        values[i] = orig + step
+        hi = f()
+        values[i] = orig - step
+        lo = f()
+        values[i] = orig
+        numeric[i] = (hi - lo) / (2.0 * step)
+    return numeric
 
 
 def fd_check_layer(layer, x, rng, step=FD_STEP, rtol=FD_RTOL):
@@ -83,35 +94,15 @@ def fd_check_layer(layer, x, rng, step=FD_STEP, rtol=FD_RTOL):
     readout = rng.standard_normal(trace.output.shape)
     grads = kernel.backward(layers, trace, readout)
 
+    def objective():
+        return float(np.sum(kernel.forward(layers, x).output * readout))
+
     for name, param in layer.params().items():
-        analytic = grads.layers[0][name]
-        numeric = np.zeros_like(param)
-        flat = param.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = _objective(layers, x, readout)
-            flat[i] = orig - step
-            lo = _objective(layers, x, readout)
-            flat[i] = orig
-            num_flat[i] = (hi - lo) / (2.0 * step)
-        err = _rel_err(analytic, numeric)
+        numeric = central_differences(objective, param, step)
+        err = _rel_err(grads.layers[0][name], numeric)
         assert err <= rtol, f"{layer.kind} param {name}: fd rel err {err:.3e}"
 
-    analytic = grads.input_grad
-    numeric = np.zeros_like(x)
-    flat = x.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = _objective(layers, x, readout)
-        flat[i] = orig - step
-        lo = _objective(layers, x, readout)
-        flat[i] = orig
-        num_flat[i] = (hi - lo) / (2.0 * step)
-    err = _rel_err(analytic, numeric)
+    err = _rel_err(grads.input_grad, central_differences(objective, x, step))
     assert err <= rtol, f"{layer.kind} input grad: fd rel err {err:.3e}"
 
 

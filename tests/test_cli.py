@@ -154,8 +154,8 @@ def test_cost_non_positive_sizes_exit_2(flag, value, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--classes", "0"), ("--per-class", "0"), ("--height", "0"), ("--width", "-2"),
-    ("--seed", "-1"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
+    ("--classes", "0"), ("--classes", "257"), ("--per-class", "0"), ("--height", "0"),
+    ("--width", "-2"), ("--seed", "-1"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
 ])
 def test_gen_data_bad_arguments_exit_2(tmp_path, flag, value, capsys):
     out_dir = tmp_path / "data"

@@ -83,6 +83,14 @@ def test_rho_outside_replay_rejected():
     assert cfg.rho == 2
 
 
+@pytest.mark.parametrize("mode", ["classic", "split", "local_loss"])
+def test_unquantized_outside_replay_rejected(mode):
+    with pytest.raises(ConfigError, match="quantized"):
+        config_mod.from_dict(minimal(mode=mode, quantized=False))
+    assert config_mod.from_dict(minimal(mode=mode, quantized=True)).quantized
+    assert not config_mod.from_dict(minimal(mode="replay", quantized=False)).quantized
+
+
 def test_freeze_device_only_for_split_family():
     with pytest.raises(ConfigError, match="freeze_device"):
         config_mod.from_dict(minimal(mode="classic", freeze_device=True))

@@ -153,7 +153,8 @@ class TestSampleGradients:
 
 class TestProbeMemo:
     def test_unfrozen_split_never_reuses_probe_activations(self):
-        out = runtime.run_training(make_config(mode="split", pretrain_epochs=0, rounds=2))
+        out = runtime.run_training(
+            make_config(mode="split", quantized=True, pretrain_epochs=0, rounds=2))
         state = out.state
         assert not state.frozen_device
         assert state.probe_activations == {}

@@ -14,7 +14,9 @@ from numpy._core import einsumfunc
 from sflsim import config as config_mod
 from sflsim import diagnostics, kernel, models, runtime
 
-from _helpers import conditioned_input, fd_check_layer, make_layer_instances
+from _helpers import (
+    central_differences, conditioned_input, fd_check_layer, make_layer_instances,
+)
 
 
 def test_conv3x3_all_ones_kernel_hand_values():
@@ -244,15 +246,8 @@ def test_softmax_cross_entropy_fd_on_logits():
     logits = rng.standard_normal((3, 5))
     labels = np.array([0, 4, 2])
     _, grad = kernel.softmax_cross_entropy(logits, labels)
-    step = 1e-6
-    numeric = np.zeros_like(logits)
-    for i in np.ndindex(logits.shape):
-        p = logits.copy()
-        p[i] += step
-        hi, _ = kernel.softmax_cross_entropy(p, labels)
-        p[i] -= 2 * step
-        lo, _ = kernel.softmax_cross_entropy(p, labels)
-        numeric[i] = (hi - lo) / (2 * step)
+    numeric = central_differences(
+        lambda: kernel.softmax_cross_entropy(logits, labels)[0], logits, step=1e-6)
     assert np.max(np.abs(grad - numeric)) < 1e-7
 
 
@@ -433,15 +428,8 @@ def test_finite_difference_mixed_stack():
     readout = rng.standard_normal(trace.output.shape)
     grads = kernel.backward(layers, trace, readout)
 
-    step, idx_list = 1e-5, list(np.ndindex(x.shape))
-    numeric = np.zeros_like(x)
-    for i in idx_list:
-        p = x.copy()
-        p[i] += step
-        hi = float(np.sum(kernel.forward(layers, p).output * readout))
-        p[i] -= 2 * step
-        lo = float(np.sum(kernel.forward(layers, p).output * readout))
-        numeric[i] = (hi - lo) / (2 * step)
+    numeric = central_differences(
+        lambda: float(np.sum(kernel.forward(layers, x).output * readout)), x)
     scale = max(np.max(np.abs(grads.input_grad)), np.max(np.abs(numeric)), 1e-8)
     assert np.max(np.abs(grads.input_grad - numeric)) / scale < 1e-4
 
@@ -483,6 +471,23 @@ def test_residual_block_wiring():
     # skip = pool(1x1(x)) = pool(x) = 4, main = pool(conv2(...)+b) = 0
     assert y.shape == (1, 1, 1, 1)
     assert y[0, 0, 0, 0] == 4.0
+
+
+def test_residual_block_checks_its_cache():
+    # Both paths run through kernel.forward/backward: a cache taken by another
+    # block of the same shape, or before an update, is refused, not
+    # differentiated against the wrong activations or weights.
+    init = np.random.default_rng(33)
+    block, other = kernel.ResidualBlock(2, 3, rng=init), kernel.ResidualBlock(2, 3, rng=init)
+    x = np.random.default_rng(34).standard_normal((2, 2, 4, 4)).astype(np.float32)
+    y, cache = other.forward(x)
+    with pytest.raises(kernel.KernelError, match="does not belong"):
+        block.backward(cache, np.ones_like(y))
+    trace = kernel.forward([block], x)
+    dy = np.ones_like(trace.output)
+    kernel.sgd_step([block], kernel.backward([block], trace, dy), lr=0.1)
+    with pytest.raises(kernel.KernelError, match="stale"):
+        block.backward(trace.caches[0], dy)
 
 
 def test_checkpoint_round_trip_and_errors(tmp_path):
