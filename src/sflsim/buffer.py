@@ -3,14 +3,13 @@
 Devices transmit activations only at rounds where the switch is on
 (t mod period == 0, so round 0 always transmits); between transmissions the
 server replays the cached record for each (device, batch) key. Keys are
-stable because the batch partition is fixed across rounds. The buffer can
-optionally spill records to disk as {device}_{batch}.qact files holding the
-exact wire bytes.
+stable because the batch partition is fixed across rounds. The buffer holds
+each record only as its wire bytes (``quantize.serialize``): in memory, or
+spilled to disk as {device}_{batch}.qact files.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ def switch_is_on(t, period):
 
 
 class ReplayBuffer:
-    """Latest activation record per (device, batch) key."""
+    """Latest activation record per (device, batch) key, as wire bytes."""
 
     def __init__(self, period, spill_dir=None):
         if period < 1:
@@ -47,41 +46,42 @@ class ReplayBuffer:
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         if self.spill_dir is not None:
             self.spill_dir.mkdir(parents=True, exist_ok=True)
-        self._records = {}
-        self._sizes = {}
+        self._blobs = {}  # in-memory bytes; unused when spilling
+        self._sizes = {}  # key -> stored byte count
 
     def _path(self, device_id, batch_index):
         return self.spill_dir / f"{device_id}_{batch_index}.qact"
 
     def store(self, record):
-        """Cache a record; only legal while the switch is on for its round."""
+        """Cache a record's wire bytes; only legal while the switch is on for
+        its round. Returns the stored byte count."""
         if not switch_is_on(record.round_tag, self.period):
             raise BufferError(
                 f"store at round {record.round_tag}: switch is off (period {self.period})"
             )
         key = (record.device_id, record.batch_index)
-        self._sizes[key] = quantize.record_wire_bytes(record)
+        blob = quantize.serialize(record)
         if self.spill_dir is not None:
-            with open(self._path(*key), "wb") as fh:
-                fh.write(quantize.serialize(record))
-            self._records[key] = None
+            self._path(*key).write_bytes(blob)
         else:
-            self._records[key] = record
+            self._blobs[key] = blob
+        self._sizes[key] = len(blob)
+        return len(blob)
 
     def fetch(self, device_id, batch_index):
-        """Latest record for a key; a miss before the first refresh is an error."""
+        """Latest record for a key, parsed from its bytes; a miss before the
+        first refresh is an error."""
         key = (device_id, batch_index)
-        if key not in self._records:
+        if key not in self._sizes:
             raise BufferMiss(f"no cached activation for device {device_id} batch {batch_index}")
-        if self.spill_dir is not None:
-            return quantize.parse(self._path(*key).read_bytes())
-        return self._records[key]
+        blob = self._blobs[key] if self.spill_dir is None else self._path(*key).read_bytes()
+        return quantize.parse(blob)
 
     def __len__(self):
-        return len(self._records)
+        return len(self._sizes)
 
     def total_bytes(self):
-        """Wire-format footprint of all live records (the buffer-memory cost)."""
+        """Wire bytes of all live records (the buffer-memory cost)."""
         return sum(self._sizes.values())
 
 

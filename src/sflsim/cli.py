@@ -114,9 +114,9 @@ def cmd_run(args):
     if args.profile is not None:
         overrides["profile"] = args.profile
     cfg = config_mod.load_config(args.config, overrides)
-    os.makedirs(args.out, exist_ok=True)
     log.info("running %s: %s rounds, %s devices", cfg.mode, cfg.rounds, cfg.devices)
     output = runtime.run_training(cfg)
+    os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.csv")
     runtime.write_metrics_csv(metrics_path, output.rows)
     print(f"metrics written to {metrics_path}")
@@ -241,7 +241,6 @@ def cmd_gen_data(args):
         raise UsageError(f"--classes must be <= 256 (one-byte IDX labels), got {args.classes}")
     if not (math.isfinite(args.sigma) and args.sigma >= 0):
         raise UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
-    os.makedirs(args.out, exist_ok=True)
     dataset = data_mod.generate_blobs(
         classes=args.classes,
         per_class=args.per_class,
@@ -249,6 +248,7 @@ def cmd_gen_data(args):
         noise_sigma=args.sigma,
         seed=args.seed,
     )
+    os.makedirs(args.out, exist_ok=True)
     images_path = os.path.join(args.out, "images.idx")
     labels_path = os.path.join(args.out, "labels.idx")
     data_mod.write_idx(images_path, labels_path, dataset.images, dataset.labels)
@@ -293,20 +293,9 @@ def cmd_selftest(args):
         readout = rng.normal(size=(4, 3))
         trace = kernel.forward([layer], x)
         grads = kernel.backward([layer], trace, readout)
-        eps = 1e-6
-        w = layer.params()["w"]
-        probe = (0, 0)
-        keep = w[probe]
-        w[probe] = keep + eps
-        layer.bump()
-        up = float(np.sum(kernel.forward([layer], x).output * readout))
-        w[probe] = keep - eps
-        layer.bump()
-        down = float(np.sum(kernel.forward([layer], x).output * readout))
-        w[probe] = keep
-        layer.bump()
-        fd = (up - down) / (2 * eps)
-        _check(abs(fd - grads.layers[0]["w"][probe]) <= 1e-6 * max(1.0, abs(fd)),
+        fd = kernel.central_differences(
+            lambda: float(np.sum(kernel.predict([layer], x) * readout)), layer.params()["w"], 1e-6)
+        _check(np.all(np.abs(fd - grads.layers[0]["w"]) <= 1e-6 * np.maximum(1.0, np.abs(fd))),
                "dense weight gradient disagrees with finite differences")
 
     def cost_model_pinned():

@@ -116,6 +116,10 @@ def from_dict(raw):
         "quantized is only meaningful in replay mode",
     )
     _require(
+        (cfg.pretrain_epochs == 0 and cfg.op_index is None) or cfg.mode != "classic",
+        "pretrain_epochs and op_index do not apply to classic (it trains the whole model)",
+    )
+    _require(
         not cfg.freeze_device or cfg.mode in ("split", "replay"),
         "freeze_device only applies to split (replay freezes regardless)",
     )

@@ -51,12 +51,15 @@ def generate_blobs(classes, per_class, image_shape=(1, 16, 16), noise_sigma=0.1,
 
     Each class gets a fixed random template; samples are template + sigma *
     noise. Low sigma makes classes template-separable, which the training
-    acceptance runs rely on.
+    acceptance runs rely on. A set too large to allocate raises DataError.
     """
     rng = np.random.default_rng(seed)
     templates = rng.uniform(0.0, 1.0, size=(classes,) + tuple(image_shape))
-    images = np.empty((classes * per_class,) + tuple(image_shape), dtype=np.float32)
-    labels = np.empty(classes * per_class, dtype=np.int64)
+    try:
+        images = np.empty((classes * per_class,) + tuple(image_shape), dtype=np.float32)
+        labels = np.empty(classes * per_class, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # ValueError: numpy's own size limits
+        raise DataError(f"cannot allocate {classes} x {per_class} blob images: {exc}") from exc
     for c in range(classes):
         noise = rng.normal(0.0, noise_sigma, size=(per_class,) + tuple(image_shape))
         block = np.clip(templates[c][None] + noise, 0.0, 1.0)

@@ -88,6 +88,7 @@ def record_round(state, t):
     Per device this costs three server passes: the probe batch, the
     decoded probe batch inside quantization_error (which reuses the
     probe gradient for the clean side), and one per-example pass for G.
+    A lossless pipeline skips the second pass: its eps is 0.
     """
     cfg = state.config
     quantized_pipeline = cfg.mode == "replay" and cfg.quantized
@@ -101,9 +102,7 @@ def record_round(state, t):
         g = kernel.grad_vector(grads)
         grad_sqs.append(float(g @ g))
         losses.append(loss)
-        eps[k] = quantize.quantization_error(
-            a, server, y, quantized=quantized_pipeline, clean_grad=g
-        )
+        eps[k] = quantize.quantization_error(a, server, y, g) if quantized_pipeline else 0.0
         delta[k] = _staleness(state, k, state.device_stacks.get(k))
         max_sample_sq = max(max_sample_sq, float(_sample_grad_sqs(server, a, y).max()))
         if snapshot is None:

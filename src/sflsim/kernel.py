@@ -5,7 +5,8 @@ and exposing forward/backward with explicit caches. Stack-level helpers run a
 list of layers as one network (forward keeps a Trace for backward, predict
 keeps none), validate traces, take the cross-entropy loss and its gradients
 in one call (loss_grads), and apply plain SGD. A weight checkpoint (SFL1) is
-the stack's own header followed by its param_vector.
+the stack's own header followed by its param_vector. central_differences is
+the finite-difference oracle for the analytic gradients.
 """
 
 from __future__ import annotations
@@ -490,6 +491,23 @@ def load_param_vector(layers, vector):
 def grad_vector(grads):
     """All gradients flattened into one float64 vector, matching param_vector order."""
     return _flat(grads.layers)
+
+
+def central_differences(f, values, step):
+    """(f(v + h) - f(v - h)) / 2h for every entry v of ``values``, in
+    row-major order: each entry is set in place, ``f()`` is evaluated, and
+    the entry is restored. The one finite-difference loop, shared by the
+    selftest and the test suite's gradient oracles."""
+    numeric = np.zeros_like(values)
+    for i in np.ndindex(values.shape):
+        orig = values[i]
+        values[i] = orig + step
+        hi = f()
+        values[i] = orig - step
+        lo = f()
+        values[i] = orig
+        numeric[i] = (hi - lo) / (2.0 * step)
+    return numeric
 
 
 def _sfl1_header(layers):

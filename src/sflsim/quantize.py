@@ -111,11 +111,6 @@ def wire_bytes(rank, n_labels, payload_bytes):
     return FIXED_BYTES + 4 * rank + 2 * n_labels + payload_bytes
 
 
-def record_wire_bytes(record):
-    """Exact serialized size of one record."""
-    return wire_bytes(record.payload.ndim, len(record.labels), record.payload.nbytes)
-
-
 def serialize(record):
     magic, dtype = CODECS[record.codec]
     shape = record.payload.shape
@@ -156,26 +151,15 @@ def parse(blob):
     return ActivationRecord(round_tag, device_id, batch_index, scale, min_val, labels, array.copy())
 
 
-def quantization_error(a, server_layers, labels, quantized=True, clean_grad=None):
-    """Gradient gap the codec induces on the server stack.
+def quantization_error(a, server_layers, labels, clean_grad):
+    """Gradient gap the 8-bit codec induces on the server stack.
 
-    Runs the server forward/backward on the decoded activations and on
-    the originals, and returns the L2 norm of the parameter-gradient
-    difference for the batch. A caller that already holds the flat gradient
-    on the originals (``kernel.grad_vector`` layout) passes it as
-    ``clean_grad`` and saves that pass. Zero when quantization is disabled
-    (identity codec).
+    Runs the server forward/backward on the decoded activations and returns
+    the L2 norm of the difference between that parameter gradient and
+    ``clean_grad``, the caller's flat gradient (``kernel.grad_vector``
+    layout) on the originals, for the batch.
     """
-    if not quantized:
-        return 0.0
     a = np.asarray(a)
-    rec = encode(a, round_tag=0, device_id=0, batch_index=0)
-    a_hat = decode(rec, dtype=a.dtype)
-
-    def grad(x):
-        return kernel.grad_vector(kernel.loss_grads(server_layers, x, labels, input_grad=False)[1])
-
-    quantized_grad = grad(a_hat)
-    if clean_grad is None:
-        clean_grad = grad(a)
-    return float(np.linalg.norm(quantized_grad - clean_grad))
+    a_hat = decode(encode(a, round_tag=0, device_id=0, batch_index=0), dtype=a.dtype)
+    grads = kernel.loss_grads(server_layers, a_hat, labels, input_grad=False)[1]
+    return float(np.linalg.norm(kernel.grad_vector(grads) - clean_grad))

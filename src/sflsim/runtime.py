@@ -13,9 +13,10 @@ Modes
                 gradient ever travels downlink.
     replay      the device stack is pretrained and frozen. On rounds with
                 t mod rho = 0 each device uploads 8-bit-quantized
-                activation records which the server caches; on the other
-                rounds the server trains from its cache and the uplink is
-                silent. Only server stacks are averaged.
+                activation records which the server caches as wire bytes;
+                every round the server trains from its cache, and on the
+                other rounds the uplink is silent. Only server stacks are
+                averaged.
 
 One pass over each device's shard per round; the batch partition and batch
 order are fixed across rounds so cached records keep stable keys. Device
@@ -172,10 +173,11 @@ def init_state(config):
 
     RNG streams are spawned from the master seed in a fixed order — data,
     model init, pretraining, one per device, diagnostics — so adding or
-    removing the observer never shifts a training stream.
+    removing the observer never shifts a training stream. The per-device
+    streams are spawned only once sharding has accepted the device count.
     """
     ss = np.random.SeedSequence(config.seed)
-    children = ss.spawn(3 + config.devices + 1)
+    children = ss.spawn(3)
     data_words = children[0].generate_state(2)
     dataset = _load_dataset(config, int(data_words[0]))
     model_words = children[1].generate_state(2)
@@ -216,8 +218,9 @@ def init_state(config):
         if config.mode == "local_loss":
             global_head = models.auxiliary_head(spec, seed=int(model_words[1]), op_index=op_index)
 
-    device_rngs = {k: np.random.default_rng(children[3 + k]) for k in range(config.devices)}
-    diag_rng = np.random.default_rng(children[3 + config.devices])
+    *device_seeds, diag_seed = ss.spawn(config.devices + 1)
+    device_rngs = {k: np.random.default_rng(seed) for k, seed in enumerate(device_seeds)}
+    diag_rng = np.random.default_rng(diag_seed)
     probe_indices = {}
     if config.diagnostics:
         for k, shard in shards.items():
@@ -355,8 +358,9 @@ def _local_loss_step(state, t, k, b, batch, local):
 
 
 def _replay_step(state, t, k, b, batch, local):
-    """Quantized activations up on transmission rounds, cache replay on the
-    others; the frozen device stack never receives a gradient."""
+    """Quantized activations up into the server's cache on transmission
+    rounds; in every round the server trains on the cached record. The
+    frozen device stack never receives a gradient."""
     cfg = state.config
     if buffer_mod.switch_is_on(t, cfg.rho):
         x, y = _batch_input(state, k, batch)
@@ -364,10 +368,8 @@ def _replay_step(state, t, k, b, batch, local):
         record = quantize.encode(
             a, round_tag=t, device_id=k, batch_index=b, labels=y, quantized=cfg.quantized,
         )
-        state.buffer.store(record)
-        state.ledger.record(t, k, "activation", quantize.record_wire_bytes(record))
-    else:
-        record = state.buffer.fetch(k, b)
+        state.ledger.record(t, k, "activation", state.buffer.store(record))
+    record = state.buffer.fetch(k, b)
     loss, _ = _server_step(local["server"], quantize.decode(record), record.labels, cfg.lr)
     return loss, len(record.labels)
 

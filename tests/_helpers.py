@@ -1,11 +1,13 @@
-"""Shared test oracles: finite-difference gradient checks, conditioned inputs
-and a per-layer FedAvg reference."""
+"""Shared test oracles: finite-difference gradient checks (on
+kernel.central_differences), conditioned inputs and a per-layer FedAvg
+reference."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from sflsim import kernel
+from sflsim.kernel import central_differences
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -64,22 +66,6 @@ def flat_state(layer_dicts):
 def _rel_err(analytic, numeric):
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-8)
     return np.max(np.abs(analytic - numeric)) / scale
-
-
-def central_differences(f, values, step=FD_STEP):
-    """(f(v + h) - f(v - h)) / 2h for every entry v of ``values``, in
-    row-major order: each entry is set in place, ``f()`` is evaluated, and
-    the entry is restored. The one finite-difference loop of the suite."""
-    numeric = np.zeros_like(values)
-    for i in np.ndindex(values.shape):
-        orig = values[i]
-        values[i] = orig + step
-        hi = f()
-        values[i] = orig - step
-        lo = f()
-        values[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * step)
-    return numeric
 
 
 def fd_check_layer(layer, x, rng, step=FD_STEP, rtol=FD_RTOL):

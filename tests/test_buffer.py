@@ -55,9 +55,11 @@ def test_fetch_miss_before_first_refresh():
 def test_store_fetch_round_trip_and_replacement():
     buf = buffer.ReplayBuffer(period=2)
     first = _record(round_tag=0, values=np.ones((2, 4), dtype=np.float32))
-    buf.store(first)
+    assert buf.store(first) == len(quantize.serialize(first))
     got = buf.fetch(0, 0)
+    assert got is not first  # the buffer keeps bytes, not the record
     assert got.round_tag == 0
+    assert quantize.serialize(got) == quantize.serialize(first)
     assert np.array_equal(quantize.decode(got), quantize.decode(first))
 
     newer = _record(round_tag=2, values=np.full((2, 4), 3.0, dtype=np.float32))
@@ -71,10 +73,10 @@ def test_memory_accounting_matches_wire_bytes():
     buf = buffer.ReplayBuffer(period=1)
     records = [_record(round_tag=0, device_id=d, batch_index=b)
                for d in range(3) for b in range(4)]
-    for rec in records:
-        buf.store(rec)
+    stored = [buf.store(rec) for rec in records]
+    assert stored == [len(quantize.serialize(r)) for r in records]
     assert len(buf) == 12
-    assert buf.total_bytes() == sum(quantize.record_wire_bytes(r) for r in records)
+    assert buf.total_bytes() == sum(stored)
     # refreshing every key leaves the footprint unchanged
     before = buf.total_bytes()
     for rec in records:
@@ -85,14 +87,14 @@ def test_memory_accounting_matches_wire_bytes():
 def test_spill_to_disk_byte_exact(tmp_path):
     buf = buffer.ReplayBuffer(period=2, spill_dir=tmp_path)
     rec = _record(round_tag=0, device_id=3, batch_index=7)
-    buf.store(rec)
+    stored = buf.store(rec)
     path = tmp_path / "3_7.qact"
     assert path.exists()
     assert path.read_bytes() == quantize.serialize(rec)
     got = buf.fetch(3, 7)
     assert np.array_equal(got.payload, rec.payload)
     assert got.labels.tolist() == rec.labels.tolist()
-    assert buf.total_bytes() == path.stat().st_size
+    assert buf.total_bytes() == stored == path.stat().st_size
 
 
 def test_distance_proxy_zero_for_identical_raw_records():

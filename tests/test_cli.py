@@ -49,7 +49,8 @@ def test_run_writes_weights_that_load_back_bit_exactly(tmp_path, capsys, monkeyp
     real_run = runtime.run_training
     monkeypatch.setattr(runtime, "run_training",
                         lambda cfg: outputs.append(real_run(cfg)) or outputs[-1])
-    cfg = smoke_config(tmp_path, mode=mode, rho=2 if mode == "replay" else 1)
+    cfg = smoke_config(tmp_path, mode=mode, rho=2 if mode == "replay" else 1,
+                       pretrain_epochs=0 if mode == "classic" else 1)
     out_dir = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_OK
     path = out_dir / "weights.sfl"
@@ -164,6 +165,29 @@ def test_gen_data_bad_arguments_exit_2(tmp_path, flag, value, capsys):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"usage error: {flag} must be")
+    assert not out_dir.exists()
+
+
+# 1.78 EiB, beyond numpy's "array is too big", beyond its dimension limit:
+# far past any address space, so the allocation fails at once.
+@pytest.mark.parametrize("per_class", [10**15, 10**17, 10**24])
+def test_gen_data_too_large_to_allocate_exits_4(tmp_path, capsys, per_class):
+    out_dir = tmp_path / "data"
+    argv = ["gen-data", "--out", str(out_dir), "--per-class", str(per_class)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: cannot allocate")
+    assert not out_dir.exists()
+
+
+def test_run_with_blobs_too_large_to_allocate_exits_4(tmp_path, capsys):
+    cfg = smoke_config(tmp_path, dataset={"kind": "blobs", "per_class": 10**15})
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: cannot allocate")
     assert not out_dir.exists()
 
 

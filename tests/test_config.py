@@ -91,6 +91,16 @@ def test_unquantized_outside_replay_rejected(mode):
     assert not config_mod.from_dict(minimal(mode="replay", quantized=False)).quantized
 
 
+@pytest.mark.parametrize("patch", [{"pretrain_epochs": 3}, {"op_index": 2}, {"op_index": 9}])
+def test_classic_rejects_pretraining_and_cut(patch):
+    # classic trains the whole model: no device stack to pretrain, no cut
+    key = next(iter(patch))
+    with pytest.raises(ConfigError, match=key):
+        config_mod.from_dict(minimal(mode="classic", **patch))
+    assert config_mod.from_dict(minimal(mode="classic", pretrain_epochs=0)).mode == "classic"
+    assert getattr(config_mod.from_dict(minimal(**patch)), key) == patch[key]
+
+
 def test_freeze_device_only_for_split_family():
     with pytest.raises(ConfigError, match="freeze_device"):
         config_mod.from_dict(minimal(mode="classic", freeze_device=True))

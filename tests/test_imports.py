@@ -1,5 +1,7 @@
-"""numpy is the only runtime dependency: every module of the package imports
-only the standard library, numpy and sflsim itself."""
+"""Source rules checked on the package's syntax trees: numpy is the only
+runtime dependency (every module imports only the standard library, numpy
+and sflsim itself), and no module holds an ``assert`` statement, so no
+self-check vanishes under ``python -O``."""
 
 from __future__ import annotations
 
@@ -21,13 +23,27 @@ def _imported_roots(tree):
             yield "sflsim" if node.level else node.module.partition(".")[0]
 
 
-def test_package_imports_only_stdlib_and_numpy():
+def _trees():
     sources = sorted(Path(sflsim.__file__).parent.glob("*.py"))
     assert len(sources) > 1
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+
+
+def test_package_imports_only_stdlib_and_numpy():
     foreign = {
-        f"{path.name}: {root}"
-        for path in sources
-        for root in _imported_roots(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}: {root}"
+        for name, tree in _trees().items()
+        for root in _imported_roots(tree)
         if root not in ALLOWED
     }
     assert not foreign, f"imports outside the standard library and numpy: {sorted(foreign)}"
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements vanish under python -O: {found}"

@@ -15,7 +15,7 @@ from sflsim import config as config_mod
 from sflsim import diagnostics, kernel, models, runtime
 
 from _helpers import (
-    central_differences, conditioned_input, fd_check_layer, make_layer_instances,
+    FD_STEP, central_differences, conditioned_input, fd_check_layer, make_layer_instances,
 )
 
 
@@ -429,7 +429,7 @@ def test_finite_difference_mixed_stack():
     grads = kernel.backward(layers, trace, readout)
 
     numeric = central_differences(
-        lambda: float(np.sum(kernel.forward(layers, x).output * readout)), x)
+        lambda: float(np.sum(kernel.forward(layers, x).output * readout)), x, FD_STEP)
     scale = max(np.max(np.abs(grads.input_grad)), np.max(np.abs(numeric)), 1e-8)
     assert np.max(np.abs(grads.input_grad - numeric)) / scale < 1e-4
 

@@ -12,6 +12,7 @@ import pytest
 from _helpers import fedavg_reference, flat_state
 
 from sflsim import config as config_mod
+from sflsim import data as data_mod
 from sflsim import kernel, models, netsim, runtime
 
 
@@ -296,6 +297,18 @@ class TestRunTraining:
         assert 0.0 <= out.results[0].test_acc <= 1.0
         assert len(out.rows) == 1
 
+    def test_device_count_checked_before_spawning_streams(self, monkeypatch):
+        # A million devices must fail at sharding, not after a million spawns.
+        class CappedSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                if n_children > 64:
+                    raise RuntimeError(f"asked for {n_children} RNG streams")
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CappedSeedSequence)
+        with pytest.raises(data_mod.DataError, match="1000000 shards"):
+            runtime.init_state(make_config(devices=10**6))
+
     def test_same_seed_identical_metrics(self, tmp_path):
         paths = []
         for i in range(2):
@@ -398,7 +411,7 @@ def test_latency_recorded_positive_and_profile_sensitive():
 # hold for the numpy/BLAS build named in README's "Tests and acceptance gates".
 PINNED_RUNS = {
     "classic": (
-        {"mode": "classic"},
+        {"mode": "classic", "pretrain_epochs": 0},
         "acfe50ab1f2d56372dca6d94de20ef3c34a2417256aa5e623946656f4366675b",
         "7accf60a4e7be0505e39ec58577da98073c7372eb3321767d576b83fad647c41",
     ),
