@@ -195,7 +195,7 @@ def cmd_cost(args):
     rows = cost_table(args.model, **setting)
     print(_format_cost_rows(rows, setting), end="")
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)

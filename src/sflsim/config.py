@@ -173,10 +173,12 @@ def load_config(path, overrides=None):
     """Load and validate a JSON config file; ``overrides`` (e.g. a CLI seed)
     replace top-level keys before validation."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if overrides:

@@ -65,7 +65,7 @@ class DiagnosticsRecord:
     loss: float  # mean probe server loss
     gamma: float  # running sum of eta through this round
     max_sample_grad_sq: float  # max per-sample squared gradient norm seen
-    server_params: np.ndarray  # trajectory snapshot (first device's stack)
+    server_params: np.ndarray | None  # first device's stack, at L centres only
 
     @property
     def eps_mean(self):
@@ -76,37 +76,49 @@ class DiagnosticsRecord:
         return float(np.mean(list(self.delta.values()))) if self.delta else 0.0
 
 
+def _is_centre(t, rounds):
+    """Whether round ``t`` of a ``rounds``-round run is a trajectory centre
+    of the L estimate: every max(1, rounds // 8)-th round from 0, so at
+    most nine per run. The one rule for both the snapshots record_round
+    keeps and the centres trajectory_smoothness reads."""
+    return t % max(1, rounds // 8) == 0
+
+
 def record_round(state, t):
     """Measure one round of a running training state.
 
     ``state`` is the runtime's TrainState; the fields read here are
     device_stacks / server_stacks (per device, post-SGD, pre-aggregation),
     batches, dataset, probe_indices, diag_rng, buffer, and config (lr,
-    quantized, mode, augment). No training state is mutated; the only write
-    is the observer's own probe memo (see probe_batch).
+    quantized, mode, augment, rounds). No training state is mutated; the
+    only write is to the frozen-forward memo (see probe_batch).
 
-    Per device this costs three server passes: the probe batch, the
-    decoded probe batch inside quantization_error (which reuses the
-    probe gradient for the clean side), and one per-example pass for G.
-    A lossless pipeline skips the second pass: its eps is 0.
+    Per device this costs two server passes: the probe batch, whose trace
+    also gives G through a per-example backward on its first rows, and the
+    decoded probe batch inside quantization_error (which reuses the probe
+    gradient for the clean side). A lossless pipeline skips the second
+    pass: its eps is 0. A frozen device side adds no pass after round 0:
+    the probe and the staleness batch come from the memo. The first
+    device's server parameters are kept only at trajectory centres
+    (_is_centre).
     """
     cfg = state.config
     quantized_pipeline = cfg.mode == "replay" and cfg.quantized
     grad_sqs, losses, eps, delta = [], [], {}, {}
     max_sample_sq = 0.0
-    snapshot = None
     for k in sorted(state.batches):
         a, y = probe_batch(state, k)
         server = state.server_stacks[k]
-        loss, grads = kernel.loss_grads(server, a, y, input_grad=False)
-        g = kernel.grad_vector(grads)
+        trace = kernel.forward(server, a)
+        loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
+        g = kernel.grad_vector(kernel.backward(server, trace, dlogits, input_grad=False))
         grad_sqs.append(float(g @ g))
         losses.append(loss)
         eps[k] = quantize.quantization_error(a, server, y, g) if quantized_pipeline else 0.0
-        delta[k] = _staleness(state, k, state.device_stacks.get(k))
-        max_sample_sq = max(max_sample_sq, float(_sample_grad_sqs(server, a, y).max()))
-        if snapshot is None:
-            snapshot = kernel.param_vector(server)
+        delta[k] = _staleness(state, k)
+        max_sample_sq = max(max_sample_sq, float(_sample_grad_sqs(server, trace, y).max()))
+    first = state.server_stacks[min(state.batches)]
+    snapshot = kernel.param_vector(first) if _is_centre(t, cfg.rounds) else None
     prior = getattr(state, "diagnostics_records", [])
     gamma = sum(r.eta for r in prior) + cfg.lr
     return DiagnosticsRecord(
@@ -126,11 +138,11 @@ def probe_batch(state, device_id):
     """One device's fixed probe as the server sees it: (activations, labels).
 
     A frozen device stack is the shared global stack and never steps, so
-    its probe activations are kept in ``state.probe_activations``, stamped
-    with the stack's layer identities and versions, and recomputed when any
-    stamp changes. Unfrozen stacks are run afresh on every call: each round
-    clones them anew, and a clone can reuse a freed clone's ids with the
-    same version counts, so the stamp cannot tell the rounds apart.
+    its probe activations come from ``state.frozen_forward`` under the key
+    ("probe", device): computed once per stack stamp, read-only, and shared
+    with every later round. Unfrozen stacks are run afresh on every call:
+    each round clones them anew, and a clone can reuse a freed clone's ids
+    with the same version counts, so a stamp cannot tell the rounds apart.
     """
     probe = state.probe_indices[device_id]
     x = state.dataset.images[probe]
@@ -140,25 +152,20 @@ def probe_batch(state, device_id):
         return x, y
     if not state.frozen_device:
         return kernel.predict(device_stack, x), y
-    stamp = kernel.stamp(device_stack)
-    memo = state.probe_activations.get(device_id)
-    if memo is None or memo[0] != stamp:
-        a = kernel.predict(device_stack, x)
-        a.setflags(write=False)  # one array serves every later round
-        memo = state.probe_activations[device_id] = (stamp, a)
-    return memo[1], y
+    return state.frozen_forward(("probe", device_id), x), y
 
 
-def _sample_grad_sqs(server_layers, activations, labels):
+def _sample_grad_sqs(server_layers, trace, labels):
     """Squared norms of the single-sample loss gradients of the first
-    n = min(len(labels), SAMPLE_GRAD_CAP) samples, from one forward and one
-    per-example backward pass, each norm summed in float64.
+    n = min(len(labels), SAMPLE_GRAD_CAP) samples, from one per-example
+    backward pass on those rows of ``trace`` (a forward of the server stack
+    on the batch ``labels`` belong to), each norm summed in float64.
 
     Row i of the mean loss's per-example gradient times n is sample i's own
     loss gradient; the scaling is exact when n is a power of two.
     """
     n = min(len(labels), SAMPLE_GRAD_CAP)
-    trace = kernel.forward(server_layers, activations[:n])
+    trace = kernel.trace_rows(server_layers, trace, n)
     _, dlogits = kernel.softmax_cross_entropy(trace.output, labels[:n])
     grads = kernel.backward(server_layers, trace, dlogits * n, per_example=True,
                             input_grad=False)
@@ -175,12 +182,14 @@ def _sample_grad_sqs(server_layers, activations, labels):
     return sqs
 
 
-def _staleness(state, device_id, device_stack):
+def _staleness(state, device_id):
     """Buffer-vs-fresh activation distance for one device (0 off-replay).
 
-    The fresh side replays the device forward on one cached batch with
-    this round's augmentation setting; augmentation draws come from the
-    diagnostics RNG so the measurement never consumes training RNG state.
+    The fresh side replays the frozen device forward on one cached batch
+    with this round's augmentation setting; the batch index and the
+    augmentation draws come from the diagnostics RNG so the measurement
+    never consumes training RNG state. Without augmentation the forward is
+    the memo's (state.frozen_forward).
     """
     if state.buffer is None:
         return 0.0
@@ -189,7 +198,7 @@ def _staleness(state, device_id, device_stack):
     x = state.dataset.images[batches[b]]
     if state.config.augment:
         x = data_mod.augment_hflip(x, state.diag_rng)
-    fresh = kernel.predict(device_stack, x)
+    fresh = state.frozen_forward(("batch", device_id, b), x)
     return buffer_mod.buffer_distance_proxy(state.buffer, device_id, b, fresh)
 
 
@@ -237,12 +246,14 @@ def server_grad_fn(server_layers, activations, labels):
 
 def trajectory_smoothness(state):
     """L estimate for a finished run: perturbation pairs around the logged
-    server trajectory, gradients on device 0's diagnostics probe."""
+    server trajectory, gradients on device 0's diagnostics probe. The
+    centres are the snapshots record_round kept, at the rounds _is_centre
+    names (at most nine), which caps the probe work on long runs."""
     a, y = probe_batch(state, 0)
     grad_fn = server_grad_fn(state.server_stacks[0], a, y)
-    centers = [r.server_params for r in state.diagnostics_records]
-    step = max(1, len(centers) // 8)  # cap the probe work on long runs
-    return estimate_L(grad_fn, centers[::step], state.diag_rng)
+    centers = [r.server_params for r in state.diagnostics_records
+               if _is_centre(r.t, state.config.rounds)]
+    return estimate_L(grad_fn, centers, state.diag_rng)
 
 
 @dataclass
@@ -326,7 +337,7 @@ def write_diagnostics_csv(path, records, g_hat, l_hat):
     estimates throughout (so the columns are comparable down the file). They
     are blank on the first row and while Gamma is 0, where the bound is
     undefined."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for i, rec in enumerate(records):
@@ -353,27 +364,31 @@ def write_diagnostics_csv(path, records, g_hat, l_hat):
 def read_diagnostics_csv(path):
     """Rows of the diagnostics CSV as dicts of finite floats and an int ``t``;
     the running-bound cells are blank (None) where the bound is undefined."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
-            raise DiagnosticsError(f"{path} is not a diagnostics log")
-        rows = []
-        for i, raw in enumerate(reader, start=1):
-            row = {}
-            for key in CSV_COLUMNS:
-                value = raw[key]
-                if value == "" and key in ("lhs_running", "rhs_running"):
-                    row[key] = None
-                    continue
-                try:
-                    row[key] = float(value)
-                except (TypeError, ValueError):  # a missing cell is None
-                    row[key] = math.nan
-                if not math.isfinite(row[key]) or (key == "t" and not row[key].is_integer()):
-                    what = "an integer" if key == "t" else "a finite number"
-                    raise DiagnosticsError(f"{path} row {i} column {key}: {value!r} is not {what}")
-            row["t"] = int(row["t"])
-            rows.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
+                raise DiagnosticsError(f"{path} is not a diagnostics log")
+            rows = []
+            for i, raw in enumerate(reader, start=1):
+                row = {}
+                for key in CSV_COLUMNS:
+                    value = raw[key]
+                    if value == "" and key in ("lhs_running", "rhs_running"):
+                        row[key] = None
+                        continue
+                    try:
+                        row[key] = float(value)
+                    except (TypeError, ValueError):  # a missing cell is None
+                        row[key] = math.nan
+                    if not math.isfinite(row[key]) or (key == "t" and not row[key].is_integer()):
+                        what = "an integer" if key == "t" else "a finite number"
+                        raise DiagnosticsError(
+                            f"{path} row {i} column {key}: {value!r} is not {what}")
+                row["t"] = int(row["t"])
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise DiagnosticsError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise DiagnosticsError(f"{path} holds no rounds")
     return rows

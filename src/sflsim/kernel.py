@@ -3,8 +3,9 @@
 Layers are stateful objects holding float32 parameters (float64 in test mode)
 and exposing forward/backward with explicit caches. Stack-level helpers run a
 list of layers as one network (forward keeps a Trace for backward, predict
-keeps none), validate traces, take the cross-entropy loss and its gradients
-in one call (loss_grads), and apply plain SGD. A weight checkpoint (SFL1) is
+keeps none), cut a trace to its first samples (trace_rows), validate
+traces, take the cross-entropy loss and its gradients in one call
+(loss_grads), and apply plain SGD. A weight checkpoint (SFL1) is
 the stack's own header followed by its param_vector. central_differences is
 the finite-difference oracle for the analytic gradients.
 """
@@ -64,6 +65,10 @@ class Layer:
 
     def bump(self):
         self.version += 1
+
+    def cache_rows(self, cache, n):
+        """This layer's forward cache cut to the first ``n`` samples."""
+        return cache[:n]
 
 
 class _WeightBias(Layer):
@@ -267,6 +272,10 @@ class MaxPool2x2(Layer):
             np.copyto(dx[:, :, r::2, c::2], dy, where=hit)
         return {}, dx
 
+    def cache_rows(self, cache, n):
+        x, y = cache
+        return x[:n], y[:n]
+
 
 class ReLU(Layer):
     kind = "relu"
@@ -286,6 +295,9 @@ class Flatten(Layer):
 
     def backward(self, cache, dy, per_example=False, input_grad=True):
         return {}, dy.reshape(cache) if input_grad else None
+
+    def cache_rows(self, cache, n):
+        return (n, *cache[1:])
 
 
 class ResidualBlock(Layer):
@@ -337,6 +349,10 @@ class ResidualBlock(Layer):
         grads = self._keyed(by_layer.__getitem__)
         return grads, g_main.input_grad + g_side.input_grad if input_grad else None
 
+    def cache_rows(self, cache, n):
+        main, side, mask = cache
+        return trace_rows(self.main, main, n), trace_rows(self.side, side, n), mask[:n]
+
 
 def stamp(layers):
     """A stack's identity: its layers' ids and their parameter versions."""
@@ -377,6 +393,19 @@ def predict(layers, x):
     for layer in layers:
         x = layer.forward(x)[0]
     return x
+
+
+def trace_rows(layers, trace, n):
+    """The trace of the first ``n`` samples, cut from a trace of the whole
+    batch without a second forward. Every layer acts on each sample alone,
+    so the cut holds what forward(layers, x[:n]) computes, up to rounding
+    that BLAS may do differently for another row count. The stamp is the
+    whole batch's, so backward still rejects the cut once a parameter
+    changes."""
+    if not 1 <= n <= len(trace.output):
+        raise KernelError(f"cannot cut {n} rows from a batch of {len(trace.output)}")
+    caches = [layer.cache_rows(cache, n) for layer, cache in zip(layers, trace.caches)]
+    return Trace(output=trace.output[:n], caches=caches, stamp=trace.stamp)
 
 
 def backward(layers, trace, loss_grad, per_example=False, input_grad=True):

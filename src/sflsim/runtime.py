@@ -88,7 +88,27 @@ class TrainState:
     device_stacks: dict = field(default_factory=dict)  # refs for observers
     server_stacks: dict = field(default_factory=dict)
     diagnostics_records: list = field(default_factory=list)
-    probe_activations: dict = field(default_factory=dict)  # observer memo, frozen stacks only
+    frozen_outputs: dict = field(default_factory=dict)  # frozen_forward's memo
+
+    def frozen_forward(self, key, x):
+        """The frozen device stack's output on ``x``; every forward of a
+        frozen device stack goes through here. ``key`` names the input:
+        ("probe", device), ("batch", device, batch index) or ("test", first
+        row). An output is computed once per stack stamp and kept read-only
+        under its key, except a training batch that augmentation redraws or
+        that a ``spill_dir`` run keeps off the heap."""
+        if not self.frozen_device:
+            raise TrainingError("frozen_forward needs a frozen device stack")
+        stack = self.global_device
+        if key[0] == "batch" and (self.config.augment or self.config.spill_dir is not None):
+            return kernel.predict(stack, x)
+        stamp = kernel.stamp(stack)
+        memo = self.frozen_outputs.get(key)
+        if memo is None or memo[0] != stamp:
+            out = kernel.predict(stack, x)
+            out.setflags(write=False)
+            memo = self.frozen_outputs[key] = (stamp, out)
+        return memo[1]
 
 
 @dataclass
@@ -127,9 +147,12 @@ def fedavg(vectors, sample_counts):
     return base + acc
 
 
-def evaluate(layers, dataset, split="test", batch_size=256):
+def evaluate(layers, dataset, split="test", batch_size=256, front=None):
     """Argmax accuracy of one layer stack on a dataset split; full
-    precision, no quantization."""
+    precision, no quantization. ``front(start, x)``, if given, maps the
+    chunk of images from row ``start`` on to the stack's input: the
+    runtime passes the frozen device side, so ``layers`` is the server
+    half."""
     images, labels = dataset.subset(split)
     if len(labels) == 0:
         raise TrainingError(f"split {split!r} is empty")
@@ -137,9 +160,20 @@ def evaluate(layers, dataset, split="test", batch_size=256):
     for start in range(0, len(labels), batch_size):
         x = images[start : start + batch_size]
         y = labels[start : start + batch_size]
+        if front is not None:
+            x = front(start, x)
         logits = kernel.predict(layers, x)
         hits += int(np.sum(np.argmax(logits, axis=1) == y))
     return hits / len(labels)
+
+
+def _test_accuracy(state):
+    """This round's test accuracy of the global model; a frozen device
+    half runs each test chunk once, through the memo."""
+    if not state.frozen_device:
+        return evaluate(_full_model(state), state.dataset)
+    front = lambda start, x: state.frozen_forward(("test", start), x)
+    return evaluate(state.global_server, state.dataset, front=front)
 
 
 def _full_model(state):
@@ -290,7 +324,7 @@ def _finish_round(state, t, losses, diag_record):
     return RoundResult(
         t=t,
         server_loss=losses,
-        test_acc=evaluate(_full_model(state), state.dataset),
+        test_acc=_test_accuracy(state),
         traffic=traffic,
         latency_s=latency.round_latency_s,
         diagnostics=diag_record,
@@ -316,7 +350,7 @@ def _classic_step(state, t, k, b, batch, local):
     return loss, len(y)
 
 
-def _serve_upload(state, t, k, batch, local, input_grad=False):
+def _serve_upload(state, t, k, b, batch, local, input_grad=False):
     """Device forward, activation and labels up, server step on them;
     returns (device trace, activation, labels, server loss, cut gradient).
     A frozen device stack never backpropagates, so its forward keeps no
@@ -324,7 +358,7 @@ def _serve_upload(state, t, k, batch, local, input_grad=False):
     ``input_grad`` asks for it."""
     x, y = _batch_input(state, k, batch)
     dtrace = None if state.frozen_device else kernel.forward(local["device"], x)
-    a = kernel.predict(local["device"], x) if dtrace is None else dtrace.output
+    a = state.frozen_forward(("batch", k, b), x) if dtrace is None else dtrace.output
     state.ledger.record(t, k, "activation", netsim.FLOAT_BYTES * a.size)
     state.ledger.record(t, k, "labels", netsim.LABEL_BYTES * len(y))
     loss, cut_grad = _server_step(local["server"], a, y, state.config.lr, input_grad)
@@ -334,7 +368,7 @@ def _serve_upload(state, t, k, batch, local, input_grad=False):
 def _split_step(state, t, k, b, batch, local):
     """Activation up, gradient down; a frozen device stack skips its update."""
     trains = not state.frozen_device
-    dtrace, a, y, loss, cut_grad = _serve_upload(state, t, k, batch, local, input_grad=trains)
+    dtrace, a, y, loss, cut_grad = _serve_upload(state, t, k, b, batch, local, input_grad=trains)
     state.ledger.record(t, k, "gradient", netsim.FLOAT_BYTES * a.size)
     if trains:
         dev = local["device"]
@@ -346,7 +380,7 @@ def _split_step(state, t, k, b, batch, local):
 def _local_loss_step(state, t, k, b, batch, local):
     """The device trains through its auxiliary head, never from the
     server: no gradient travels downlink."""
-    dtrace, a, y, loss, _ = _serve_upload(state, t, k, batch, local)
+    dtrace, a, y, loss, _ = _serve_upload(state, t, k, b, batch, local)
     dev, head, lr = local["device"], local["head"], state.config.lr
     # Local update is decoupled: it never alters the activation the
     # server just consumed, and its gradient stays on the device.
@@ -364,7 +398,7 @@ def _replay_step(state, t, k, b, batch, local):
     cfg = state.config
     if buffer_mod.switch_is_on(t, cfg.rho):
         x, y = _batch_input(state, k, batch)
-        a = kernel.predict(local["device"], x)
+        a = state.frozen_forward(("batch", k, b), x)
         record = quantize.encode(
             a, round_tag=t, device_id=k, batch_index=b, labels=y, quantized=cfg.quantized,
         )
@@ -466,7 +500,7 @@ def _metrics_rows(config, result):
 
 def write_metrics_csv(path, rows):
     """Metrics log: one row per (round, device); fixed column set."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -479,8 +513,11 @@ def write_metrics_csv(path, rows):
 
 
 def read_metrics_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(METRICS_COLUMNS) - set(reader.fieldnames):
-            raise TrainingError(f"{path} is not a metrics log")
-        return list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or set(METRICS_COLUMNS) - set(reader.fieldnames):
+                raise TrainingError(f"{path} is not a metrics log")
+            return list(reader)
+    except UnicodeDecodeError as exc:
+        raise TrainingError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -382,3 +382,35 @@ def test_profile_override(tmp_path, capsys):
             return float(list(csv_mod.DictReader(fh))[0]["sim_latency_s"])
 
     assert latency(out_b / "metrics.csv") > latency(out_a / "metrics.csv")
+
+
+# A UTF-16 byte-order mark: not UTF-8 text, whatever the locale.
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"
+
+
+@pytest.mark.parametrize("args,code,prefix", [
+    (["run", "--config"], cli.EXIT_CONFIG, "config error: "),
+    (["diagnose", "--log"], cli.EXIT_DATA, "data error: "),
+])
+def test_non_utf8_input_file_exits_with_one_line(tmp_path, capsys, args, code, prefix):
+    path = tmp_path / "input"
+    path.write_bytes(NOT_UTF8)
+    assert cli.main([*args, str(path)]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix) and "UTF-8" in err[0]
+
+
+def test_utf8_config_decodes_under_the_c_locale(tmp_path):
+    # A UTF-8 config is read as UTF-8 even where the locale's encoding is
+    # ASCII; its non-ASCII mode then fails validation like any bad mode.
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps({"version": 1, "mode": "répl"}, ensure_ascii=False).encode("utf-8"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "",
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", "import sys; from sflsim import cli; "
+                           f"sys.exit(cli.main(['run', '--config', {str(path)!r}]))"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr

@@ -6,6 +6,8 @@ an independently scripted forward/backward; the bound's terms are checked
 by direct arithmetic on synthetic records.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,7 @@ class TestSampleGradients:
         x = rng.uniform(0.0, 1.0, size=(n, *spec.input_shape)).astype(dtype)
         y = rng.integers(0, spec.num_classes, size=n)
         a = kernel.forward(device, x).output
-        got = dg._sample_grad_sqs(server, a, y)
+        got = dg._sample_grad_sqs(server, kernel.forward(server, a), y)
         want = single_sample_grad_sqs(server, a, y)
         assert got.shape == (n,)
         np.testing.assert_allclose(got, want, rtol=rtol)
@@ -146,9 +148,13 @@ class TestSampleGradients:
         x = rng.uniform(0.0, 1.0, size=(dg.SAMPLE_GRAD_CAP + 5, *spec.input_shape))
         y = rng.integers(0, spec.num_classes, size=len(x))
         a = kernel.forward(device, x.astype(np.float32)).output
-        got = dg._sample_grad_sqs(server, a, y)
+        trace = kernel.forward(server, a)
+        got = dg._sample_grad_sqs(server, trace, y)
         want = single_sample_grad_sqs(server, a[: dg.SAMPLE_GRAD_CAP], y[: dg.SAMPLE_GRAD_CAP])
         np.testing.assert_allclose(got, want, rtol=1e-5)
+        # The probe trace's first rows give the same bits as a forward on them.
+        cut = kernel.forward(server, a[: dg.SAMPLE_GRAD_CAP])
+        assert got.tobytes() == dg._sample_grad_sqs(server, cut, y[: dg.SAMPLE_GRAD_CAP]).tobytes()
 
 
 class TestProbeMemo:
@@ -157,7 +163,7 @@ class TestProbeMemo:
             make_config(mode="split", quantized=True, pretrain_epochs=0, rounds=2))
         state = out.state
         assert not state.frozen_device
-        assert state.probe_activations == {}
+        assert state.frozen_outputs == {}
         # An in-place write that bumps no version: only a fresh device
         # forward sees it, a stamped memo would not.
         for k in sorted(state.batches):
@@ -166,12 +172,13 @@ class TestProbeMemo:
         sq_mean, loss_mean = scripted_probe_means(state)
         assert rec.loss == pytest.approx(loss_mean, rel=1e-12)
         assert rec.grad_norm_sq == pytest.approx(sq_mean, rel=1e-12)
-        assert state.probe_activations == {}
+        assert state.frozen_outputs == {}
 
     def test_frozen_memo_recomputes_on_version_change(self):
         out = runtime.run_training(make_config(rounds=2))
         state = out.state
-        assert state.frozen_device and set(state.probe_activations) == set(state.batches)
+        probes = {key[1] for key in state.frozen_outputs if key[0] == "probe"}
+        assert state.frozen_device and probes == set(state.batches)
         first, _ = dg.probe_batch(state, 0)
         again, _ = dg.probe_batch(state, 0)
         assert again is first
@@ -349,3 +356,57 @@ def test_staleness_positive_with_augmentation_and_long_period():
     )
     recs = out.state.diagnostics_records
     assert any(v > 0 for rec in recs for v in rec.delta.values())
+
+
+SMALL_BLOBS = {"kind": "blobs", "per_class": 12, "noise_sigma": 0.3}
+
+# sha256 of the diagnostics.csv of the run below, recorded on the code that
+# kept a snapshot every round and ran a second server forward for G.
+SEVENTEEN_ROUND_DIAGNOSTICS_SHA256 = "78ade30d569865763ce6a0f2f1c0aa217d43a6f0e7f3caa8ed96587dd864bbee"
+
+
+class TestObserverBudget:
+    @pytest.mark.parametrize("rounds", [1, 7, 9, 17])
+    def test_snapshots_only_at_the_trajectory_centres(self, rounds):
+        out = runtime.run_training(make_config(rounds=rounds, rho=3, dataset=SMALL_BLOBS))
+        recs = out.state.diagnostics_records
+        assert [r.t for r in recs] == list(range(rounds))
+        kept = [r.t for r in recs if r.server_params is not None]
+        assert kept == list(range(rounds)[:: max(1, rounds // 8)])
+
+    def test_seventeen_round_diagnostics_log_is_pinned(self, tmp_path):
+        # 12-sample probes: G comes from a cut of 8 rows of the probe trace.
+        cfg = make_config(model="tiny_res", rounds=17, rho=3, quantized=True,
+                          dataset=dict(SMALL_BLOBS, per_class=24))
+        out = runtime.run_training(cfg)
+        recs = out.state.diagnostics_records
+        path = tmp_path / "diagnostics.csv"
+        dg.write_diagnostics_csv(path, recs, dg.estimate_G(recs), dg.trajectory_smoothness(out.state))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SEVENTEEN_ROUND_DIAGNOSTICS_SHA256
+
+    @pytest.mark.parametrize("quantized,augment,server_passes,device_passes", [
+        (True, False, 2, 0),  # probe, decoded probe; the memo serves the device side
+        (False, False, 1, 0),  # a lossless pipeline has eps = 0 without a pass
+        (True, True, 2, 1),  # an augmented staleness batch is run afresh
+    ])
+    def test_passes_per_device_after_round_0(self, monkeypatch, quantized, augment,
+                                             server_passes, device_passes):
+        cfg = make_config(model="tiny_res", rho=2, quantized=quantized, augment=augment,
+                          dataset=SMALL_BLOBS)
+        state = runtime.init_state(cfg)
+        for t in range(2):
+            runtime.run_round(state, t)
+        calls = []
+
+        def counting(fn):
+            def run(layers, x):
+                calls.append(id(layers))
+                return fn(layers, x)
+            return run
+
+        monkeypatch.setattr(kernel, "forward", counting(kernel.forward))
+        monkeypatch.setattr(kernel, "predict", counting(kernel.predict))
+        dg.record_round(state, 2)
+        for server in state.server_stacks.values():
+            assert calls.count(id(server)) == server_passes
+        assert calls.count(id(state.global_device)) == device_passes * len(state.batches)

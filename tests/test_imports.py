@@ -1,7 +1,8 @@
 """Source rules checked on the package's syntax trees: numpy is the only
 runtime dependency (every module imports only the standard library, numpy
-and sflsim itself), and no module holds an ``assert`` statement, so no
-self-check vanishes under ``python -O``."""
+and sflsim itself), the package's modules import one another without a
+cycle, and no module holds an ``assert`` statement, so no self-check
+vanishes under ``python -O``."""
 
 from __future__ import annotations
 
@@ -26,7 +27,49 @@ def _imported_roots(tree):
 def _trees():
     sources = sorted(Path(sflsim.__file__).parent.glob("*.py"))
     assert len(sources) > 1
-    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sources}
+
+
+def _package_imports(tree):
+    """Names a module imports from within the package: the first part below
+    ``sflsim`` of an import, and the names a ``from`` import takes. Names
+    that are not modules are for the caller to drop."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root, _, rest = alias.name.partition(".")
+                if root == "sflsim" and rest:
+                    yield rest.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                root, _, module = module.partition(".")
+                if root != "sflsim":
+                    continue
+            yield module.partition(".")[0]
+            yield from (alias.name for alias in node.names)
+
+
+def _import_cycle(graph):
+    """One import cycle of a {module: imported modules} graph, or None."""
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return None
+        path.append(name)
+        for dep in sorted(graph[name]):
+            cycle = visit(dep)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(name)
+        return None
+
+    return next(filter(None, map(visit, sorted(graph))), None)
 
 
 def test_package_imports_only_stdlib_and_numpy():
@@ -37,6 +80,14 @@ def test_package_imports_only_stdlib_and_numpy():
         if root not in ALLOWED
     }
     assert not foreign, f"imports outside the standard library and numpy: {sorted(foreign)}"
+
+
+def test_package_import_graph_is_acyclic():
+    trees = {name[:-3]: tree for name, tree in _trees().items() if name != "__init__.py"}
+    graph = {name: set(_package_imports(tree)) & set(trees) for name, tree in trees.items()}
+    assert graph["runtime"] >= {"diagnostics", "kernel"}, graph  # the walk sees the package's imports
+    cycle = _import_cycle(graph)
+    assert cycle is None, f"import cycle: {' -> '.join(cycle)}"
 
 
 def test_package_has_no_assert_statements():

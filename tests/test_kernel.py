@@ -570,3 +570,73 @@ def test_param_vector_round_trip():
     assert [layer.version for layer in other] == [v + 1 for v in versions]
     with pytest.raises(kernel.KernelError):
         kernel.load_param_vector(other, kernel.param_vector([kernel.Dense(2, 2, rng=init)]))
+
+
+# One float32 stack per layer kind at a desk shape, batch 16, and both desk
+# server halves (built by the stack builders below from a seeded rng).
+def _desk_server_half(spec, rng):
+    model = models.build_model(spec, seed=int(rng.integers(1 << 30)))
+    device, server = models.partition(model, model.default_split)
+    x = rng.standard_normal((16, *spec.input_shape)).astype(np.float32)
+    return server, kernel.forward(device, x).output
+
+
+ROWS_STACKS = {
+    "dense": lambda rng: ([kernel.Dense(64, 10, rng)], (16, 64)),
+    "conv3x3": lambda rng: ([kernel.Conv3x3(8, 16, rng)], (16, 8, 8, 8)),
+    "conv1x1": lambda rng: ([kernel.Conv1x1(8, 16, rng)], (16, 8, 8, 8)),
+    "maxpool2x2": lambda rng: ([kernel.MaxPool2x2()], (16, 8, 8, 8)),
+    "relu": lambda rng: ([kernel.ReLU()], (16, 8, 8, 8)),
+    "flatten": lambda rng: ([kernel.Flatten()], (16, 8, 4, 4)),
+    "resblock": lambda rng: ([kernel.ResidualBlock(16, 32, rng)], (16, 16, 4, 4)),
+    "tiny_vgg_server": lambda rng: _desk_server_half(models.tiny_vgg(), rng),
+    "tiny_res_server": lambda rng: _desk_server_half(models.tiny_res(), rng),
+}
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_rows_match(got, want, exact):
+    if exact:
+        assert _same_bits(got, want)
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_STACKS))
+def test_trace_rows_equals_a_forward_on_the_first_rows(name):
+    # Bit for bit at the observer's cut (SAMPLE_GRAD_CAP = 8 rows of a
+    # larger probe) and at the whole batch. At 1 and 3 rows this build's
+    # BLAS takes other paths for a small or ragged row count (a 1-row Dense
+    # is a gemv), so the forward on x[:n] itself differs in the last bit.
+    rng = np.random.default_rng(41)
+    layers, x = ROWS_STACKS[name](rng)
+    if isinstance(x, tuple):
+        x = rng.standard_normal(x).astype(np.float32)
+    full = kernel.forward(layers, x)
+    dy = rng.standard_normal(full.output.shape).astype(np.float32)
+    for n in (1, 3, diagnostics.SAMPLE_GRAD_CAP, len(x)):
+        exact = n in (diagnostics.SAMPLE_GRAD_CAP, len(x))
+        cut = kernel.trace_rows(layers, full, n)
+        ref = kernel.forward(layers, x[:n])
+        assert cut.stamp == ref.stamp
+        _assert_rows_match(cut.output, ref.output, exact)
+        for per_example in (False, True):
+            got = kernel.backward(layers, cut, dy[:n], per_example=per_example)
+            want = kernel.backward(layers, ref, dy[:n], per_example=per_example)
+            _assert_rows_match(got.input_grad, want.input_grad, exact)
+            for g, w in zip(got.layers, want.layers, strict=True):
+                assert g.keys() == w.keys()
+                for k in w:
+                    _assert_rows_match(g[k], w[k], exact)
+    with pytest.raises(kernel.KernelError, match="cannot cut"):
+        kernel.trace_rows(layers, full, len(x) + 1)
+    if any(layer.params() for layer in layers):
+        before = kernel.trace_rows(layers, full, 3)
+        kernel.sgd_step(layers, kernel.backward(layers, full, dy), lr=0.1)
+        for cut in (before, kernel.trace_rows(layers, full, 3)):
+            with pytest.raises(kernel.KernelError, match="stale trace"):
+                kernel.backward(layers, cut, dy[:3], per_example=True)

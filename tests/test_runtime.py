@@ -450,3 +450,59 @@ def test_final_weights_are_pinned(mode):
     rows = repr(out.rows).encode()
     assert hashlib.sha256(weights).hexdigest() == weights_sha
     assert hashlib.sha256(rows).hexdigest() == rows_sha
+
+
+def test_metrics_reader_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_bytes(b"\xff\xfe" + ",".join(runtime.METRICS_COLUMNS).encode("utf-16-le"))
+    with pytest.raises(runtime.TrainingError, match="UTF-8"):
+        runtime.read_metrics_csv(path)
+
+
+# 2 x 600 blobs: a 300-sample test split, evaluated in chunks of 256 and 44.
+LARGE_TEST = {"kind": "blobs", "per_class": 600, "noise_sigma": 0.5}
+
+
+class TestFrozenForward:
+    @pytest.mark.parametrize("mode,extra", [
+        ("replay", {"rho": 2, "quantized": True, "diagnostics": True}),
+        ("split", {"freeze_device": True, "diagnostics": True}),
+    ])
+    def test_memo_is_read_only_and_test_accuracy_equals_the_full_model(self, mode, extra):
+        state = runtime.init_state(make_config(mode=mode, devices=2, dataset=LARGE_TEST, **extra))
+        images = state.dataset.subset("test")[0]
+        assert len(images) > 256
+        for t in range(2):
+            result = runtime.run_round(state, t)
+            full = models.concat_weights(state.global_device, state.global_server)
+            assert result.test_acc == runtime.evaluate(full, state.dataset)
+        inputs = {("test", 0): images[:256], ("test", 256): images[256:]}
+        for k, batches in state.batches.items():
+            inputs[("probe", k)] = state.dataset.images[state.probe_indices[k]]
+            inputs.update({("batch", k, b): state.dataset.images[batch]
+                           for b, batch in enumerate(batches)})
+        assert set(state.frozen_outputs) == set(inputs)
+        for key, (stamp, out) in state.frozen_outputs.items():
+            assert stamp == kernel.stamp(state.global_device) and not out.flags.writeable
+            assert out.tobytes() == kernel.predict(state.global_device, inputs[key]).tobytes()
+        with pytest.raises(ValueError):
+            out[...] = 0
+
+    @pytest.mark.parametrize("mode,extra", [
+        ("replay", {"rho": 2, "augment": True}),
+        ("replay", {"rho": 2, "spill_dir": "SPILL"}),
+        ("split", {"freeze_device": True, "augment": True}),
+    ])
+    def test_no_training_batch_is_kept_when_redrawn_or_spilled(self, tmp_path, mode, extra):
+        if extra.get("spill_dir"):
+            extra = dict(extra, spill_dir=str(tmp_path / "spill"))
+        out = runtime.run_training(make_config(mode=mode, devices=2, diagnostics=True, **extra))
+        kinds = {key[0] for key in out.state.frozen_outputs}
+        assert kinds == {"probe", "test"}
+
+    def test_an_unfrozen_device_stack_is_never_kept(self):
+        out = runtime.run_training(make_config(mode="split", devices=2, diagnostics=True))
+        state = out.state
+        assert not state.frozen_device and state.frozen_outputs == {}
+        with pytest.raises(runtime.TrainingError, match="frozen"):
+            state.frozen_forward(("probe", 0), state.dataset.images[:2])
