@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import dataclasses
 
 import numpy as np
 
@@ -53,9 +53,11 @@ class DiagnosticsError(ValueError):
     """Malformed records, empty estimator input, or a bad report request."""
 
 
-@dataclass
+@dataclasses.dataclass
 class DiagnosticsRecord:
-    """One round's measurements, taken after SGD steps, before aggregation."""
+    """One round's measurements over a set of devices (record_round: one
+    device; round_record: all of them), each device's taken after its SGD
+    steps, before aggregation."""
 
     t: int
     eta: float
@@ -66,6 +68,7 @@ class DiagnosticsRecord:
     gamma: float  # running sum of eta through this round
     max_sample_grad_sq: float  # max per-sample squared gradient norm seen
     server_params: np.ndarray | None  # first device's stack, at L centres only
+    probe: tuple | None = None  # first device's (activations, labels), final round only
 
     @property
     def eps_mean(self):
@@ -84,70 +87,73 @@ def _is_centre(t, rounds):
     return t % max(1, rounds // 8) == 0
 
 
-def record_round(state, t):
-    """Measure one round of a running training state.
+def record_round(state, t, device_id, device_stack, server_stack):
+    """Measure one device in round ``t`` of a running training state, as
+    it finishes its SGD steps: ``device_stack`` (None when the server stack
+    is the whole model) and ``server_stack`` hold its trained weights. The
+    state's fields read are batches, dataset, probe_indices, diag_rng,
+    buffer, diagnostics_records and config. No training state is mutated;
+    the only write is to the frozen-forward memo (see probe_batch).
 
-    ``state`` is the runtime's TrainState; the fields read here are
-    device_stacks / server_stacks (per device, post-SGD, pre-aggregation),
-    batches, dataset, probe_indices, diag_rng, buffer, and config (lr,
-    quantized, mode, augment, rounds). No training state is mutated; the
-    only write is to the frozen-forward memo (see probe_batch).
-
-    Per device this costs two server passes: the probe batch, whose trace
-    also gives G through a per-example backward on its first rows, and the
-    decoded probe batch inside quantization_error (which reuses the probe
-    gradient for the clean side). A lossless pipeline skips the second
-    pass: its eps is 0. A frozen device side adds no pass after round 0:
-    the probe and the staleness batch come from the memo. The first
-    device's server parameters are kept only at trajectory centres
-    (_is_centre).
+    This costs two server passes: the probe batch, whose trace also gives G
+    through a per-example backward on its first rows, and the decoded probe
+    batch inside quantization_error (which reuses the probe gradient for
+    the clean side). A lossless pipeline skips the second pass: its eps is
+    0. A frozen device side adds no pass after round 0: the probe and the
+    staleness batch come from the memo. The first device keeps its server
+    parameters only at trajectory centres (_is_centre) and its probe only
+    in the final round, for trajectory_smoothness.
     """
     cfg = state.config
+    a, y = probe_batch(state, device_id, device_stack)
+    trace = kernel.forward(server_stack, a)
+    loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
+    g = kernel.grad_vector(kernel.backward(server_stack, trace, dlogits, input_grad=False))
     quantized_pipeline = cfg.mode == "replay" and cfg.quantized
-    grad_sqs, losses, eps, delta = [], [], {}, {}
-    max_sample_sq = 0.0
-    for k in sorted(state.batches):
-        a, y = probe_batch(state, k)
-        server = state.server_stacks[k]
-        trace = kernel.forward(server, a)
-        loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
-        g = kernel.grad_vector(kernel.backward(server, trace, dlogits, input_grad=False))
-        grad_sqs.append(float(g @ g))
-        losses.append(loss)
-        eps[k] = quantize.quantization_error(a, server, y, g) if quantized_pipeline else 0.0
-        delta[k] = _staleness(state, k)
-        max_sample_sq = max(max_sample_sq, float(_sample_grad_sqs(server, trace, y).max()))
-    first = state.server_stacks[min(state.batches)]
-    snapshot = kernel.param_vector(first) if _is_centre(t, cfg.rounds) else None
-    prior = getattr(state, "diagnostics_records", [])
-    gamma = sum(r.eta for r in prior) + cfg.lr
+    first = device_id == min(state.batches)
     return DiagnosticsRecord(
         t=t,
         eta=cfg.lr,
-        grad_norm_sq=float(np.mean(grad_sqs)),
-        eps=eps,
-        delta=delta,
-        loss=float(np.mean(losses)),
-        gamma=gamma,
-        max_sample_grad_sq=max_sample_sq,
-        server_params=snapshot,
+        grad_norm_sq=float(g @ g),
+        eps={device_id: quantize.quantization_error(a, server_stack, y, g)
+             if quantized_pipeline else 0.0},
+        delta={device_id: _staleness(state, device_id)},
+        loss=loss,
+        gamma=sum(r.eta for r in state.diagnostics_records) + cfg.lr,
+        max_sample_grad_sq=max(0.0, float(_sample_grad_sqs(server_stack, trace, y).max())),
+        server_params=(kernel.param_vector(server_stack)
+                       if first and _is_centre(t, cfg.rounds) else None),
+        probe=(a, y) if first and t == cfg.rounds - 1 else None,
     )
 
 
-def probe_batch(state, device_id):
+def round_record(device_records):
+    """A round's DiagnosticsRecord from its devices' ones (record_round), in
+    device order: the mean probe norm and loss, every device's eps and
+    delta, the largest sample gradient, and the first device's snapshot and
+    probe."""
+    return dataclasses.replace(
+        device_records[0],
+        grad_norm_sq=float(np.mean([r.grad_norm_sq for r in device_records])),
+        eps={k: v for r in device_records for k, v in r.eps.items()},
+        delta={k: v for r in device_records for k, v in r.delta.items()},
+        loss=float(np.mean([r.loss for r in device_records])),
+        max_sample_grad_sq=max(r.max_sample_grad_sq for r in device_records),
+    )
+
+
+def probe_batch(state, device_id, device_stack):
     """One device's fixed probe as the server sees it: (activations, labels).
 
-    A frozen device stack is the shared global stack and never steps, so
-    its probe activations come from ``state.frozen_forward`` under the key
+    Without a device stack (classic) the server sees the probe images. A
+    frozen device stack is the shared global stack and never steps, so its
+    probe activations come from ``state.frozen_forward`` under the key
     ("probe", device): computed once per stack stamp, read-only, and shared
-    with every later round. Unfrozen stacks are run afresh on every call:
-    each round clones them anew, and a clone can reuse a freed clone's ids
-    with the same version counts, so a stamp cannot tell the rounds apart.
+    with every later round. An unfrozen stack is run afresh.
     """
     probe = state.probe_indices[device_id]
     x = state.dataset.images[probe]
     y = state.dataset.labels[probe]
-    device_stack = state.device_stacks.get(device_id)
     if not device_stack:
         return x, y
     if not state.frozen_device:
@@ -165,7 +171,7 @@ def _sample_grad_sqs(server_layers, trace, labels):
     loss gradient; the scaling is exact when n is a power of two.
     """
     n = min(len(labels), SAMPLE_GRAD_CAP)
-    trace = kernel.trace_rows(server_layers, trace, n)
+    trace = kernel.trace_rows(trace, n)
     _, dlogits = kernel.softmax_cross_entropy(trace.output, labels[:n])
     grads = kernel.backward(server_layers, trace, dlogits * n, per_example=True,
                             input_grad=False)
@@ -246,17 +252,20 @@ def server_grad_fn(server_layers, activations, labels):
 
 def trajectory_smoothness(state):
     """L estimate for a finished run: perturbation pairs around the logged
-    server trajectory, gradients on device 0's diagnostics probe. The
-    centres are the snapshots record_round kept, at the rounds _is_centre
-    names (at most nine), which caps the probe work on long runs."""
-    a, y = probe_batch(state, 0)
-    grad_fn = server_grad_fn(state.server_stacks[0], a, y)
-    centers = [r.server_params for r in state.diagnostics_records
+    server trajectory, gradients on the first device's final-round
+    diagnostics probe. The centres are the snapshots record_round kept, at
+    the rounds _is_centre names (at most nine), which caps the probe work
+    on long runs."""
+    records = state.diagnostics_records
+    if not records or records[-1].probe is None:
+        raise DiagnosticsError("L needs every configured round run with diagnostics on")
+    grad_fn = server_grad_fn(state.global_server or state.global_model, *records[-1].probe)
+    centers = [r.server_params for r in records
                if _is_centre(r.t, state.config.rounds)]
     return estimate_L(grad_fn, centers, state.diag_rng)
 
 
-@dataclass
+@dataclasses.dataclass
 class BoundReport:
     rounds: int
     gamma: float
@@ -273,7 +282,7 @@ class BoundReport:
     message: str
 
 
-def bound_report(records, g_hat, l_hat, f_star=None):
+def bound_report(records, g_hat, l_hat):
     """Assemble the bound's two sides from logged rounds. Warning-grade:
     the report carries holds/message; callers log, never assert."""
     records = list(records)
@@ -283,8 +292,7 @@ def bound_report(records, g_hat, l_hat, f_star=None):
     if gamma <= 0:
         raise DiagnosticsError("Gamma must be positive")
     f0 = records[0].loss
-    if f_star is None:
-        f_star = min(r.loss for r in records)
+    f_star = min(r.loss for r in records)
     lhs = sum(r.eta * r.grad_norm_sq for r in records) / gamma
     drift = g_hat * sum(r.eta * (r.delta_mean + r.eps_mean) for r in records) / gamma
     step = g_hat * sum((l_hat / 2.0) * r.eta**2 for r in records) / gamma

@@ -66,10 +66,6 @@ class Layer:
     def bump(self):
         self.version += 1
 
-    def cache_rows(self, cache, n):
-        """This layer's forward cache cut to the first ``n`` samples."""
-        return cache[:n]
-
 
 class _WeightBias(Layer):
     """A layer with weight ``w`` and bias ``b`` (n_out entries), drawn in
@@ -272,10 +268,6 @@ class MaxPool2x2(Layer):
             np.copyto(dx[:, :, r::2, c::2], dy, where=hit)
         return {}, dx
 
-    def cache_rows(self, cache, n):
-        x, y = cache
-        return x[:n], y[:n]
-
 
 class ReLU(Layer):
     kind = "relu"
@@ -291,13 +283,10 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.reshape(x.shape[0], -1), x.shape[1:]
 
     def backward(self, cache, dy, per_example=False, input_grad=True):
-        return {}, dy.reshape(cache) if input_grad else None
-
-    def cache_rows(self, cache, n):
-        return (n, *cache[1:])
+        return {}, dy.reshape(len(dy), *cache) if input_grad else None
 
 
 class ResidualBlock(Layer):
@@ -349,10 +338,6 @@ class ResidualBlock(Layer):
         grads = self._keyed(by_layer.__getitem__)
         return grads, g_main.input_grad + g_side.input_grad if input_grad else None
 
-    def cache_rows(self, cache, n):
-        main, side, mask = cache
-        return trace_rows(self.main, main, n), trace_rows(self.side, side, n), mask[:n]
-
 
 def stamp(layers):
     """A stack's identity: its layers' ids and their parameter versions."""
@@ -395,17 +380,26 @@ def predict(layers, x):
     return x
 
 
-def trace_rows(layers, trace, n):
+def trace_rows(trace, n):
     """The trace of the first ``n`` samples, cut from a trace of the whole
     batch without a second forward. Every layer acts on each sample alone,
     so the cut holds what forward(layers, x[:n]) computes, up to rounding
-    that BLAS may do differently for another row count. The stamp is the
-    whole batch's, so backward still rejects the cut once a parameter
-    changes."""
+    that BLAS may do differently for another row count. Caches are cut
+    generically: arrays by their leading axis, tuples entry by entry, nested
+    traces (a residual block's paths) recursively; anything else (Flatten's
+    per-sample shape) is kept. The stamp is the whole batch's, so backward
+    still rejects the cut once a parameter changes."""
     if not 1 <= n <= len(trace.output):
         raise KernelError(f"cannot cut {n} rows from a batch of {len(trace.output)}")
-    caches = [layer.cache_rows(cache, n) for layer, cache in zip(layers, trace.caches)]
-    return Trace(output=trace.output[:n], caches=caches, stamp=trace.stamp)
+    return _cut_rows(trace, n)
+
+
+def _cut_rows(value, n):
+    if isinstance(value, Trace):
+        return Trace(value.output[:n], [_cut_rows(c, n) for c in value.caches], value.stamp)
+    if isinstance(value, tuple):
+        return tuple(_cut_rows(v, n) for v in value)
+    return value[:n] if isinstance(value, np.ndarray) else value
 
 
 def backward(layers, trace, loss_grad, per_example=False, input_grad=True):

@@ -19,10 +19,11 @@ Modes
                 averaged.
 
 One pass over each device's shard per round; the batch partition and batch
-order are fixed across rounds so cached records keep stable keys. Device
-loops run sequentially in device-id order and share no mutable state, so
-runs are bit-deterministic under a fixed seed. Every transfer is recorded
-in a TrafficLedger whose totals match the analytic cost model exactly.
+order are fixed across rounds so cached records keep stable keys. Devices
+run one after another in device-id order, each training the global stacks
+in place from the round's start vector, so no device sees another's update
+and runs are bit-deterministic under a fixed seed. Every transfer is
+recorded in a TrafficLedger whose totals match the cost model to the byte.
 """
 
 from __future__ import annotations
@@ -85,8 +86,6 @@ class TrainState:
     device_rngs: dict  # device -> Generator (augmentation draws)
     diag_rng: object  # Generator for the observer stream
     probe_indices: dict  # device -> fixed probe subset (diagnostics)
-    device_stacks: dict = field(default_factory=dict)  # refs for observers
-    server_stacks: dict = field(default_factory=dict)
     diagnostics_records: list = field(default_factory=list)
     frozen_outputs: dict = field(default_factory=dict)  # frozen_forward's memo
 
@@ -295,15 +294,6 @@ def _load_dataset(config, seed):
     return dataset
 
 
-def _maybe_observe(state, t):
-    """Run the observer after SGD, before aggregation; pure reads only."""
-    if not state.config.diagnostics:
-        return None
-    record = diag_mod.record_round(state, t)
-    state.diagnostics_records.append(record)
-    return record
-
-
 def _finish_round(state, t, losses, diag_record):
     cfg = state.config
     traffic = state.ledger.per_device_traffic(t, range(cfg.devices))
@@ -332,8 +322,8 @@ def _finish_round(state, t, losses, diag_record):
 
 
 def _stack_roles(state):
-    """(global stacks each device clones and FedAvg averages, stacks whose
-    weights cross the link each round). A frozen device stack is shared."""
+    """(global stacks each device trains from the round's start vector and
+    FedAvg averages, stacks whose weights cross the link); never a frozen one."""
     if state.config.mode == "classic":
         return ("model",), ("model",)
     if state.frozen_device:
@@ -343,45 +333,45 @@ def _stack_roles(state):
     return ("device", "server"), ("device",)
 
 
-def _classic_step(state, t, k, b, batch, local):
+def _classic_step(state, t, k, b, batch):
     """Full local training: the server step on the whole model."""
     x, y = _batch_input(state, k, batch)
-    loss, _ = _server_step(local["model"], x, y, state.config.lr)
+    loss, _ = _server_step(state.global_model, x, y, state.config.lr)
     return loss, len(y)
 
 
-def _serve_upload(state, t, k, b, batch, local, input_grad=False):
+def _serve_upload(state, t, k, b, batch, input_grad=False):
     """Device forward, activation and labels up, server step on them;
     returns (device trace, activation, labels, server loss, cut gradient).
     A frozen device stack never backpropagates, so its forward keeps no
     trace and the trace is None. The cut gradient is None unless
     ``input_grad`` asks for it."""
     x, y = _batch_input(state, k, batch)
-    dtrace = None if state.frozen_device else kernel.forward(local["device"], x)
+    dtrace = None if state.frozen_device else kernel.forward(state.global_device, x)
     a = state.frozen_forward(("batch", k, b), x) if dtrace is None else dtrace.output
     state.ledger.record(t, k, "activation", netsim.FLOAT_BYTES * a.size)
     state.ledger.record(t, k, "labels", netsim.LABEL_BYTES * len(y))
-    loss, cut_grad = _server_step(local["server"], a, y, state.config.lr, input_grad)
+    loss, cut_grad = _server_step(state.global_server, a, y, state.config.lr, input_grad)
     return dtrace, a, y, loss, cut_grad
 
 
-def _split_step(state, t, k, b, batch, local):
+def _split_step(state, t, k, b, batch):
     """Activation up, gradient down; a frozen device stack skips its update."""
     trains = not state.frozen_device
-    dtrace, a, y, loss, cut_grad = _serve_upload(state, t, k, b, batch, local, input_grad=trains)
+    dtrace, a, y, loss, cut_grad = _serve_upload(state, t, k, b, batch, input_grad=trains)
     state.ledger.record(t, k, "gradient", netsim.FLOAT_BYTES * a.size)
     if trains:
-        dev = local["device"]
+        dev = state.global_device
         grads = kernel.backward(dev, dtrace, cut_grad, input_grad=False)
         kernel.sgd_step(dev, grads, state.config.lr)
     return loss, len(y)
 
 
-def _local_loss_step(state, t, k, b, batch, local):
+def _local_loss_step(state, t, k, b, batch):
     """The device trains through its auxiliary head, never from the
     server: no gradient travels downlink."""
-    dtrace, a, y, loss, _ = _serve_upload(state, t, k, b, batch, local)
-    dev, head, lr = local["device"], local["head"], state.config.lr
+    dtrace, a, y, loss, _ = _serve_upload(state, t, k, b, batch)
+    dev, head, lr = state.global_device, state.global_head, state.config.lr
     # Local update is decoupled: it never alters the activation the
     # server just consumed, and its gradient stays on the device.
     _, hgrads = kernel.loss_grads(head, a, y)
@@ -391,7 +381,7 @@ def _local_loss_step(state, t, k, b, batch, local):
     return loss, len(y)
 
 
-def _replay_step(state, t, k, b, batch, local):
+def _replay_step(state, t, k, b, batch):
     """Quantized activations up into the server's cache on transmission
     rounds; in every round the server trains on the cached record. The
     frozen device stack never receives a gradient."""
@@ -404,7 +394,7 @@ def _replay_step(state, t, k, b, batch, local):
         )
         state.ledger.record(t, k, "activation", state.buffer.store(record))
     record = state.buffer.fetch(k, b)
-    loss, _ = _server_step(local["server"], quantize.decode(record), record.labels, cfg.lr)
+    loss, _ = _server_step(state.global_server, quantize.decode(record), record.labels, cfg.lr)
     return loss, len(record.labels)
 
 
@@ -425,33 +415,39 @@ def _check_finite(state, t, losses):
 
 
 def run_round(state, t):
-    """One round of any mode: every device trains clones of the global
-    stacks over its shard, one mode step per batch, then FedAvg."""
+    """One round of any mode: each device trains the global stacks in place
+    from the round's start vector, one mode step per batch, and the observer
+    measures it as it finishes; then FedAvg."""
     trained, synced = _stack_roles(state)
     step = _STEPS[state.config.mode]
+    stacks = {s: getattr(state, f"global_{s}") for s in trained}
+    starts = {s: kernel.param_vector(stack) for s, stack in stacks.items()}
     sync_bytes = netsim.FLOAT_BYTES * sum(
-        layer.param_count() for s in synced for layer in getattr(state, f"global_{s}"))
-    losses, vectors, counts = {}, {s: [] for s in trained}, []
+        layer.param_count() for s in synced for layer in stacks[s])
+    losses, vectors, counts, measured = {}, {s: [] for s in trained}, [], []
     for k in sorted(state.batches):
         if synced:
             state.ledger.record(t, k, "model_down", sync_bytes)
-        local = {s: models.clone_stack(getattr(state, f"global_{s}")) for s in trained}
-        local.setdefault("device", state.global_device)
+        for s, stack in stacks.items():
+            kernel.load_param_vector(stack, starts[s])
         total = 0.0
         for b, batch in enumerate(state.batches[k]):
-            loss, n = step(state, t, k, b, batch, local)
+            loss, n = step(state, t, k, b, batch)
             total += loss * n
         if synced:
             state.ledger.record(t, k, "model_up", sync_bytes)
         losses[k] = total / len(state.shards[k])
-        for s in trained:
-            vectors[s].append(kernel.param_vector(local[s]))
+        for s, stack in stacks.items():
+            vectors[s].append(kernel.param_vector(stack))
         counts.append(len(state.shards[k]))
-        state.device_stacks[k] = local["device"]
-        state.server_stacks[k] = local.get("server", local.get("model"))
-    diag_record = _maybe_observe(state, t)
-    for s in trained:
-        kernel.load_param_vector(getattr(state, f"global_{s}"), fedavg(vectors[s], counts))
+        if state.config.diagnostics:
+            measured.append(diag_mod.record_round(
+                state, t, k, state.global_device, state.global_server or state.global_model))
+    diag_record = diag_mod.round_record(measured) if measured else None
+    if diag_record is not None:
+        state.diagnostics_records.append(diag_record)
+    for s, stack in stacks.items():
+        kernel.load_param_vector(stack, fedavg(vectors[s], counts))
     _check_finite(state, t, losses)
     return _finish_round(state, t, losses, diag_record)
 

@@ -50,21 +50,29 @@ def synth_record(t, eta, gnorm=1.0, loss=1.0, eps=0.0, delta=0.0, max_sq=1.0):
     )
 
 
-def scripted_probe_means(state):
-    """(mean ||g||^2, mean loss) over devices, from fresh raw kernel calls."""
+def scripted_probe_means(state, stacks):
+    """(mean ||g||^2, mean loss) over devices, from fresh raw kernel calls
+    on ``stacks`` (device -> (device stack, server stack))."""
     sqs, losses = [], []
     for k in sorted(state.batches):
+        device, server = stacks[k]
         probe = state.probe_indices[k]
         x = state.dataset.images[probe]
         y = state.dataset.labels[probe]
-        a = kernel.forward(state.device_stacks[k], x).output
-        trace = kernel.forward(state.server_stacks[k], a)
+        a = kernel.forward(device, x).output
+        trace = kernel.forward(server, a)
         loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
-        grads = kernel.backward(state.server_stacks[k], trace, dlogits)
+        grads = kernel.backward(server, trace, dlogits)
         g = kernel.grad_vector(grads)
         sqs.append(float(g @ g))
         losses.append(loss)
     return np.mean(sqs), np.mean(losses)
+
+
+def observe(state, t, stacks):
+    """The round record the observer makes of ``stacks`` (device -> (device
+    stack, server stack)), one record_round per device."""
+    return dg.round_record([dg.record_round(state, t, k, *stacks[k]) for k in sorted(stacks)])
 
 
 def single_sample_grad_sqs(server, a, y):
@@ -80,12 +88,37 @@ def single_sample_grad_sqs(server, a, y):
 
 class TestRecordRound:
     def test_grad_norm_matches_scripted_oracle(self):
-        out = runtime.run_training(make_config())
-        state = out.state
-        rec = state.diagnostics_records[-1]
-        sq_mean, loss_mean = scripted_probe_means(state)
+        # Known stacks: a different server stack per device.
+        state = runtime.run_training(make_config()).state
+        rng = np.random.default_rng(4)
+        theta = kernel.param_vector(state.global_server)
+        stacks = {}
+        for k in sorted(state.batches):
+            server = models.clone_stack(state.global_server)
+            kernel.load_param_vector(server, theta + 0.01 * rng.standard_normal(theta.shape))
+            stacks[k] = (state.global_device, server)
+        rec = observe(state, 4, stacks)
+        sq_mean, loss_mean = scripted_probe_means(state, stacks)
         assert rec.grad_norm_sq == pytest.approx(sq_mean, rel=1e-12)
         assert rec.loss == pytest.approx(loss_mean, rel=1e-12)
+
+    def test_runtime_measures_each_trained_server_stack(self, monkeypatch):
+        # The observer sees each device's server stack as FedAvg gets it.
+        seen, averaged = [], []
+        record_round, fedavg = dg.record_round, runtime.fedavg
+
+        def spy_record(state, t, k, device, server):
+            seen.append(kernel.param_vector(server).tobytes())
+            return record_round(state, t, k, device, server)
+
+        def spy_fedavg(vectors, counts):
+            averaged.extend(v.tobytes() for v in vectors)
+            return fedavg(vectors, counts)
+
+        monkeypatch.setattr(dg, "record_round", spy_record)
+        monkeypatch.setattr(runtime, "fedavg", spy_fedavg)
+        runtime.run_training(make_config(rounds=2))
+        assert len(seen) == 4 and len(set(seen)) == 4 and seen == averaged
 
     def test_lossless_path_zeroes_eps_and_delta(self):
         # quantization off, every round transmits, device frozen.
@@ -166,10 +199,10 @@ class TestProbeMemo:
         assert state.frozen_outputs == {}
         # An in-place write that bumps no version: only a fresh device
         # forward sees it, a stamped memo would not.
-        for k in sorted(state.batches):
-            state.device_stacks[k][0].params()["w"][...] *= 0.5
-        rec = dg.record_round(state, 2)
-        sq_mean, loss_mean = scripted_probe_means(state)
+        state.global_device[0].params()["w"][...] *= 0.5
+        stacks = {k: (state.global_device, state.global_server) for k in state.batches}
+        rec = observe(state, 2, stacks)
+        sq_mean, loss_mean = scripted_probe_means(state, stacks)
         assert rec.loss == pytest.approx(loss_mean, rel=1e-12)
         assert rec.grad_norm_sq == pytest.approx(sq_mean, rel=1e-12)
         assert state.frozen_outputs == {}
@@ -179,12 +212,12 @@ class TestProbeMemo:
         state = out.state
         probes = {key[1] for key in state.frozen_outputs if key[0] == "probe"}
         assert state.frozen_device and probes == set(state.batches)
-        first, _ = dg.probe_batch(state, 0)
-        again, _ = dg.probe_batch(state, 0)
+        first, _ = dg.probe_batch(state, 0, state.global_device)
+        again, _ = dg.probe_batch(state, 0, state.global_device)
         assert again is first
         theta = kernel.param_vector(state.global_device)
         kernel.load_param_vector(state.global_device, 0.5 * theta)  # bumps versions
-        fresh, _ = dg.probe_batch(state, 0)
+        fresh, _ = dg.probe_batch(state, 0, state.global_device)
         x = state.dataset.images[state.probe_indices[0]]
         assert np.array_equal(fresh, kernel.forward(state.global_device, x).output)
         assert not np.array_equal(fresh, first)
@@ -269,6 +302,14 @@ class TestEstimateL:
         _, dlogits = kernel.softmax_cross_entropy(trace.output, labels)
         direct = kernel.grad_vector(kernel.backward(server, trace, dlogits))
         assert np.array_equal(fn(theta), direct)
+
+    def test_trajectory_smoothness_needs_a_final_round_probe(self):
+        diagnostics_off = runtime.run_training(make_config(diagnostics=False, rounds=2)).state
+        cut_short = runtime.init_state(make_config(rounds=3))
+        runtime.run_round(cut_short, 0)
+        for state in (diagnostics_off, cut_short):
+            with pytest.raises(dg.DiagnosticsError, match="every configured round run"):
+                dg.trajectory_smoothness(state)
 
 
 class TestBoundReport:
@@ -406,7 +447,7 @@ class TestObserverBudget:
 
         monkeypatch.setattr(kernel, "forward", counting(kernel.forward))
         monkeypatch.setattr(kernel, "predict", counting(kernel.predict))
-        dg.record_round(state, 2)
-        for server in state.server_stacks.values():
-            assert calls.count(id(server)) == server_passes
+        for k in sorted(state.batches):
+            dg.record_round(state, 2, k, state.global_device, state.global_server)
+        assert calls.count(id(state.global_server)) == server_passes * len(state.batches)
         assert calls.count(id(state.global_device)) == device_passes * len(state.batches)

@@ -382,7 +382,9 @@ def test_hot_path_does_no_einsum_planning(monkeypatch):
         "dataset": {"kind": "blobs", "per_class": 16, "noise_sigma": 0.3},
     })
     out = runtime.run_training(cfg)
-    assert diagnostics.record_round(out.state, 1).t == 1
+    state = out.state
+    record = diagnostics.record_round(state, 1, 0, state.global_device, state.global_server)
+    assert diagnostics.round_record([record]).t == 1
 
 
 def test_per_example_grads_keep_stack_checks():
@@ -620,7 +622,7 @@ def test_trace_rows_equals_a_forward_on_the_first_rows(name):
     dy = rng.standard_normal(full.output.shape).astype(np.float32)
     for n in (1, 3, diagnostics.SAMPLE_GRAD_CAP, len(x)):
         exact = n in (diagnostics.SAMPLE_GRAD_CAP, len(x))
-        cut = kernel.trace_rows(layers, full, n)
+        cut = kernel.trace_rows(full, n)
         ref = kernel.forward(layers, x[:n])
         assert cut.stamp == ref.stamp
         _assert_rows_match(cut.output, ref.output, exact)
@@ -633,10 +635,10 @@ def test_trace_rows_equals_a_forward_on_the_first_rows(name):
                 for k in w:
                     _assert_rows_match(g[k], w[k], exact)
     with pytest.raises(kernel.KernelError, match="cannot cut"):
-        kernel.trace_rows(layers, full, len(x) + 1)
+        kernel.trace_rows(full, len(x) + 1)
     if any(layer.params() for layer in layers):
-        before = kernel.trace_rows(layers, full, 3)
+        before = kernel.trace_rows(full, 3)
         kernel.sgd_step(layers, kernel.backward(layers, full, dy), lr=0.1)
-        for cut in (before, kernel.trace_rows(layers, full, 3)):
+        for cut in (before, kernel.trace_rows(full, 3)):
             with pytest.raises(kernel.KernelError, match="stale trace"):
                 kernel.backward(layers, cut, dy[:3], per_example=True)

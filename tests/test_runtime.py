@@ -212,6 +212,18 @@ MODE_CASES = [
 ]
 
 
+@pytest.mark.parametrize("mode,extra", MODE_CASES)
+def test_rounds_clone_no_stack(monkeypatch, mode, extra):
+    # Each device trains the global stacks in place from the round's start
+    # vector, and the observer reads them as the device finishes.
+    state = runtime.init_state(make_config(mode=mode, diagnostics=True, **extra))
+    clone, calls = models.clone_stack, []
+    monkeypatch.setattr(models, "clone_stack", lambda layers: calls.append(1) or clone(layers))
+    for t in range(state.config.rounds):
+        runtime.run_round(state, t)
+    assert calls == []
+
+
 class TestLedgerAgreement:
     @pytest.mark.parametrize("mode,extra", MODE_CASES)
     def test_ledger_matches_cost_model_exactly(self, mode, extra):
@@ -367,7 +379,7 @@ class TestRunTraining:
         assert pre_acc >= raw_acc
 
     def test_round_error_carries_round_context(self, monkeypatch):
-        def boom(state, t, k, b, batch, local):
+        def boom(state, t, k, b, batch):
             raise kernel.KernelError("injected fault")
 
         monkeypatch.setitem(runtime._STEPS, "split", boom)
