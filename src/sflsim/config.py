@@ -15,8 +15,6 @@ from . import models, netsim, runtime
 
 SCHEMA_VERSION = 1
 
-MODES = tuple(runtime._STEPS)  # one batch step per mode
-
 
 class ConfigError(ValueError):
     """Missing/unknown keys, bad types, or out-of-range values."""
@@ -45,6 +43,17 @@ class RunConfig:
     server_speed: float = 1e10
     spill_dir: str | None = None
 
+
+# Fields that act only in some modes; elsewhere they must keep their default.
+_MODE_FIELDS = {
+    "rho": ("replay",),  # the cache exists in replay only
+    "spill_dir": ("replay",),
+    "quantized": ("replay",),
+    "pretrain_epochs": ("split", "local_loss", "replay"),  # classic has no cut
+    "op_index": ("split", "local_loss", "replay"),
+    "freeze_device": ("split", "replay"),  # replay freezes regardless
+}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 _DATASET_KEYS = {
     "blobs": {"kind", "classes", "per_class", "noise_sigma", "image_shape"},
@@ -94,7 +103,7 @@ def from_dict(raw):
     for key, value in raw.items():
         _check_type(key, value, _HINTS[key])
     cfg = RunConfig(**raw)
-    _require(cfg.mode in runtime._STEPS, f"mode must be one of {MODES}, got {cfg.mode!r}")
+    _require(cfg.mode in runtime.MODES, f"mode must be one of {runtime.MODES}, got {cfg.mode!r}")
     _require(cfg.model in models.ZOO, f"model must be one of {sorted(models.ZOO)}")
     _require(cfg.devices >= 1, "devices must be >= 1")
     _require(cfg.rounds >= 1, "rounds must be >= 1")
@@ -103,26 +112,9 @@ def from_dict(raw):
     _require(cfg.batch_size >= 1, "batch_size must be >= 1")
     _require(cfg.pretrain_epochs >= 0, "pretrain_epochs must be >= 0")
     _require(cfg.seed >= 0, "seed must be >= 0")
-    _require(
-        cfg.rho == 1 or cfg.mode == "replay",
-        "rho is only meaningful in replay mode",
-    )
-    _require(
-        cfg.spill_dir is None or cfg.mode == "replay",
-        "spill_dir is only meaningful in replay mode",
-    )
-    _require(
-        cfg.quantized or cfg.mode == "replay",
-        "quantized is only meaningful in replay mode",
-    )
-    _require(
-        (cfg.pretrain_epochs == 0 and cfg.op_index is None) or cfg.mode != "classic",
-        "pretrain_epochs and op_index do not apply to classic (it trains the whole model)",
-    )
-    _require(
-        not cfg.freeze_device or cfg.mode in ("split", "replay"),
-        "freeze_device only applies to split (replay freezes regardless)",
-    )
+    for key, modes in _MODE_FIELDS.items():
+        _require(cfg.mode in modes or getattr(cfg, key) == _DEFAULTS[key],
+                 f"{key} only applies to {', '.join(modes)}, not {cfg.mode}")
     _require(
         cfg.profile in netsim.PROFILES,
         f"profile must be one of {sorted(netsim.PROFILES)}",

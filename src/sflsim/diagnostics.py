@@ -15,8 +15,9 @@ G and L are sampled maxima, not proven suprema, so the LHS <= RHS check
 is warning-grade: the report says whether it held, and callers log
 rather than assert.
 
-Everything here is a pure observer: estimators read model parameters and
-run extra forward/backward passes on probe data drawn from a dedicated
+Everything here is a pure observer: estimators read the training state's
+stacks (its device side through state.device_output, and state.server_side)
+and run extra forward/backward passes on probe data drawn from a dedicated
 RNG stream, but never step an optimizer or touch a training RNG, so
 enabling diagnostics cannot change a training trajectory bit.
 """
@@ -87,13 +88,13 @@ def _is_centre(t, rounds):
     return t % max(1, rounds // 8) == 0
 
 
-def record_round(state, t, device_id, device_stack, server_stack):
+def record_round(state, t, device_id):
     """Measure one device in round ``t`` of a running training state, as
-    it finishes its SGD steps: ``device_stack`` (None when the server stack
-    is the whole model) and ``server_stack`` hold its trained weights. The
-    state's fields read are batches, dataset, probe_indices, diag_rng,
-    buffer, diagnostics_records and config. No training state is mutated;
-    the only write is to the frozen-forward memo (see probe_batch).
+    it finishes its SGD steps: the state's global stacks (its device side
+    and ``server_side``) hold that device's trained weights. The state's
+    fields read are batches, dataset, probe_indices, diag_rng, buffer,
+    diagnostics_records and config. No training state is mutated; the only
+    write is to the device-output memo (see probe_batch).
 
     This costs two server passes: the probe batch, whose trace also gives G
     through a per-example backward on its first rows, and the decoded probe
@@ -104,8 +105,8 @@ def record_round(state, t, device_id, device_stack, server_stack):
     parameters only at trajectory centres (_is_centre) and its probe only
     in the final round, for trajectory_smoothness.
     """
-    cfg = state.config
-    a, y = probe_batch(state, device_id, device_stack)
+    cfg, server_stack = state.config, state.server_side
+    a, y = probe_batch(state, device_id)
     trace = kernel.forward(server_stack, a)
     loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
     g = kernel.grad_vector(kernel.backward(server_stack, trace, dlogits, input_grad=False))
@@ -142,23 +143,15 @@ def round_record(device_records):
     )
 
 
-def probe_batch(state, device_id, device_stack):
-    """One device's fixed probe as the server sees it: (activations, labels).
-
-    Without a device stack (classic) the server sees the probe images. A
-    frozen device stack is the shared global stack and never steps, so its
-    probe activations come from ``state.frozen_forward`` under the key
-    ("probe", device): computed once per stack stamp, read-only, and shared
-    with every later round. An unfrozen stack is run afresh.
+def probe_batch(state, device_id):
+    """One device's fixed probe as the server sees it: (activations, labels),
+    from ``state.device_output`` under the key ("probe", device). A frozen
+    device stack never steps, so its probe activations are computed once
+    per stack stamp, read-only, and shared with every later round.
     """
     probe = state.probe_indices[device_id]
     x = state.dataset.images[probe]
-    y = state.dataset.labels[probe]
-    if not device_stack:
-        return x, y
-    if not state.frozen_device:
-        return kernel.predict(device_stack, x), y
-    return state.frozen_forward(("probe", device_id), x), y
+    return state.device_output(("probe", device_id), x), state.dataset.labels[probe]
 
 
 def _sample_grad_sqs(server_layers, trace, labels):
@@ -195,7 +188,7 @@ def _staleness(state, device_id):
     with this round's augmentation setting; the batch index and the
     augmentation draws come from the diagnostics RNG so the measurement
     never consumes training RNG state. Without augmentation the forward is
-    the memo's (state.frozen_forward).
+    the memo's (state.device_output).
     """
     if state.buffer is None:
         return 0.0
@@ -204,7 +197,7 @@ def _staleness(state, device_id):
     x = state.dataset.images[batches[b]]
     if state.config.augment:
         x = data_mod.augment_hflip(x, state.diag_rng)
-    fresh = state.frozen_forward(("batch", device_id, b), x)
+    fresh = state.device_output(("batch", device_id, b), x)
     return buffer_mod.buffer_distance_proxy(state.buffer, device_id, b, fresh)
 
 
@@ -259,7 +252,7 @@ def trajectory_smoothness(state):
     records = state.diagnostics_records
     if not records or records[-1].probe is None:
         raise DiagnosticsError("L needs every configured round run with diagnostics on")
-    grad_fn = server_grad_fn(state.global_server or state.global_model, *records[-1].probe)
+    grad_fn = server_grad_fn(state.server_side, *records[-1].probe)
     centers = [r.server_params for r in records
                if _is_centre(r.t, state.config.rounds)]
     return estimate_L(grad_fn, centers, state.diag_rng)

@@ -216,14 +216,6 @@ def partition(model, op_index):
     return layers[:op_index], layers[op_index:]
 
 
-def concat_weights(device_stack, server_stack):
-    """Reassemble the full stack from its two halves."""
-    out_shape_ok = device_stack and server_stack
-    if not out_shape_ok:
-        raise ModelError("both stacks must be non-empty")
-    return list(device_stack) + list(server_stack)
-
-
 def clone_stack(layers):
     """Independent copy of a layer stack with identical parameter bits."""
     return copy.deepcopy(list(layers))

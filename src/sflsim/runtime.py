@@ -22,8 +22,10 @@ One pass over each device's shard per round; the batch partition and batch
 order are fixed across rounds so cached records keep stable keys. Devices
 run one after another in device-id order, each training the global stacks
 in place from the round's start vector, so no device sees another's update
-and runs are bit-deterministic under a fixed seed. Every transfer is
-recorded in a TrafficLedger whose totals match the cost model to the byte.
+and runs are bit-deterministic under a fixed seed. What the device side
+hands the server, in every mode, is TrainState.device_output; the stack
+the server trains is TrainState.server_side. Every transfer is recorded in
+a TrafficLedger whose totals match the cost model to the byte.
 """
 
 from __future__ import annotations
@@ -87,19 +89,28 @@ class TrainState:
     diag_rng: object  # Generator for the observer stream
     probe_indices: dict  # device -> fixed probe subset (diagnostics)
     diagnostics_records: list = field(default_factory=list)
-    frozen_outputs: dict = field(default_factory=dict)  # frozen_forward's memo
+    frozen_outputs: dict = field(default_factory=dict)  # device_output's memo
 
-    def frozen_forward(self, key, x):
-        """The frozen device stack's output on ``x``; every forward of a
-        frozen device stack goes through here. ``key`` names the input:
-        ("probe", device), ("batch", device, batch index) or ("test", first
-        row). An output is computed once per stack stamp and kept read-only
-        under its key, except a training batch that augmentation redraws or
-        that a ``spill_dir`` run keeps off the heap."""
-        if not self.frozen_device:
-            raise TrainingError("frozen_forward needs a frozen device stack")
+    @property
+    def server_side(self):
+        """The stack the server trains: the server half, or classic's whole
+        model."""
+        return self.global_server or self.global_model
+
+    def device_output(self, key, x):
+        """What the device side hands the server for input ``x``; every
+        device-side forward that keeps no trace goes through here. Without a
+        device stack (classic) that is ``x``; an unfrozen stack is run
+        afresh. ``key`` names the input: ("probe", device), ("batch",
+        device, batch index) or ("test", first row). A frozen stack's output
+        is computed once per stack stamp and kept read-only under its key,
+        except a training batch that augmentation redraws or that a
+        ``spill_dir`` run keeps off the heap."""
         stack = self.global_device
-        if key[0] == "batch" and (self.config.augment or self.config.spill_dir is not None):
+        if not stack:
+            return x
+        redrawn = key[0] == "batch" and (self.config.augment or self.config.spill_dir is not None)
+        if not self.frozen_device or redrawn:
             return kernel.predict(stack, x)
         stamp = kernel.stamp(stack)
         memo = self.frozen_outputs.get(key)
@@ -150,8 +161,7 @@ def evaluate(layers, dataset, split="test", batch_size=256, front=None):
     """Argmax accuracy of one layer stack on a dataset split; full
     precision, no quantization. ``front(start, x)``, if given, maps the
     chunk of images from row ``start`` on to the stack's input: the
-    runtime passes the frozen device side, so ``layers`` is the server
-    half."""
+    runtime passes the device side, so ``layers`` is the server side."""
     images, labels = dataset.subset(split)
     if len(labels) == 0:
         raise TrainingError(f"split {split!r} is empty")
@@ -167,20 +177,10 @@ def evaluate(layers, dataset, split="test", batch_size=256, front=None):
 
 
 def _test_accuracy(state):
-    """This round's test accuracy of the global model; a frozen device
-    half runs each test chunk once, through the memo."""
-    if not state.frozen_device:
-        return evaluate(_full_model(state), state.dataset)
-    front = lambda start, x: state.frozen_forward(("test", start), x)
-    return evaluate(state.global_server, state.dataset, front=front)
-
-
-def _full_model(state):
-    """The global model as one stack: classic's full model, or the device
-    and server halves joined."""
-    if state.config.mode == "classic":
-        return state.global_model
-    return models.concat_weights(state.global_device, state.global_server)
+    """This round's test accuracy of the global model: each test chunk
+    through the device side (state.device_output), then the server side."""
+    front = lambda start, x: state.device_output(("test", start), x)
+    return evaluate(state.server_side, state.dataset, front=front)
 
 
 def _batch_input(state, device, batch):
@@ -213,8 +213,14 @@ def init_state(config):
     children = ss.spawn(3)
     data_words = children[0].generate_state(2)
     dataset = _load_dataset(config, int(data_words[0]))
-    model_words = children[1].generate_state(2)
     spec = models.ZOO[config.model]()
+    top = int(dataset.labels.max(initial=0))
+    if top >= spec.num_classes:
+        raise data_mod.DataError(
+            f"dataset label {top} does not fit {config.model}, "
+            f"which has {spec.num_classes} classes"
+        )
+    model_words = children[1].generate_state(2)
     model = models.build_model(spec, seed=int(model_words[0]))
     op_index = config.op_index if config.op_index is not None else model.default_split
     if tuple(dataset.images.shape[1:]) != tuple(spec.input_shape):
@@ -348,7 +354,7 @@ def _serve_upload(state, t, k, b, batch, input_grad=False):
     ``input_grad`` asks for it."""
     x, y = _batch_input(state, k, batch)
     dtrace = None if state.frozen_device else kernel.forward(state.global_device, x)
-    a = state.frozen_forward(("batch", k, b), x) if dtrace is None else dtrace.output
+    a = state.device_output(("batch", k, b), x) if dtrace is None else dtrace.output
     state.ledger.record(t, k, "activation", netsim.FLOAT_BYTES * a.size)
     state.ledger.record(t, k, "labels", netsim.LABEL_BYTES * len(y))
     loss, cut_grad = _server_step(state.global_server, a, y, state.config.lr, input_grad)
@@ -388,7 +394,7 @@ def _replay_step(state, t, k, b, batch):
     cfg = state.config
     if buffer_mod.switch_is_on(t, cfg.rho):
         x, y = _batch_input(state, k, batch)
-        a = state.frozen_forward(("batch", k, b), x)
+        a = state.device_output(("batch", k, b), x)
         record = quantize.encode(
             a, round_tag=t, device_id=k, batch_index=b, labels=y, quantized=cfg.quantized,
         )
@@ -404,6 +410,7 @@ _STEPS = {
     "local_loss": _local_loss_step,
     "replay": _replay_step,
 }
+MODES = tuple(_STEPS)  # one batch step per mode
 
 
 def _check_finite(state, t, losses):
@@ -441,8 +448,7 @@ def run_round(state, t):
             vectors[s].append(kernel.param_vector(stack))
         counts.append(len(state.shards[k]))
         if state.config.diagnostics:
-            measured.append(diag_mod.record_round(
-                state, t, k, state.global_device, state.global_server or state.global_model))
+            measured.append(diag_mod.record_round(state, t, k))
     diag_record = diag_mod.round_record(measured) if measured else None
     if diag_record is not None:
         state.diagnostics_records.append(diag_record)
@@ -469,7 +475,8 @@ def run_training(config):
             raise TrainingError(f"round {t} ({config.mode}): {exc}") from exc
         results.append(result)
         rows.extend(_metrics_rows(config, result))
-    return RunOutput(final_model=_full_model(state), results=results, rows=rows, state=state)
+    final_model = (state.global_device or []) + state.server_side
+    return RunOutput(final_model=final_model, results=results, rows=rows, state=state)
 
 
 def _metrics_rows(config, result):

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file outputs, and exit-code categories."""
 
+import csv
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sflsim import cli, data as data_mod, kernel, models, runtime
+from sflsim import cli, data as data_mod, kernel, models, netsim, runtime
 
 
 def smoke_config(tmp_path, **overrides):
@@ -43,12 +44,31 @@ def test_run_smoke_writes_metrics(tmp_path, capsys):
     assert "final test accuracy" in stdout
 
 
-@pytest.mark.parametrize("mode", ["classic", "split", "local_loss", "replay"])
-def test_run_writes_weights_that_load_back_bit_exactly(tmp_path, capsys, monkeypatch, mode):
+def capture_training(monkeypatch):
+    """The RunOutput of each run_training call the CLI makes, in order."""
     outputs = []
     real_run = runtime.run_training
     monkeypatch.setattr(runtime, "run_training",
                         lambda cfg: outputs.append(real_run(cfg)) or outputs[-1])
+    return outputs
+
+
+def assert_weights_load_back(path, output):
+    """``path`` (a run's weights.sfl) loads into fresh stacks with the bits
+    of the run's final model and local-loss head."""
+    state = output.state
+    trained = output.final_model + (state.global_head or [])
+    fresh = models.build_model(state.spec, seed=12345).layers
+    if state.global_head:
+        fresh += models.auxiliary_head(state.spec, seed=12345, op_index=state.op_index)
+    assert len(fresh) == len(trained)
+    kernel.load_weights(path, fresh)
+    assert kernel.param_vector(fresh).tobytes() == kernel.param_vector(trained).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["classic", "split", "local_loss", "replay"])
+def test_run_writes_weights_that_load_back_bit_exactly(tmp_path, capsys, monkeypatch, mode):
+    outputs = capture_training(monkeypatch)
     cfg = smoke_config(tmp_path, mode=mode, rho=2 if mode == "replay" else 1,
                        pretrain_epochs=0 if mode == "classic" else 1)
     out_dir = tmp_path / "out"
@@ -57,14 +77,34 @@ def test_run_writes_weights_that_load_back_bit_exactly(tmp_path, capsys, monkeyp
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert f"weights written to {path} (sha256 {digest})" in capsys.readouterr().out
     (output,) = outputs
-    state = output.state
-    trained = output.final_model + (state.global_head or [])
-    fresh = models.build_model(state.spec, seed=12345).layers
-    if mode == "local_loss":
-        fresh += models.auxiliary_head(state.spec, seed=12345, op_index=state.op_index)
-    assert len(fresh) == len(trained)
-    kernel.load_weights(path, fresh)
-    assert kernel.param_vector(fresh).tobytes() == kernel.param_vector(trained).tobytes()
+    assert_weights_load_back(path, output)
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("mode", ["split", "replay"])
+def test_run_on_a_gen_data_pair(tmp_path, capsys, monkeypatch, mode, classes):
+    # tiny_vgg has 2 classes: a third is a data error before any training,
+    # pretraining (replay) included, and no output directory is made.
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data_dir), "--classes", str(classes),
+                     "--per-class", "20"]) == cli.EXIT_OK
+    idx = {"kind": "idx", "images": str(data_dir / "images.idx"),
+           "labels": str(data_dir / "labels.idx")}
+    cfg = smoke_config(tmp_path, mode=mode, rho=2 if mode == "replay" else 1, dataset=idx)
+    outputs = capture_training(monkeypatch)
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    if classes > 2:
+        assert code == cli.EXIT_DATA and not out_dir.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: dataset label 2 does not fit tiny_vgg, which has 2 classes"]
+        return
+    assert code == cli.EXIT_OK
+    rows = runtime.read_metrics_csv(out_dir / "metrics.csv")
+    assert [(r["round"], r["device"]) for r in rows] == [
+        (str(t), str(k)) for t in range(2) for k in range(2)]
+    assert_weights_load_back(out_dir / "weights.sfl", outputs[0])
 
 
 def test_run_with_diagnostics_writes_both_logs(tmp_path):
@@ -102,6 +142,24 @@ def test_cost_prints_table_and_writes_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 6  # header + five methods
     assert lines[0].startswith("model,method")
+
+
+def test_cost_size_overrides_set_every_row(tmp_path, capsys):
+    csv_path = tmp_path / "cost.csv"
+    assert cli.main(["cost", "--model", "tiny_res", "--devices", "3", "--samples", "1000",
+                     "--batch", "50", "--csv", str(csv_path)]) == cli.EXIT_OK
+    assert "3 devices x 1000 samples, batch 50" in capsys.readouterr().out
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = {row["method"]: row for row in csv.DictReader(fh)}
+    assert list(rows) == list(netsim.METHODS)
+    for method, row in rows.items():
+        report = netsim.comm_bytes_per_round(
+            method, models.tiny_res(), samples_per_device=1000, devices=3, batch_size=50)
+        assert (int(row["per_device_up"]), int(row["per_device_down"]),
+                int(row["total_bytes"]), float(row["gib"])) == (
+            report.per_device_up, report.per_device_down, report.total_bytes, report.gib)
+    assert (rows["split"]["per_device_up"], rows["split"]["per_device_down"]) == (
+        "1030992", "1028992")
 
 
 def test_cost_resnet9_fl_row(capsys):

@@ -50,29 +50,33 @@ def synth_record(t, eta, gnorm=1.0, loss=1.0, eps=0.0, delta=0.0, max_sq=1.0):
     )
 
 
-def scripted_probe_means(state, stacks):
+def scripted_probe_means(state, servers):
     """(mean ||g||^2, mean loss) over devices, from fresh raw kernel calls
-    on ``stacks`` (device -> (device stack, server stack))."""
+    on the state's device stack and ``servers`` (device -> server stack)."""
     sqs, losses = [], []
     for k in sorted(state.batches):
-        device, server = stacks[k]
         probe = state.probe_indices[k]
         x = state.dataset.images[probe]
         y = state.dataset.labels[probe]
-        a = kernel.forward(device, x).output
-        trace = kernel.forward(server, a)
+        a = kernel.forward(state.global_device, x).output
+        trace = kernel.forward(servers[k], a)
         loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
-        grads = kernel.backward(server, trace, dlogits)
+        grads = kernel.backward(servers[k], trace, dlogits)
         g = kernel.grad_vector(grads)
         sqs.append(float(g @ g))
         losses.append(loss)
     return np.mean(sqs), np.mean(losses)
 
 
-def observe(state, t, stacks):
-    """The round record the observer makes of ``stacks`` (device -> (device
-    stack, server stack)), one record_round per device."""
-    return dg.round_record([dg.record_round(state, t, k, *stacks[k]) for k in sorted(stacks)])
+def observe(state, t, servers):
+    """The round record the observer makes of ``servers`` (device -> server
+    stack): each device's weights loaded into the state's global server
+    stack, then that device's record_round."""
+    records = []
+    for k in sorted(servers):
+        kernel.load_param_vector(state.global_server, kernel.param_vector(servers[k]))
+        records.append(dg.record_round(state, t, k))
+    return dg.round_record(records)
 
 
 def single_sample_grad_sqs(server, a, y):
@@ -92,13 +96,12 @@ class TestRecordRound:
         state = runtime.run_training(make_config()).state
         rng = np.random.default_rng(4)
         theta = kernel.param_vector(state.global_server)
-        stacks = {}
+        servers = {}
         for k in sorted(state.batches):
-            server = models.clone_stack(state.global_server)
-            kernel.load_param_vector(server, theta + 0.01 * rng.standard_normal(theta.shape))
-            stacks[k] = (state.global_device, server)
-        rec = observe(state, 4, stacks)
-        sq_mean, loss_mean = scripted_probe_means(state, stacks)
+            servers[k] = models.clone_stack(state.global_server)
+            kernel.load_param_vector(servers[k], theta + 0.01 * rng.standard_normal(theta.shape))
+        rec = observe(state, 4, servers)
+        sq_mean, loss_mean = scripted_probe_means(state, servers)
         assert rec.grad_norm_sq == pytest.approx(sq_mean, rel=1e-12)
         assert rec.loss == pytest.approx(loss_mean, rel=1e-12)
 
@@ -107,9 +110,9 @@ class TestRecordRound:
         seen, averaged = [], []
         record_round, fedavg = dg.record_round, runtime.fedavg
 
-        def spy_record(state, t, k, device, server):
-            seen.append(kernel.param_vector(server).tobytes())
-            return record_round(state, t, k, device, server)
+        def spy_record(state, t, k):
+            seen.append(kernel.param_vector(state.global_server).tobytes())
+            return record_round(state, t, k)
 
         def spy_fedavg(vectors, counts):
             averaged.extend(v.tobytes() for v in vectors)
@@ -200,9 +203,9 @@ class TestProbeMemo:
         # An in-place write that bumps no version: only a fresh device
         # forward sees it, a stamped memo would not.
         state.global_device[0].params()["w"][...] *= 0.5
-        stacks = {k: (state.global_device, state.global_server) for k in state.batches}
-        rec = observe(state, 2, stacks)
-        sq_mean, loss_mean = scripted_probe_means(state, stacks)
+        servers = {k: state.global_server for k in state.batches}
+        rec = observe(state, 2, servers)
+        sq_mean, loss_mean = scripted_probe_means(state, servers)
         assert rec.loss == pytest.approx(loss_mean, rel=1e-12)
         assert rec.grad_norm_sq == pytest.approx(sq_mean, rel=1e-12)
         assert state.frozen_outputs == {}
@@ -212,12 +215,12 @@ class TestProbeMemo:
         state = out.state
         probes = {key[1] for key in state.frozen_outputs if key[0] == "probe"}
         assert state.frozen_device and probes == set(state.batches)
-        first, _ = dg.probe_batch(state, 0, state.global_device)
-        again, _ = dg.probe_batch(state, 0, state.global_device)
+        first, _ = dg.probe_batch(state, 0)
+        again, _ = dg.probe_batch(state, 0)
         assert again is first
         theta = kernel.param_vector(state.global_device)
         kernel.load_param_vector(state.global_device, 0.5 * theta)  # bumps versions
-        fresh, _ = dg.probe_batch(state, 0, state.global_device)
+        fresh, _ = dg.probe_batch(state, 0)
         x = state.dataset.images[state.probe_indices[0]]
         assert np.array_equal(fresh, kernel.forward(state.global_device, x).output)
         assert not np.array_equal(fresh, first)
@@ -448,6 +451,6 @@ class TestObserverBudget:
         monkeypatch.setattr(kernel, "forward", counting(kernel.forward))
         monkeypatch.setattr(kernel, "predict", counting(kernel.predict))
         for k in sorted(state.batches):
-            dg.record_round(state, 2, k, state.global_device, state.global_server)
+            dg.record_round(state, 2, k)
         assert calls.count(id(state.global_server)) == server_passes * len(state.batches)
         assert calls.count(id(state.global_device)) == device_passes * len(state.batches)

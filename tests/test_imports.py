@@ -1,8 +1,9 @@
 """Source rules checked on the package's syntax trees: numpy is the only
 runtime dependency (every module imports only the standard library, numpy
 and sflsim itself), the package's modules import one another without a
-cycle, and no module holds an ``assert`` statement, so no self-check
-vanishes under ``python -O``."""
+cycle, no module reads another module's ``_``-prefixed name, and no
+module holds an ``assert`` statement, so no self-check vanishes under
+``python -O``."""
 
 from __future__ import annotations
 
@@ -51,6 +52,28 @@ def _package_imports(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _private(name):
+    """A ``_``-prefixed name that is not a dunder such as ``__version__``."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(tree):
+    """(line, name) of each read of a sibling module's private name: an
+    attribute of a module bound by ``from . import m`` (as the package
+    imports its modules), or a name taken by ``from .m import _name``."""
+    modules = {alias.asname or alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and not node.module
+               for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            yield from ((node.lineno, f"{node.module}.{alias.name}")
+                        for alias in node.names if _private(alias.name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
 def _import_cycle(graph):
     """One import cycle of a {module: imported modules} graph, or None."""
     done, path = set(), []
@@ -88,6 +111,13 @@ def test_package_import_graph_is_acyclic():
     assert graph["runtime"] >= {"diagnostics", "kernel"}, graph  # the walk sees the package's imports
     cycle = _import_cycle(graph)
     assert cycle is None, f"import cycle: {' -> '.join(cycle)}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = [f"{name}:{line} {what}"
+             for name, tree in _trees().items()
+             for line, what in _private_reads(tree)]
+    assert not found, f"private names read across modules: {found}"
 
 
 def test_package_has_no_assert_statements():

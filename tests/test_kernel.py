@@ -383,7 +383,7 @@ def test_hot_path_does_no_einsum_planning(monkeypatch):
     })
     out = runtime.run_training(cfg)
     state = out.state
-    record = diagnostics.record_round(state, 1, 0, state.global_device, state.global_server)
+    record = diagnostics.record_round(state, 1, 0)
     assert diagnostics.round_record([record]).t == 1
 
 

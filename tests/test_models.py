@@ -124,7 +124,7 @@ def test_partition_boundaries():
 def test_partition_concat_round_trip():
     model = models.build_model(models.tiny_vgg(), seed=2)
     device, server = models.partition(model, model.default_split)
-    rebuilt = models.concat_weights(device, server)
+    rebuilt = device + server
     assert len(rebuilt) == len(model.layers)
     for la, lb in zip(model.layers, rebuilt):
         assert la is lb  # same objects, same order

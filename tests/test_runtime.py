@@ -112,7 +112,7 @@ class TestEvaluate:
         state = runtime.init_state(cfg)
         dataset = state.dataset
         # Bias the final dense layer so class 0 always wins.
-        layers = models.concat_weights(state.global_device, state.global_server)
+        layers = state.global_device + state.global_server
         final = [l for l in layers if l.params()][-1]
         final.params()["b"][...] = np.array([100.0, -100.0], dtype=np.float32)
         final.bump()
@@ -128,7 +128,7 @@ class TestEvaluate:
         rng = np.random.default_rng(99)
         state.dataset.labels = rng.integers(0, 2, size=len(state.dataset.labels))
         acc = runtime.evaluate(
-            models.concat_weights(state.global_device, state.global_server),
+            state.global_device + state.global_server,
             state.dataset,
             split="test",
         )
@@ -139,7 +139,7 @@ class TestEvaluate:
         state = runtime.init_state(cfg)
         result = runtime.run_round(state, 0)
         concat = runtime.evaluate(
-            models.concat_weights(state.global_device, state.global_server), state.dataset
+            state.global_device + state.global_server, state.dataset
         )
         assert result.test_acc == concat
 
@@ -361,7 +361,7 @@ class TestRunTraining:
         state = out.state
         whole = runtime.evaluate(out.final_model, state.dataset)
         pair = runtime.evaluate(
-            models.concat_weights(state.global_device, state.global_server), state.dataset
+            state.global_device + state.global_server, state.dataset
         )
         assert whole == pair == out.results[-1].test_acc
 
@@ -486,7 +486,7 @@ class TestFrozenForward:
         assert len(images) > 256
         for t in range(2):
             result = runtime.run_round(state, t)
-            full = models.concat_weights(state.global_device, state.global_server)
+            full = state.global_device + state.global_server
             assert result.test_acc == runtime.evaluate(full, state.dataset)
         inputs = {("test", 0): images[:256], ("test", 256): images[256:]}
         for k, batches in state.batches.items():
@@ -516,5 +516,14 @@ class TestFrozenForward:
         out = runtime.run_training(make_config(mode="split", devices=2, diagnostics=True))
         state = out.state
         assert not state.frozen_device and state.frozen_outputs == {}
-        with pytest.raises(runtime.TrainingError, match="frozen"):
-            state.frozen_forward(("probe", 0), state.dataset.images[:2])
+        x = state.dataset.images[:2]
+        out = state.device_output(("probe", 0), x)
+        assert out.tobytes() == kernel.predict(state.global_device, x).tobytes()
+        assert state.frozen_outputs == {}
+
+    def test_without_a_device_stack_the_server_gets_the_input(self):
+        state = runtime.run_training(
+            make_config(mode="classic", devices=2, pretrain_epochs=0, diagnostics=True)).state
+        x = state.dataset.images[:2]
+        assert state.device_output(("test", 0), x) is x
+        assert state.server_side is state.global_model and state.frozen_outputs == {}
