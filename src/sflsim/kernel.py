@@ -106,33 +106,52 @@ class Dense(_WeightBias):
 # einsum plan, numpy._core.einsumfunc._parse_eq_to_batch_matmul, or a
 # tensordot): the same values in the same memory layout, so BLAS sums in the
 # same order and no bit differs from the einsum formulation that
-# tests/test_kernel.py keeps as a reference.
+# tests/test_kernel.py keeps as a reference. The conv3x3 forward and input
+# gradient take their window matrix from shifted views of the unpadded batch
+# (_windows); only the weight gradient's operand, the transposed matrix, is
+# sliced from a zero-padded copy (_im2col), since a shifted build of it was
+# not faster.
 
 
-def _pad1(x):
-    """Zero-pad the two spatial axes by one on each side, in C order."""
+def _windows(x):
+    """The 3x3 windows of an unpadded (B, C, H, W) batch, zero-padded by
+    one, as the C-ordered (9C, BHW) matrix: rows in (c, i, j) order, columns
+    in (b, h, w) order. The batch is copied once, channel-major, into a
+    (C, BHW) block with W + 1 zeros at each end, so that tap (i, j) is the
+    block shifted by (i-1)W + (j-1) entries; one copy of the nine shifted
+    views fills the matrix. Four fills then zero the entries that a shift
+    carried across a row or sample edge, which are exactly the window
+    entries that fall in the padding."""
+    b, c, h, w = x.shape
+    n, margin = b * h * w, w + 1
+    block = np.zeros((c, n + 2 * margin), dtype=x.dtype)
+    block[:, margin : margin + n].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
+    step = x.itemsize
+    shifted = np.lib.stride_tricks.as_strided(
+        block, (c, 3, 3, n), (block.strides[0], w * step, step, step), writeable=False
+    )
+    out = shifted.copy()
+    taps = out.reshape(c, 3, 3, b, h, w)
+    taps[:, 0, :, :, :1] = 0
+    taps[:, 2, :, :, -1:] = 0
+    taps[:, :, 0, :, :, :1] = 0
+    taps[:, :, 2, :, :, -1:] = 0
+    return out.reshape(9 * c, n)
+
+
+def _im2col(x):
+    """The transpose of _windows(x), built directly as the C-ordered
+    (BHW, 9C) matrix: rows in (b, h, w) order, columns in (c, i, j) order.
+    Nine slice copies from a zero-padded C-ordered copy of the batch."""
     b, c, h, w = x.shape
     xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
     xp[:, :, 1:-1, 1:-1] = x
-    return xp
-
-
-def _im2col(xp, transposed=False):
-    """The 3x3 windows of a padded (B, C, H+2, W+2) batch as the C-ordered
-    (9C, BHW) matrix: rows in (c, i, j) order, columns in (b, h, w) order.
-    ``transposed`` builds its transpose, the C-ordered (BHW, 9C) matrix,
-    directly rather than by a second copy."""
-    b, c, h, w = xp.shape
-    h, w = h - 2, w - 2
-    if transposed:
-        out = np.empty((b, h, w, c, 3, 3), dtype=xp.dtype)
-        cols = out.transpose(3, 4, 5, 0, 1, 2)
-    else:
-        out = cols = np.empty((c, 3, 3, b, h, w), dtype=xp.dtype)
+    out = np.empty((b, h, w, c, 3, 3), dtype=x.dtype)
+    cols = out.transpose(3, 4, 5, 0, 1, 2)
     for i in range(3):
         for j in range(3):
             cols[:, i, j] = xp[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
-    return out.reshape(-1, 9 * c) if transposed else out.reshape(9 * c, -1)
+    return out.reshape(-1, 9 * c)
 
 
 def _channel_rows(x):
@@ -149,7 +168,10 @@ def _from_channel_rows(y, like):
 
 
 class Conv3x3(_WeightBias):
-    """3x3 convolution, stride 1, zero padding 1 (spatial size preserved)."""
+    """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
+
+    The forward caches its input as it is; only the backward pads it, for
+    the weight gradient's operand."""
 
     kind = "conv3x3"
 
@@ -160,14 +182,13 @@ class Conv3x3(_WeightBias):
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise KernelError(f"conv3x3 expects (batch, {self.c_in}, h, w), got {x.shape}")
-        xp = _pad1(x)
         # ocij,bchwij->bohw
-        y = _from_channel_rows(self.w.reshape(self.w.shape[0], -1) @ _im2col(xp), x)
+        y = _from_channel_rows(self.w.reshape(self.w.shape[0], -1) @ _windows(x), x)
         y += self.b[None, :, None, None]
-        return y, xp
+        return y, x
 
     def backward(self, cache, dy, per_example=False, input_grad=True):
-        rows = _im2col(cache, transposed=True)
+        rows = _im2col(cache)
         if per_example:
             # bohw,bchwij->bocij
             b, o, h, w = dy.shape
@@ -181,7 +202,7 @@ class Conv3x3(_WeightBias):
             return {"w": dw, "b": db}, None
         # ocij,bohwij->bchw on the flipped kernel
         w_flip = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(self.c_in, -1)
-        dx = _from_channel_rows(w_flip @ _im2col(_pad1(dy)), dy)
+        dx = _from_channel_rows(w_flip @ _windows(dy), dy)
         return {"w": dw, "b": db}, dx
 
 

@@ -213,6 +213,11 @@ def init_state(config):
     children = ss.spawn(3)
     data_words = children[0].generate_state(2)
     dataset = _load_dataset(config, int(data_words[0]))
+    for split, used in (("test", True), ("pretrain", config.pretrain_epochs > 0)):
+        if used and len(dataset.splits[split]) == 0:
+            raise data_mod.DataError(
+                f"split {split!r} is empty: {len(dataset.labels)} samples are too few"
+            )
     spec = models.ZOO[config.model]()
     top = int(dataset.labels.max(initial=0))
     if top >= spec.num_classes:

@@ -107,6 +107,30 @@ def test_run_on_a_gen_data_pair(tmp_path, capsys, monkeypatch, mode, classes):
     assert_weights_load_back(out_dir / "weights.sfl", outputs[0])
 
 
+@pytest.mark.parametrize("n, mode, pretrain_epochs, empty", [
+    (3, "split", 0, "test"),  # 1 pretrain, 2 train, 0 test samples
+    (2, "replay", 1, "pretrain"),  # 0 pretrain, 1 train, 1 test sample
+    (2, "split", 0, None),  # the pretrain split may be empty when unused
+])
+def test_run_rejects_an_empty_split_before_training(tmp_path, capsys, n, mode,
+                                                    pretrain_epochs, empty):
+    ip, lp = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images = np.random.default_rng(0).uniform(size=(n, 1, 16, 16)).astype(np.float32)
+    data_mod.write_idx(ip, lp, images, np.arange(n) % 2)
+    idx = {"kind": "idx", "images": str(ip), "labels": str(lp)}
+    cfg = smoke_config(tmp_path, mode=mode, devices=1, rho=2 if mode == "replay" else 1,
+                       pretrain_epochs=pretrain_epochs, dataset=idx)
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    if empty is None:
+        assert code == cli.EXIT_OK
+        return
+    assert code == cli.EXIT_DATA and not out_dir.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: split {empty!r} is empty: {n} samples are too few"]
+
+
 def test_run_with_diagnostics_writes_both_logs(tmp_path):
     cfg = smoke_config(tmp_path, diagnostics=True, rounds=3)
     out_dir = tmp_path / "out"

@@ -98,18 +98,18 @@ def _assert_same_array(got, want):
             assert got.strides[axis] == want.strides[axis], (axis, got.strides, want.strides)
 
 
-@pytest.mark.parametrize("c_in", [1, 8, 16])
-@pytest.mark.parametrize("batch", [1, 3, 5, 16])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kind", ["conv3x3", "conv1x1"])
-def test_conv_is_its_einsum_reference_byte_for_byte(kind, dtype, batch, c_in):
+def _assert_conv_is_its_reference(kind, dtype, shape, seed):
+    """Forward and every backward variant of a conv on a (B, C, H, W) input
+    of ``shape``, in C order and with reversed strides, against the einsum
+    reference, byte for byte."""
     make, reference = {"conv3x3": (kernel.Conv3x3, _reference_conv3x3),
                        "conv1x1": (kernel.Conv1x1, _reference_conv1x1)}[kind]
-    rng = np.random.default_rng(batch * 100 + c_in)
+    rng = np.random.default_rng(seed)
+    batch, c_in, h, w = shape
     conv = make(c_in, 16, rng, dtype)
     # A ReLU'd input, as every conv but the first sees: exact zeros included.
-    x_c = np.maximum(rng.standard_normal((batch, c_in, 8, 6)), 0).astype(dtype)
-    dy_c = rng.standard_normal((batch, 16, 8, 6)).astype(dtype)
+    x_c = np.maximum(rng.standard_normal(shape), 0).astype(dtype)
+    dy_c = rng.standard_normal((batch, 16, h, w)).astype(dtype)
     for layout in (lambda a: a, _transposed_copy):
         x, dy = layout(x_c), layout(dy_c)
         y, cache = conv.forward(x)
@@ -121,11 +121,43 @@ def test_conv_is_its_einsum_reference_byte_for_byte(kind, dtype, batch, c_in):
                 _assert_same_array(y, want_y)
                 assert grads.keys() == want_grads.keys()
                 for name in want_grads:
-                    _assert_same_array(grads[name], want_grads[name])
+                    if per_example and name == "w" and h * w == 1:
+                        # One pixel: einsum contracts nothing and multiplies,
+                        # so dy * 0 keeps dy's sign, in its own layout; the
+                        # matmul's sum makes that zero +0.0.
+                        assert np.array_equal(grads[name], want_grads[name])
+                        assert grads[name].dtype == want_grads[name].dtype
+                    else:
+                        _assert_same_array(grads[name], want_grads[name])
                 if input_grad:
                     _assert_same_array(dx, want_dx)
                 else:
                     assert dx is None
+
+
+@pytest.mark.parametrize("c_in", [1, 8, 16])
+@pytest.mark.parametrize("batch", [1, 3, 5, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["conv3x3", "conv1x1"])
+def test_conv_is_its_einsum_reference_byte_for_byte(kind, dtype, batch, c_in):
+    _assert_conv_is_its_reference(kind, dtype, (batch, c_in, 8, 6), batch * 100 + c_in)
+
+
+# Spatial sizes where a conv3x3 tap's shift, (i-1)W + (j-1) entries of the
+# flattened (b, h, w) axis, reaches past rows, samples or the whole batch:
+# (1, 2, 1, 4) shifts by W + 1 = 5 entries in a block of 4.
+@pytest.mark.parametrize("shape", [(1, 2, 1, 4), (1, 2, 1, 5), (2, 3, 3, 1),
+                                   (1, 2, 3, 1), (3, 2, 1, 1), (2, 3, 2, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv3x3_edge_shapes_are_the_einsum_reference(dtype, shape):
+    _assert_conv_is_its_reference("conv3x3", dtype, shape, sum(shape))
+
+
+def test_conv3x3_caches_its_input_without_a_padded_copy():
+    conv = kernel.Conv3x3(2, 4, np.random.default_rng(0))
+    x = np.ones((3, 2, 4, 4), dtype=np.float32)
+    _, cache = conv.forward(x)
+    assert np.shares_memory(cache, x) and cache.shape == x.shape
 
 
 def test_maxpool_forward_and_gradient_routing():
