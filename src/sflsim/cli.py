@@ -107,6 +107,16 @@ def build_parser():
     return parser
 
 
+def _check_out_dir(path):
+    """Refuse, before any work, an --out path whose first existing component
+    is not a directory: makedirs would fail on it after the work."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise data_mod.DataError(f"--out {path}: {probe} exists and is not a directory")
+
+
 def cmd_run(args):
     overrides = {}
     if args.seed is not None:
@@ -114,6 +124,7 @@ def cmd_run(args):
     if args.profile is not None:
         overrides["profile"] = args.profile
     cfg = config_mod.load_config(args.config, overrides)
+    _check_out_dir(args.out)
     log.info("running %s: %s rounds, %s devices", cfg.mode, cfg.rounds, cfg.devices)
     output = runtime.run_training(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -241,6 +252,7 @@ def cmd_gen_data(args):
         raise UsageError(f"--classes must be <= 256 (one-byte IDX labels), got {args.classes}")
     if not (math.isfinite(args.sigma) and args.sigma >= 0):
         raise UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
+    _check_out_dir(args.out)
     dataset = data_mod.generate_blobs(
         classes=args.classes,
         per_class=args.per_class,

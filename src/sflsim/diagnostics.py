@@ -19,7 +19,9 @@ Everything here is a pure observer: estimators read the training state's
 stacks (its device side through state.device_output, and state.server_side)
 and run extra forward/backward passes on probe data drawn from a dedicated
 RNG stream, but never step an optimizer or touch a training RNG, so
-enabling diagnostics cannot change a training trajectory bit.
+enabling diagnostics cannot change a training trajectory bit. No pass runs
+for G alone, and every norm is a numpy sum (kernel.sq_norm), so the logs do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -96,32 +98,31 @@ def record_round(state, t, device_id):
     diagnostics_records and config. No training state is mutated; the only
     write is to the device-output memo (see probe_batch).
 
-    This costs two server passes: the probe batch, whose trace also gives G
-    through a per-example backward on its first rows, and the decoded probe
-    batch inside quantization_error (which reuses the probe gradient for
-    the clean side). A lossless pipeline skips the second pass: its eps is
-    0. A frozen device side adds no pass after round 0: the probe and the
-    staleness batch come from the memo. The first device keeps its server
-    parameters only at trajectory centres (_is_centre) and its probe only
-    in the final round, for trajectory_smoothness.
+    This costs two server passes: the probe batch, whose backward also gives
+    G (probe_gradients), and the decoded probe batch inside
+    quantization_error (which reuses the probe gradient for the clean side).
+    A lossless pipeline skips the second pass: its eps is 0. A frozen device
+    side adds no pass after round 0: the probe and the staleness batch come
+    from the memo. The first device keeps its server parameters only at
+    trajectory centres (_is_centre) and its probe only in the final round,
+    for trajectory_smoothness.
     """
     cfg, server_stack = state.config, state.server_side
     a, y = probe_batch(state, device_id)
-    trace = kernel.forward(server_stack, a)
-    loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
-    g = kernel.grad_vector(kernel.backward(server_stack, trace, dlogits, input_grad=False))
+    loss, g, sample_sqs = probe_gradients(server_stack, a, y)
     quantized_pipeline = cfg.mode == "replay" and cfg.quantized
     first = device_id == min(state.batches)
+    previous = state.diagnostics_records[-1].gamma if state.diagnostics_records else 0.0
     return DiagnosticsRecord(
         t=t,
         eta=cfg.lr,
-        grad_norm_sq=float(g @ g),
+        grad_norm_sq=kernel.sq_norm(g),
         eps={device_id: quantize.quantization_error(a, server_stack, y, g)
              if quantized_pipeline else 0.0},
         delta={device_id: _staleness(state, device_id)},
         loss=loss,
-        gamma=sum(r.eta for r in state.diagnostics_records) + cfg.lr,
-        max_sample_grad_sq=max(0.0, float(_sample_grad_sqs(server_stack, trace, y).max())),
+        gamma=previous + cfg.lr,
+        max_sample_grad_sq=max(0.0, float(sample_sqs.max())),
         server_params=(kernel.param_vector(server_stack)
                        if first and _is_centre(t, cfg.rounds) else None),
         probe=(a, y) if first and t == cfg.rounds - 1 else None,
@@ -154,31 +155,24 @@ def probe_batch(state, device_id):
     return state.device_output(("probe", device_id), x), state.dataset.labels[probe]
 
 
-def _sample_grad_sqs(server_layers, trace, labels):
-    """Squared norms of the single-sample loss gradients of the first
-    n = min(len(labels), SAMPLE_GRAD_CAP) samples, from one per-example
-    backward pass on those rows of ``trace`` (a forward of the server stack
-    on the batch ``labels`` belong to), each norm summed in float64.
+def probe_gradients(server_layers, a, y):
+    """(loss, flat gradient, sample norms) of a server stack on a probe
+    batch, from one forward and one backward. The backward's hook sums in
+    float64 the squares of the first n = min(len(y), SAMPLE_GRAD_CAP)
+    samples' gradients (Layer.sample_grads on the first n rows) and scales
+    them by N**2, N = len(y): a row of the mean loss's gradient is 1/N of
+    its sample's own."""
+    trace = kernel.forward(server_layers, a)
+    loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
+    n = min(len(y), SAMPLE_GRAD_CAP)
+    sqs = np.zeros(n)
 
-    Row i of the mean loss's per-example gradient times n is sample i's own
-    loss gradient; the scaling is exact when n is a power of two.
-    """
-    n = min(len(labels), SAMPLE_GRAD_CAP)
-    trace = kernel.trace_rows(trace, n)
-    _, dlogits = kernel.softmax_cross_entropy(trace.output, labels[:n])
-    grads = kernel.backward(server_layers, trace, dlogits * n, per_example=True,
-                            input_grad=False)
-    flat = [
-        layer_grads[key].reshape(n, -1)
-        for layer_grads in grads.layers
-        for key in sorted(layer_grads)
-    ]
-    # One grad_vector-layout float64 row at a time keeps the peak small.
-    sqs = np.empty(n)
-    for i in range(n):
-        row = np.concatenate([f[i] for f in flat]).astype(np.float64)
-        sqs[i] = row @ row
-    return sqs
+    def visit(layer, cache, dy):
+        for rows in layer.sample_grads(cache[:n], dy[:n]).values():
+            sqs[:] += np.sum(np.square(rows.reshape(n, -1), dtype=np.float64), axis=1)
+
+    grads = kernel.backward(server_layers, trace, dlogits, input_grad=False, visit=visit)
+    return loss, kernel.grad_vector(grads), sqs * len(y) ** 2
 
 
 def _staleness(state, device_id):
@@ -222,11 +216,11 @@ def estimate_L(grad_fn, centers, rng, pairs_per_center=4, sigma=1e-2):
         for _ in range(pairs_per_center):
             w = center + sigma * rng.standard_normal(center.shape)
             v = center + sigma * rng.standard_normal(center.shape)
-            gap = np.linalg.norm(w - v)
+            gap = math.sqrt(kernel.sq_norm(w - v))
             while gap == 0.0:  # zero-denominator guard; measure-zero redraw
                 v = center + sigma * rng.standard_normal(center.shape)
-                gap = np.linalg.norm(w - v)
-            best = max(best, float(np.linalg.norm(grad_fn(w) - grad_fn(v)) / gap))
+                gap = math.sqrt(kernel.sq_norm(w - v))
+            best = max(best, math.sqrt(kernel.sq_norm(grad_fn(w) - grad_fn(v))) / gap)
     return best
 
 

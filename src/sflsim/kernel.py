@@ -3,11 +3,12 @@
 Layers are stateful objects holding float32 parameters (float64 in test mode)
 and exposing forward/backward with explicit caches. Stack-level helpers run a
 list of layers as one network (forward keeps a Trace for backward, predict
-keeps none), cut a trace to its first samples (trace_rows), validate
-traces, take the cross-entropy loss and its gradients in one call
-(loss_grads), and apply plain SGD. A weight checkpoint (SFL1) is
-the stack's own header followed by its param_vector. central_differences is
-the finite-difference oracle for the analytic gradients.
+keeps none; backward's one hook, visit(layer, cache, dy), shows a caller
+each layer's cache and output grad, as Layer.sample_grads reads them),
+validate traces, take the cross-entropy loss and its gradients in one call
+(loss_grads), and apply plain SGD. A weight checkpoint (SFL1) is the stack's
+own header followed by its param_vector. central_differences is the
+finite-difference oracle for the analytic gradients.
 """
 
 from __future__ import annotations
@@ -56,12 +57,19 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, cache, dy, per_example=False, input_grad=True):
-        """(parameter grads, input grad). With ``per_example`` every
-        parameter grad keeps the batch axis in front: row i is the gradient
-        of sample i's share of the loss. With ``input_grad`` off the input
-        grad is not computed and comes back as None."""
+    def backward(self, cache, dy, input_grad=True, visit=None):
+        """(parameter grads, input grad); with ``input_grad`` off the input
+        grad is None. A layer holding stacks (ResidualBlock) passes the stack
+        backward's hook ``visit`` on to them."""
         raise NotImplementedError
+
+    def sample_grads(self, cache, dy):
+        """Per-sample parameter grads from the forward cache and output grad:
+        row i is the grad of sample i's share of the loss (Goodfellow,
+        arXiv:1510.01799), so the first rows of cache and dy give the first
+        rows. Empty here; a ResidualBlock's sub-layers have their own, and
+        backward's hook visits them."""
+        return {}
 
     def bump(self):
         self.version += 1
@@ -92,13 +100,11 @@ class Dense(_WeightBias):
             raise KernelError(f"dense expects (batch, {self.n_in}), got {x.shape}")
         return x @ self.w + self.b, x
 
-    def backward(self, cache, dy, per_example=False, input_grad=True):
-        x = cache
-        if per_example:
-            grads = {"w": np.einsum("bi,bo->bio", x, dy), "b": dy}
-        else:
-            grads = {"w": x.T @ dy, "b": dy.sum(axis=0)}
-        return grads, dy @ self.w.T if input_grad else None
+    def backward(self, cache, dy, input_grad=True, visit=None):
+        return {"w": cache.T @ dy, "b": dy.sum(axis=0)}, dy @ self.w.T if input_grad else None
+
+    def sample_grads(self, cache, dy):
+        return {"w": np.einsum("bi,bo->bio", cache, dy), "b": dy}
 
 
 # The convolutions are direct matmuls. Each one gets, byte for byte, the
@@ -106,7 +112,8 @@ class Dense(_WeightBias):
 # einsum plan, numpy._core.einsumfunc._parse_eq_to_batch_matmul, or a
 # tensordot): the same values in the same memory layout, so BLAS sums in the
 # same order and no bit differs from the einsum formulation that
-# tests/test_kernel.py keeps as a reference. The conv3x3 forward and input
+# tests/test_kernel.py keeps as a reference, but for the sign of a zero in
+# one case that Conv3x3.sample_grads names. The conv3x3 forward and input
 # gradient take their window matrix from shifted views of the unpadded batch
 # (_windows); only the weight gradient's operand, the transposed matrix, is
 # sliced from a zero-padded copy (_im2col), since a shifted build of it was
@@ -187,23 +194,24 @@ class Conv3x3(_WeightBias):
         y += self.b[None, :, None, None]
         return y, x
 
-    def backward(self, cache, dy, per_example=False, input_grad=True):
-        rows = _im2col(cache)
-        if per_example:
-            # bohw,bchwij->bocij
-            b, o, h, w = dy.shape
-            dw = (dy.reshape(b, o, h * w) @ rows.reshape(b, h * w, -1)).reshape(b, *self.w.shape)
-            db = dy.sum(axis=(2, 3))
-        else:
-            # np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
-            dw = (_channel_rows(dy) @ rows).reshape(self.w.shape)
-            db = dy.sum(axis=(0, 2, 3))
+    def backward(self, cache, dy, input_grad=True, visit=None):
+        # np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
+        dw = (_channel_rows(dy) @ _im2col(cache)).reshape(self.w.shape)
+        grads = {"w": dw, "b": dy.sum(axis=(0, 2, 3))}
         if not input_grad:
-            return {"w": dw, "b": db}, None
+            return grads, None
         # ocij,bohwij->bchw on the flipped kernel
         w_flip = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(self.c_in, -1)
-        dx = _from_channel_rows(w_flip @ _windows(dy), dy)
-        return {"w": dw, "b": db}, dx
+        return grads, _from_channel_rows(w_flip @ _windows(dy), dy)
+
+    def sample_grads(self, cache, dy):
+        # bohw,bchwij->bocij, byte for byte but for one case: at H*W = 1
+        # einsum contracts nothing and multiplies, so dy * 0 keeps dy's sign
+        # (-0.0), where the matmul's sum gives +0.0.
+        b, o, h, w = dy.shape
+        rows = _im2col(cache).reshape(b, h * w, -1)
+        dw = (dy.reshape(b, o, h * w) @ rows).reshape(b, *self.w.shape)
+        return {"w": dw, "b": dy.sum(axis=(2, 3))}
 
 
 class Conv1x1(_WeightBias):
@@ -227,23 +235,18 @@ class Conv1x1(_WeightBias):
         y += self.b[None, :, None, None]
         return y, x
 
-    def backward(self, cache, dy, per_example=False, input_grad=True):
-        x = cache
-        pixels = x.transpose(0, 2, 3, 1)
-        if per_example:
-            # bohw,bchw->boc
-            b, o = dy.shape[:2]
-            dw = dy.reshape(b, o, -1) @ pixels.reshape(b, -1, self.c_in)
-            db = dy.sum(axis=(2, 3))
-        else:
-            # bohw,bchw->oc
-            dw = _channel_rows(dy) @ pixels.reshape(-1, self.c_in)
-            db = dy.sum(axis=(0, 2, 3))
-        if not input_grad:
-            return {"w": dw, "b": db}, None
+    def backward(self, cache, dy, input_grad=True, visit=None):
+        # bohw,bchw->oc
+        dw = _channel_rows(dy) @ cache.transpose(0, 2, 3, 1).reshape(-1, self.c_in)
+        grads = {"w": dw, "b": dy.sum(axis=(0, 2, 3))}
         # oc,bohw->bchw
-        dx = _from_channel_rows(self.w.T @ _channel_rows(dy), dy)
-        return {"w": dw, "b": db}, dx
+        return grads, _from_channel_rows(self.w.T @ _channel_rows(dy), dy) if input_grad else None
+
+    def sample_grads(self, cache, dy):
+        # bohw,bchw->boc
+        b, o = dy.shape[:2]
+        dw = dy.reshape(b, o, -1) @ cache.transpose(0, 2, 3, 1).reshape(b, -1, self.c_in)
+        return {"w": dw, "b": dy.sum(axis=(2, 3))}
 
 
 # The four 2x2-window positions, in row-major order: (row, column) offsets.
@@ -272,7 +275,7 @@ class MaxPool2x2(Layer):
         y = np.ascontiguousarray(np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3])))
         return y, (x, y)
 
-    def backward(self, cache, dy, per_example=False, input_grad=True):
+    def backward(self, cache, dy, input_grad=True, visit=None):
         if not input_grad:
             return {}, None
         x, y = cache
@@ -296,7 +299,7 @@ class ReLU(Layer):
     def forward(self, x):
         return np.maximum(x, 0), x > 0
 
-    def backward(self, cache, dy, per_example=False, input_grad=True):
+    def backward(self, cache, dy, input_grad=True, visit=None):
         return {}, dy * cache if input_grad else None
 
 
@@ -306,7 +309,7 @@ class Flatten(Layer):
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape[1:]
 
-    def backward(self, cache, dy, per_example=False, input_grad=True):
+    def backward(self, cache, dy, input_grad=True, visit=None):
         return {}, dy.reshape(len(dy), *cache) if input_grad else None
 
 
@@ -350,11 +353,11 @@ class ResidualBlock(Layer):
         mask = summed > 0
         return np.maximum(summed, 0), (main, side, mask)
 
-    def backward(self, cache, dy, per_example=False, input_grad=True):
+    def backward(self, cache, dy, input_grad=True, visit=None):
         main, side, mask = cache
         d_sum = dy * mask
-        g_main = backward(self.main, main, d_sum, per_example, input_grad)
-        g_side = backward(self.side, side, d_sum, per_example, input_grad)
+        g_main = backward(self.main, main, d_sum, input_grad, visit)
+        g_side = backward(self.side, side, d_sum, input_grad, visit)
         by_layer = dict(zip(self.main + self.side, g_main.layers + g_side.layers))
         grads = self._keyed(by_layer.__getitem__)
         return grads, g_main.input_grad + g_side.input_grad if input_grad else None
@@ -401,38 +404,17 @@ def predict(layers, x):
     return x
 
 
-def trace_rows(trace, n):
-    """The trace of the first ``n`` samples, cut from a trace of the whole
-    batch without a second forward. Every layer acts on each sample alone,
-    so the cut holds what forward(layers, x[:n]) computes, up to rounding
-    that BLAS may do differently for another row count. Caches are cut
-    generically: arrays by their leading axis, tuples entry by entry, nested
-    traces (a residual block's paths) recursively; anything else (Flatten's
-    per-sample shape) is kept. The stamp is the whole batch's, so backward
-    still rejects the cut once a parameter changes."""
-    if not 1 <= n <= len(trace.output):
-        raise KernelError(f"cannot cut {n} rows from a batch of {len(trace.output)}")
-    return _cut_rows(trace, n)
-
-
-def _cut_rows(value, n):
-    if isinstance(value, Trace):
-        return Trace(value.output[:n], [_cut_rows(c, n) for c in value.caches], value.stamp)
-    if isinstance(value, tuple):
-        return tuple(_cut_rows(v, n) for v in value)
-    return value[:n] if isinstance(value, np.ndarray) else value
-
-
-def backward(layers, trace, loss_grad, per_example=False, input_grad=True):
+def backward(layers, trace, loss_grad, input_grad=True, visit=None):
     """Exact backprop through a stack using the caches from forward.
 
     Rejects traces from a different stack or taken before a parameter
     update (stale), and gradients whose shape does not match the output.
-    With ``per_example`` the parameter gradients keep the batch index
-    (one row per sample, as in Goodfellow, arXiv:1510.01799); sgd_step
-    rejects them. With ``input_grad`` off the bottom layer skips its input
-    gradient, which the parameter gradients never read, and the result's
-    input_grad is None.
+    With ``input_grad`` off the bottom layer skips its input gradient,
+    which the parameter gradients never read, and the result's input_grad
+    is None. ``visit(layer, cache, dy)``, if given, is called before each
+    layer's backward with its forward cache and output gradient, and
+    once for each sub-layer of a residual block; it reads them, and must
+    not write them.
     """
     ids, versions = stamp(layers)
     if trace.stamp[0] != ids:
@@ -446,7 +428,9 @@ def backward(layers, trace, loss_grad, per_example=False, input_grad=True):
     dy = loss_grad
     per_layer = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        grads, dy = layers[i].backward(trace.caches[i], dy, per_example, input_grad or i > 0)
+        if visit is not None:
+            visit(layers[i], trace.caches[i], dy)
+        grads, dy = layers[i].backward(trace.caches[i], dy, input_grad or i > 0, visit)
         per_layer[i] = grads
     return Gradients(layers=per_layer, input_grad=dy)
 
@@ -535,6 +519,12 @@ def load_param_vector(layers, vector):
 def grad_vector(grads):
     """All gradients flattened into one float64 vector, matching param_vector order."""
     return _flat(grads.layers)
+
+
+def sq_norm(v):
+    """Squared L2 norm, as numpy's pairwise sum of squares. A BLAS dot
+    (``v @ v``, ``np.linalg.norm``) rounds by how its threads split v."""
+    return float(np.sum(np.square(v)))
 
 
 def central_differences(f, values, step):

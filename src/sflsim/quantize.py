@@ -162,4 +162,4 @@ def quantization_error(a, server_layers, labels, clean_grad):
     a = np.asarray(a)
     a_hat = decode(encode(a, round_tag=0, device_id=0, batch_index=0), dtype=a.dtype)
     grads = kernel.loss_grads(server_layers, a_hat, labels, input_grad=False)[1]
-    return float(np.linalg.norm(kernel.grad_vector(grads) - clean_grad))
+    return math.sqrt(kernel.sq_norm(kernel.grad_vector(grads) - clean_grad))

@@ -298,6 +298,44 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
 
 
+def test_config_path_that_is_a_directory_exits_3(tmp_path, capsys):
+    assert cli.main(["run", "--config", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: cannot read config")
+
+
+def _a_file_and_a_path_under_it(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    return blocker, [blocker, blocker / "out"]
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_run_out_through_a_file_exits_4_before_training(tmp_path, capsys, monkeypatch, under):
+    blocker, outs = _a_file_and_a_path_under_it(tmp_path)
+    rounds = []
+    monkeypatch.setattr(runtime, "run_round", lambda *args: rounds.append(args))
+    code = cli.main(["run", "--config", str(smoke_config(tmp_path)), "--out", str(outs[under])])
+    assert code == cli.EXIT_DATA and not rounds
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: --out ")
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "smoke.json"]
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_gen_data_out_through_a_file_exits_4_before_generating(tmp_path, capsys, monkeypatch,
+                                                                 under):
+    blocker, outs = _a_file_and_a_path_under_it(tmp_path)
+    generated = []
+    monkeypatch.setattr(data_mod, "generate_blobs", lambda **kwargs: generated.append(kwargs))
+    assert cli.main(["gen-data", "--out", str(outs[under])]) == cli.EXIT_DATA and not generated
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("data error: --out ")
+    assert blocker.read_text() == "kept" and [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
 def test_data_errors_exit_4(tmp_path, capsys):
     cfg = smoke_config(
         tmp_path,

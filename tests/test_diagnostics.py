@@ -7,9 +7,15 @@ by direct arithmetic on synthetic records.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_runtime import PINNED_RUNS
 
 from sflsim import config as config_mod
 from sflsim import diagnostics as dg
@@ -163,7 +169,7 @@ class TestSampleGradients:
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-10), (np.float32, 1e-5)])
     @pytest.mark.parametrize("model", ["tiny_vgg", "tiny_res"])
     def test_per_example_norms_match_single_sample_loop(self, model, dtype, rtol, n):
-        # n = 7 is not a power of two, so the dlogits * n rescaling rounds.
+        # n = 7 is not a power of two, so the rescaling by n**2 rounds.
         spec = models.ZOO[model]()
         built = models.build_model(spec, seed=9, dtype=dtype)
         device, server = models.partition(built, built.default_split)
@@ -171,7 +177,7 @@ class TestSampleGradients:
         x = rng.uniform(0.0, 1.0, size=(n, *spec.input_shape)).astype(dtype)
         y = rng.integers(0, spec.num_classes, size=n)
         a = kernel.forward(device, x).output
-        got = dg._sample_grad_sqs(server, kernel.forward(server, a), y)
+        got = dg.probe_gradients(server, a, y)[2]
         want = single_sample_grad_sqs(server, a, y)
         assert got.shape == (n,)
         np.testing.assert_allclose(got, want, rtol=rtol)
@@ -184,13 +190,10 @@ class TestSampleGradients:
         x = rng.uniform(0.0, 1.0, size=(dg.SAMPLE_GRAD_CAP + 5, *spec.input_shape))
         y = rng.integers(0, spec.num_classes, size=len(x))
         a = kernel.forward(device, x.astype(np.float32)).output
-        trace = kernel.forward(server, a)
-        got = dg._sample_grad_sqs(server, trace, y)
+        got = dg.probe_gradients(server, a, y)[2]
         want = single_sample_grad_sqs(server, a[: dg.SAMPLE_GRAD_CAP], y[: dg.SAMPLE_GRAD_CAP])
+        assert got.shape == (dg.SAMPLE_GRAD_CAP,)
         np.testing.assert_allclose(got, want, rtol=1e-5)
-        # The probe trace's first rows give the same bits as a forward on them.
-        cut = kernel.forward(server, a[: dg.SAMPLE_GRAD_CAP])
-        assert got.tobytes() == dg._sample_grad_sqs(server, cut, y[: dg.SAMPLE_GRAD_CAP]).tobytes()
 
 
 class TestProbeMemo:
@@ -404,9 +407,24 @@ def test_staleness_positive_with_augmentation_and_long_period():
 
 SMALL_BLOBS = {"kind": "blobs", "per_class": 12, "noise_sigma": 0.3}
 
-# sha256 of the diagnostics.csv of the run below, recorded on the code that
-# kept a snapshot every round and ran a second server forward for G.
-SEVENTEEN_ROUND_DIAGNOSTICS_SHA256 = "78ade30d569865763ce6a0f2f1c0aa217d43a6f0e7f3caa8ed96587dd864bbee"
+# sha256 of the diagnostics.csv of the run below. Re-recorded when G came to
+# be read from the probe's own backward and every norm became a numpy sum: G
+# moved by 1.1e-8 relative, and through it rhs_running by 8.3e-9; grad_norm_sq
+# and eps_mean moved by at most 2.4e-16, the other columns not at all.
+SEVENTEEN_ROUND_DIAGNOSTICS_SHA256 = "b9db8d6ca1d99ccae2b4c5d6da1a7b48697695cea6e362e19ebe63bef5532733"
+
+
+def seventeen_round_log_sha(tmp_path):
+    """The SHA-256 of the diagnostics.csv of a 17-round tiny_res replay run
+    with 12-sample probes, so G comes from the first 8 rows of each probe's
+    backward."""
+    cfg = make_config(model="tiny_res", rounds=17, rho=3, quantized=True,
+                      dataset=dict(SMALL_BLOBS, per_class=24))
+    out = runtime.run_training(cfg)
+    recs = out.state.diagnostics_records
+    path = tmp_path / "diagnostics.csv"
+    dg.write_diagnostics_csv(path, recs, dg.estimate_G(recs), dg.trajectory_smoothness(out.state))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestObserverBudget:
@@ -419,14 +437,26 @@ class TestObserverBudget:
         assert kept == list(range(rounds)[:: max(1, rounds // 8)])
 
     def test_seventeen_round_diagnostics_log_is_pinned(self, tmp_path):
-        # 12-sample probes: G comes from a cut of 8 rows of the probe trace.
-        cfg = make_config(model="tiny_res", rounds=17, rho=3, quantized=True,
-                          dataset=dict(SMALL_BLOBS, per_class=24))
-        out = runtime.run_training(cfg)
-        recs = out.state.diagnostics_records
-        path = tmp_path / "diagnostics.csv"
-        dg.write_diagnostics_csv(path, recs, dg.estimate_G(recs), dg.trajectory_smoothness(out.state))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == SEVENTEEN_ROUND_DIAGNOSTICS_SHA256
+        assert seventeen_round_log_sha(tmp_path) == SEVENTEEN_ROUND_DIAGNOSTICS_SHA256
+
+    def test_pinned_digests_hold_on_one_blas_thread(self, tmp_path):
+        # The in-process runs use as many BLAS threads as the host has CPUs.
+        # A BLAS dot splits a long vector across them, so its rounding
+        # depends on their number; the observer's numpy sums do not.
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(Path(dg.__file__).resolve().parents[1]), str(tests),
+                                os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        script = ("import json, pathlib, sys, test_diagnostics, test_runtime\n"
+                  "print(json.dumps([test_runtime.pinned_run_digests('replay'),\n"
+                  "    test_diagnostics.seventeen_round_log_sha(pathlib.Path(sys.argv[1]))]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        replay, log = json.loads(proc.stdout)
+        assert replay == list(PINNED_RUNS["replay"][1:])
+        assert log == SEVENTEEN_ROUND_DIAGNOSTICS_SHA256
 
     @pytest.mark.parametrize("quantized,augment,server_passes,device_passes", [
         (True, False, 2, 0),  # probe, decoded probe; the memo serves the device side
@@ -440,17 +470,20 @@ class TestObserverBudget:
         state = runtime.init_state(cfg)
         for t in range(2):
             runtime.run_round(state, t)
-        calls = []
+        calls, backwards = [], []
 
-        def counting(fn):
-            def run(layers, x):
-                calls.append(id(layers))
-                return fn(layers, x)
+        def counting(fn, into):
+            def run(layers, *args, **kwargs):
+                into.append(id(layers))
+                return fn(layers, *args, **kwargs)
             return run
 
-        monkeypatch.setattr(kernel, "forward", counting(kernel.forward))
-        monkeypatch.setattr(kernel, "predict", counting(kernel.predict))
+        monkeypatch.setattr(kernel, "forward", counting(kernel.forward, calls))
+        monkeypatch.setattr(kernel, "predict", counting(kernel.predict, calls))
+        monkeypatch.setattr(kernel, "backward", counting(kernel.backward, backwards))
         for k in sorted(state.batches):
             dg.record_round(state, 2, k)
-        assert calls.count(id(state.global_server)) == server_passes * len(state.batches)
+        # A server pass is one forward and one backward: G takes no pass of its own.
+        for counted in (calls, backwards):
+            assert counted.count(id(state.global_server)) == server_passes * len(state.batches)
         assert calls.count(id(state.global_device)) == device_passes * len(state.batches)

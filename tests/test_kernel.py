@@ -99,9 +99,9 @@ def _assert_same_array(got, want):
 
 
 def _assert_conv_is_its_reference(kind, dtype, shape, seed):
-    """Forward and every backward variant of a conv on a (B, C, H, W) input
-    of ``shape``, in C order and with reversed strides, against the einsum
-    reference, byte for byte."""
+    """Forward, both backward variants and the per-sample gradients of a
+    conv on a (B, C, H, W) input of ``shape``, in C order and with reversed
+    strides, against the einsum reference, byte for byte."""
     make, reference = {"conv3x3": (kernel.Conv3x3, _reference_conv3x3),
                        "conv1x1": (kernel.Conv1x1, _reference_conv1x1)}[kind]
     rng = np.random.default_rng(seed)
@@ -113,26 +113,29 @@ def _assert_conv_is_its_reference(kind, dtype, shape, seed):
     for layout in (lambda a: a, _transposed_copy):
         x, dy = layout(x_c), layout(dy_c)
         y, cache = conv.forward(x)
-        for per_example in (False, True):
-            for input_grad in (False, True):
-                want_y, want_grads, want_dx = reference(conv.w, conv.b, x, dy,
-                                                        per_example, input_grad)
-                grads, dx = conv.backward(cache, dy, per_example, input_grad)
-                _assert_same_array(y, want_y)
-                assert grads.keys() == want_grads.keys()
-                for name in want_grads:
-                    if per_example and name == "w" and h * w == 1:
-                        # One pixel: einsum contracts nothing and multiplies,
-                        # so dy * 0 keeps dy's sign, in its own layout; the
-                        # matmul's sum makes that zero +0.0.
-                        assert np.array_equal(grads[name], want_grads[name])
-                        assert grads[name].dtype == want_grads[name].dtype
-                    else:
-                        _assert_same_array(grads[name], want_grads[name])
-                if input_grad:
-                    _assert_same_array(dx, want_dx)
-                else:
-                    assert dx is None
+        for input_grad in (False, True):
+            want_y, want_grads, want_dx = reference(conv.w, conv.b, x, dy, False, input_grad)
+            grads, dx = conv.backward(cache, dy, input_grad)
+            _assert_same_array(y, want_y)
+            assert grads.keys() == want_grads.keys()
+            for name in want_grads:
+                _assert_same_array(grads[name], want_grads[name])
+            if input_grad:
+                _assert_same_array(dx, want_dx)
+            else:
+                assert dx is None
+        want_rows = reference(conv.w, conv.b, x, dy, True, False)[1]
+        rows = conv.sample_grads(cache, dy)
+        assert rows.keys() == want_rows.keys()
+        for name in want_rows:
+            if name == "w" and h * w == 1:
+                # One pixel: einsum contracts nothing and multiplies, so
+                # dy * 0 keeps dy's sign, in its own layout; the matmul's
+                # sum makes that zero +0.0.
+                assert np.array_equal(rows[name], want_rows[name])
+                assert rows[name].dtype == want_rows[name].dtype
+            else:
+                _assert_same_array(rows[name], want_rows[name])
 
 
 @pytest.mark.parametrize("c_in", [1, 8, 16])
@@ -338,6 +341,15 @@ def test_backward_rejects_mismatched_grad_shape():
         kernel.backward([dense], trace, np.ones((2, 3)))
 
 
+def _sample_grads_hook(seen):
+    """A backward hook that stores each visited layer's sample_grads in
+    ``seen``, keyed by the layer."""
+    def visit(layer, cache, dy):
+        assert layer not in seen
+        seen[layer] = layer.sample_grads(cache, dy)
+    return visit
+
+
 @pytest.mark.parametrize("kind_index", range(7))
 def test_per_example_grads_sum_to_batch_grads(kind_index):
     layer, shape = make_layer_instances(77)[kind_index]
@@ -345,13 +357,16 @@ def test_per_example_grads_sum_to_batch_grads(kind_index):
     x = np.random.default_rng(78).standard_normal(shape)
     trace = kernel.forward([layer], x)
     dy = np.random.default_rng(79).standard_normal(trace.output.shape)
-    batch = kernel.backward([layer], trace, dy)
-    rows = kernel.backward([layer], trace, dy, per_example=True)
-    assert set(rows.layers[0]) == set(batch.layers[0])
+    seen = {}
+    batch = kernel.backward([layer], trace, dy, visit=_sample_grads_hook(seen))
+    # A residual block's parameters are its sub-layers', keyed "<name>.<key>".
+    named = layer.named if isinstance(layer, kernel.ResidualBlock) else ((None, layer),)
+    rows = {k if name is None else f"{name}.{k}": g
+            for name, sub in named for k, g in seen[sub].items()}
+    assert set(rows) == set(batch.layers[0])
     for name, g in batch.layers[0].items():
-        assert rows.layers[0][name].shape == (3, *g.shape)
-        np.testing.assert_allclose(rows.layers[0][name].sum(axis=0), g, rtol=1e-12, atol=1e-14)
-    assert np.array_equal(rows.input_grad, batch.input_grad)
+        assert rows[name].shape == (3, *g.shape)
+        np.testing.assert_allclose(rows[name].sum(axis=0), g, rtol=1e-12, atol=1e-14)
 
 
 def _bottom_stack(kind, rng):
@@ -373,10 +388,16 @@ def test_backward_without_input_grad_keeps_parameter_grads(kind, per_example):
     x = rng.standard_normal(shape).astype(np.float32)
     trace = kernel.forward(layers, x)
     dy = rng.standard_normal(trace.output.shape).astype(np.float32)
-    full = kernel.backward(layers, trace, dy, per_example=per_example)
-    cut = kernel.backward(layers, trace, dy, per_example=per_example, input_grad=False)
+    # With per_example, the per-sample grads that a hook reads are compared too.
+    full_rows, cut_rows = {}, {}
+    full = kernel.backward(layers, trace, dy,
+                           visit=_sample_grads_hook(full_rows) if per_example else None)
+    cut = kernel.backward(layers, trace, dy, input_grad=False,
+                          visit=_sample_grads_hook(cut_rows) if per_example else None)
     assert full.input_grad is not None and cut.input_grad is None
-    for got, want in zip(cut.layers, full.layers, strict=True):
+    assert list(cut_rows) == list(full_rows) and bool(full_rows) == per_example
+    for got, want in zip(cut.layers + list(cut_rows.values()),
+                         full.layers + list(full_rows.values()), strict=True):
         assert got.keys() == want.keys()
         for k in want:
             assert got[k].dtype == want[k].dtype and got[k].shape == want[k].shape
@@ -407,7 +428,7 @@ def test_hot_path_does_no_einsum_planning(monkeypatch):
         labels = rng.integers(0, spec.num_classes, size=4)
         kernel.loss_grads(layers, x, labels)
         trace = kernel.forward(layers, x)
-        kernel.backward(layers, trace, np.ones_like(trace.output), per_example=True)
+        kernel.backward(layers, trace, np.ones_like(trace.output), visit=_sample_grads_hook({}))
     cfg = config_mod.from_dict({
         "version": 1, "mode": "replay", "model": "tiny_res", "devices": 2, "rounds": 1,
         "lr": 0.05, "batch_size": 8, "pretrain_epochs": 1, "diagnostics": True, "seed": 33,
@@ -424,14 +445,18 @@ def test_per_example_grads_keep_stack_checks():
     dense = kernel.Dense(3, 2, rng=rng, dtype=np.float64)
     layers = [dense]
     trace = kernel.forward(layers, np.ones((4, 3)))
-    rows = kernel.backward(layers, trace, np.ones((4, 2)), per_example=True)
+    seen = {}
+    kernel.backward(layers, trace, np.ones((4, 2)), visit=_sample_grads_hook(seen))
     with pytest.raises(kernel.KernelError, match="grad shape"):
-        kernel.sgd_step(layers, rows, lr=0.1)
+        kernel.sgd_step(layers, kernel.Gradients([seen[dense]], None), lr=0.1)
+    # A backward that its checks reject visits no layer.
+    seen.clear()
     with pytest.raises(kernel.KernelError, match="loss grad shape"):
-        kernel.backward(layers, trace, np.ones((4, 3)), per_example=True)
+        kernel.backward(layers, trace, np.ones((4, 3)), visit=_sample_grads_hook(seen))
     kernel.sgd_step(layers, kernel.backward(layers, trace, np.ones((4, 2))), lr=0.1)
     with pytest.raises(kernel.KernelError, match="stale"):
-        kernel.backward(layers, trace, np.ones((4, 2)), per_example=True)
+        kernel.backward(layers, trace, np.ones((4, 2)), visit=_sample_grads_hook(seen))
+    assert not seen
 
 
 @pytest.mark.parametrize("kind_index", range(7))
@@ -615,7 +640,7 @@ def _desk_server_half(spec, rng):
     return server, kernel.forward(device, x).output
 
 
-ROWS_STACKS = {
+DESK_STACKS = {
     "dense": lambda rng: ([kernel.Dense(64, 10, rng)], (16, 64)),
     "conv3x3": lambda rng: ([kernel.Conv3x3(8, 16, rng)], (16, 8, 8, 8)),
     "conv1x1": lambda rng: ([kernel.Conv1x1(8, 16, rng)], (16, 8, 8, 8)),
@@ -628,49 +653,54 @@ ROWS_STACKS = {
 }
 
 
-def _same_bits(got, want):
-    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+def _expected_visits(layers, trace):
+    """(layer, cache) of each layer of a stack, top down, in the order
+    backward visits them: a residual block, then the layers of its main
+    path, then those of its skip path."""
+    order = []
+    for layer, cache in zip(reversed(layers), reversed(trace.caches)):
+        order.append((layer, cache))
+        if isinstance(layer, kernel.ResidualBlock):
+            main, side, _ = cache
+            order += _expected_visits(layer.main, main) + _expected_visits(layer.side, side)
+    return order
 
 
-def _assert_rows_match(got, want, exact):
-    if exact:
-        assert _same_bits(got, want)
-    else:
-        assert got.dtype == want.dtype and got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
-
-
-@pytest.mark.parametrize("name", sorted(ROWS_STACKS))
-def test_trace_rows_equals_a_forward_on_the_first_rows(name):
-    # Bit for bit at the observer's cut (SAMPLE_GRAD_CAP = 8 rows of a
-    # larger probe) and at the whole batch. At 1 and 3 rows this build's
-    # BLAS takes other paths for a small or ragged row count (a 1-row Dense
-    # is a gemv), so the forward on x[:n] itself differs in the last bit.
+@pytest.mark.parametrize("name", sorted(DESK_STACKS))
+def test_visit_sees_each_layer_once_with_its_cache(name):
     rng = np.random.default_rng(41)
-    layers, x = ROWS_STACKS[name](rng)
+    layers, x = DESK_STACKS[name](rng)
     if isinstance(x, tuple):
         x = rng.standard_normal(x).astype(np.float32)
-    full = kernel.forward(layers, x)
-    dy = rng.standard_normal(full.output.shape).astype(np.float32)
-    for n in (1, 3, diagnostics.SAMPLE_GRAD_CAP, len(x)):
-        exact = n in (diagnostics.SAMPLE_GRAD_CAP, len(x))
-        cut = kernel.trace_rows(full, n)
-        ref = kernel.forward(layers, x[:n])
-        assert cut.stamp == ref.stamp
-        _assert_rows_match(cut.output, ref.output, exact)
-        for per_example in (False, True):
-            got = kernel.backward(layers, cut, dy[:n], per_example=per_example)
-            want = kernel.backward(layers, ref, dy[:n], per_example=per_example)
-            _assert_rows_match(got.input_grad, want.input_grad, exact)
-            for g, w in zip(got.layers, want.layers, strict=True):
-                assert g.keys() == w.keys()
-                for k in w:
-                    _assert_rows_match(g[k], w[k], exact)
-    with pytest.raises(kernel.KernelError, match="cannot cut"):
-        kernel.trace_rows(full, len(x) + 1)
-    if any(layer.params() for layer in layers):
-        before = kernel.trace_rows(full, 3)
-        kernel.sgd_step(layers, kernel.backward(layers, full, dy), lr=0.1)
-        for cut in (before, kernel.trace_rows(full, 3)):
-            with pytest.raises(kernel.KernelError, match="stale trace"):
-                kernel.backward(layers, cut, dy[:3], per_example=True)
+    trace = kernel.forward(layers, x)
+    dy = rng.standard_normal(trace.output.shape).astype(np.float32)
+    visits = []
+    kernel.backward(layers, trace, dy, input_grad=False,
+                    visit=lambda *args: visits.append(args))
+    want = _expected_visits(layers, trace)
+    assert [(layer, id(cache)) for layer, cache, _ in visits] == [
+        (layer, id(cache)) for layer, cache in want]
+    assert len({id(layer) for layer, _ in want}) == len(want)
+    assert visits[0][2] is dy
+
+
+@pytest.mark.parametrize("name", sorted(DESK_STACKS))
+def test_backward_with_a_hook_returns_the_same_gradients(name):
+    rng = np.random.default_rng(42)
+    layers, x = DESK_STACKS[name](rng)
+    if isinstance(x, tuple):
+        x = rng.standard_normal(x).astype(np.float32)
+    trace = kernel.forward(layers, x)
+    dy = rng.standard_normal(trace.output.shape).astype(np.float32)
+    for input_grad in (False, True):
+        want = kernel.backward(layers, trace, dy, input_grad=input_grad)
+        got = kernel.backward(layers, trace, dy, input_grad=input_grad,
+                              visit=_sample_grads_hook({}))
+        if input_grad:
+            _assert_same_array(got.input_grad, want.input_grad)
+        else:
+            assert got.input_grad is None
+        for g, w in zip(got.layers, want.layers, strict=True):
+            assert g.keys() == w.keys()
+            for k in w:
+                _assert_same_array(g[k], w[k])
