@@ -115,9 +115,10 @@ class Dense(_WeightBias):
 # tests/test_kernel.py keeps as a reference, but for the sign of a zero in
 # one case that Conv3x3.sample_grads names. The conv3x3 forward and input
 # gradient take their window matrix from shifted views of the unpadded batch
-# (_windows); only the weight gradient's operand, the transposed matrix, is
-# sliced from a zero-padded copy (_im2col), since a shifted build of it was
-# not faster.
+# (_windows), one read-only view whose bounds the ndarray constructor checks
+# against the block it reads; only the weight gradient's operand, the
+# transposed matrix, is sliced from a zero-padded copy (_im2col), since a
+# shifted build of it was not faster.
 
 
 def _windows(x):
@@ -125,18 +126,19 @@ def _windows(x):
     one, as the C-ordered (9C, BHW) matrix: rows in (c, i, j) order, columns
     in (b, h, w) order. The batch is copied once, channel-major, into a
     (C, BHW) block with W + 1 zeros at each end, so that tap (i, j) is the
-    block shifted by (i-1)W + (j-1) entries; one copy of the nine shifted
-    views fills the matrix. Four fills then zero the entries that a shift
-    carried across a row or sample edge, which are exactly the window
-    entries that fall in the padding."""
+    block shifted by (i-1)W + (j-1) entries. The nine shifted taps are one
+    read-only view of the block, made by the ndarray constructor, which
+    refuses strides that reach outside it; one copy of that view fills the
+    matrix. Four fills then zero the entries that a shift carried across a
+    row or sample edge, which are exactly the window entries that fall in
+    the padding."""
     b, c, h, w = x.shape
     n, margin = b * h * w, w + 1
     block = np.zeros((c, n + 2 * margin), dtype=x.dtype)
     block[:, margin : margin + n].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
     step = x.itemsize
-    shifted = np.lib.stride_tricks.as_strided(
-        block, (c, 3, 3, n), (block.strides[0], w * step, step, step), writeable=False
-    )
+    shifted = np.ndarray((c, 3, 3, n), x.dtype, block, 0, (block.strides[0], w * step, step, step))
+    shifted.flags.writeable = False
     out = shifted.copy()
     taps = out.reshape(c, 3, 3, b, h, w)
     taps[:, 0, :, :, :1] = 0
@@ -262,6 +264,12 @@ class MaxPool2x2(Layer):
     input equals, so that window routes no gradient (an argmax would pick
     the NaN); the runtime's non-finite check stops such a run anyway. A
     window whose max is a tie of -0.0 and +0.0 may output either zero.
+
+    The four quadrants tile the input gradient, so the backward writes each
+    entry once and fills nothing beforehand: through unsigned-integer views
+    of the same width, a quadrant gets dy's bit pattern where it takes the
+    window (-0.0, infinities and NaN payloads intact) and all-zero bits,
+    +0.0, elsewhere.
     """
 
     kind = "maxpool2x2"
@@ -279,7 +287,11 @@ class MaxPool2x2(Layer):
         if not input_grad:
             return {}, None
         x, y = cache
-        dx = np.zeros(x.shape, dtype=dy.dtype)
+        dx = np.empty(x.shape, dtype=dy.dtype)
+        bits = np.dtype(f"u{dy.itemsize}")
+        # A conv's input gradient arrives laid out (C, B, H, W); one C-order
+        # copy costs less than reading it strided four times.
+        dx_bits, dy_bits = dx.view(bits), np.ascontiguousarray(dy).view(bits)
         free = None  # windows no earlier quadrant took
         for r, c in _QUADRANTS:
             hit = x[:, :, r::2, c::2] == y
@@ -289,7 +301,7 @@ class MaxPool2x2(Layer):
                 hit &= free
                 if (r, c) != _QUADRANTS[-1]:
                     free ^= hit
-            np.copyto(dx[:, :, r::2, c::2], dy, where=hit)
+            np.multiply(dy_bits, hit, out=dx_bits[:, :, r::2, c::2])
         return {}, dx
 
 

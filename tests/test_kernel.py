@@ -209,12 +209,70 @@ def test_maxpool_ties_route_to_first_max_in_row_major_order(dtype):
 
 
 def test_maxpool_nan_window_routes_no_gradient():
-    pool = kernel.MaxPool2x2()
-    x = np.array([[[[1.0, np.nan, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]]]])
-    trace = kernel.forward([pool], x)
-    assert np.isnan(trace.output[0, 0, 0, 0]) and trace.output[0, 0, 0, 1] == 8.0
-    dx = kernel.backward([pool], trace, np.ones_like(trace.output)).input_grad
-    assert np.array_equal(dx, [[[[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]]])
+    routed = np.zeros((1, 1, 2, 6), dtype=bool)
+    routed[0, 0, 0, 4] = routed[0, 0, 1, 3] = True
+    for dtype, sign in itertools.product((np.float32, np.float64), (1.0, -1.0)):
+        pool = kernel.MaxPool2x2()
+        x = np.array([[[[1.0, np.nan, 5.0, 6.0, 9.0, 2.0],
+                        [3.0, 4.0, 7.0, 8.0, 0.0, 1.0]]]], dtype=dtype)
+        trace = kernel.forward([pool], x)
+        assert np.isnan(trace.output[0, 0, 0, 0]) and trace.output[0, 0, 0, 1] == 8.0
+        # The third window routes a -0.0 to its top-left entry.
+        dy = np.array([[[[sign, sign, -0.0]]]], dtype=dtype)
+        dx = kernel.backward([pool], trace, dy).input_grad
+        assert dx.dtype == dtype and np.array_equal(dx[routed], [-0.0, sign])
+        assert np.signbit(dx[0, 0, 0, 4])
+        # Every entry that takes no gradient, the NaN window's too, is +0.0.
+        assert not np.any(dx[~routed]) and not np.signbit(dx[~routed]).any()
+
+
+def _conv_layout_copy(a):
+    """The same values laid out (C, B, H, W), as a conv's input gradient
+    hands them back."""
+    out = np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    assert np.array_equal(out, a, equal_nan=True)
+    return out
+
+
+def _reference_maxpool_backward(x, y, dy):
+    """The maxpool backward as a masked copy: +0.0 everywhere, then dy
+    copied into each quadrant where it is the first, in row-major order,
+    to equal the window's max."""
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = (x[:, :, r::2, c::2] == y) & free
+        free ^= hit
+        np.copyto(dx[:, :, r::2, c::2], dy, where=hit)
+    return dx
+
+
+def _nan_with_payload(dtype):
+    """A quiet NaN whose payload is not the default one."""
+    bits = {np.float32: np.uint32(0x7FC0_1234), np.float64: np.uint64(0x7FF8_0000_0000_1234)}
+    return np.array(bits[dtype]).view(dtype)[()]
+
+
+# The desk models' maxpool inputs, and two small shapes.
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 5, 2, 6), (16, 8, 16, 16),
+                                   (16, 16, 8, 8), (16, 32, 4, 4)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_backward_is_the_zeros_copyto_reference(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    b, c, h, w = shape
+    # Few distinct values, so windows tie, -0.0 ties +0.0, and some hold NaN.
+    values = np.array([0.0, -0.0, 1.0, 2.0, -1.0, np.nan, np.inf, -np.inf], dtype=dtype)
+    x_c = rng.choice(values, size=shape)
+    specials = np.array([-0.0, _nan_with_payload(dtype), np.inf, -np.inf,
+                         np.finfo(dtype).smallest_subnormal], dtype=dtype)
+    dy_c = rng.standard_normal((b, c, h // 2, w // 2)).astype(dtype)
+    special = rng.random(dy_c.shape) < 0.5
+    dy_c[special] = rng.choice(specials, size=int(special.sum()))
+    for x_layout, dy_layout in itertools.product((lambda a: a, _conv_layout_copy), repeat=2):
+        x, dy = x_layout(x_c), dy_layout(dy_c)
+        y, cache = kernel.MaxPool2x2().forward(x)
+        _, dx = kernel.MaxPool2x2().backward(cache, dy)
+        _assert_same_array(dx, _reference_maxpool_backward(x, y, dy))
 
 
 def test_maxpool_rejects_odd_spatial_dims():
