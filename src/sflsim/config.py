@@ -136,6 +136,7 @@ def _validate_dataset(cfg):
     spec = models.ZOO[cfg.model]()
     raw = dict(cfg.dataset) if cfg.dataset else {}
     kind = raw.get("kind", "blobs")
+    _check_type("kind", kind, str)
     _require(kind in _DATASET_KEYS, f"dataset kind must be one of {sorted(_DATASET_KEYS)}")
     unknown = set(raw) - _DATASET_KEYS[kind]
     _require(not unknown, f"unknown dataset keys for {kind!r}: {sorted(unknown)}")

@@ -54,8 +54,8 @@ def generate_blobs(classes, per_class, image_shape=(1, 16, 16), noise_sigma=0.1,
     acceptance runs rely on. A set too large to allocate raises DataError.
     """
     rng = np.random.default_rng(seed)
-    templates = rng.uniform(0.0, 1.0, size=(classes,) + tuple(image_shape))
     try:
+        templates = rng.uniform(0.0, 1.0, size=(classes,) + tuple(image_shape))
         images = np.empty((classes * per_class,) + tuple(image_shape), dtype=np.float32)
         labels = np.empty(classes * per_class, dtype=np.int64)
     except (MemoryError, ValueError) as exc:  # ValueError: numpy's own size limits

@@ -11,6 +11,8 @@ them into a bound report:
           + G*(1/Gamma) * sum_t eta_t * (mean_k(delta_k + eps_k) + (L/2)*eta_t)
 
 with Gamma = sum_t eta_t and F* anchored at the minimum observed loss.
+One left-to-right pass of running sums gives the report for every prefix
+of rounds (bound_reports), so the per-round log is linear in rounds.
 G and L are sampled maxima, not proven suprema, so the LHS <= RHS check
 is warning-grade: the report says whether it held, and callers log
 rather than assert.
@@ -269,44 +271,53 @@ class BoundReport:
     message: str
 
 
+def bound_reports(records, g_hat, l_hat):
+    """Each prefix's BoundReport, in one left-to-right pass: the i-th value
+    is the bound over records[:i + 1], or None where it is undefined (the
+    first record, and while Gamma <= 0). Gamma and the three weighted sums
+    start from 0 and add in record order, as sum() over the prefix would,
+    and F* is a running min, so each value is the per-prefix formula's to
+    the bit. Warning-grade: a report carries holds/message; callers log,
+    never assert."""
+    gamma = weighted_sq = drift_sum = step_sum = 0
+    for i, r in enumerate(records):
+        if i == 0:
+            f0 = f_star = r.loss
+        f_star = min(f_star, r.loss)
+        gamma += r.eta
+        weighted_sq += r.eta * r.grad_norm_sq
+        drift_sum += r.eta * (r.delta_mean + r.eps_mean)
+        step_sum += (l_hat / 2.0) * r.eta**2
+        if i == 0 or gamma <= 0:
+            yield None
+            continue
+        lhs = weighted_sq / gamma
+        drift = g_hat * drift_sum / gamma
+        step = g_hat * step_sum / gamma
+        descent = 4.0 * (f0 - f_star) / (3.0 * gamma)
+        rhs = descent + drift + step
+        holds = bool(lhs <= rhs)
+        message = (
+            "bound holds"
+            if holds
+            else f"WARNING: LHS {lhs:.6g} exceeds RHS {rhs:.6g}; "
+            "G and L are sampled estimates, not suprema"
+        )
+        yield BoundReport(rounds=i + 1, gamma=gamma, lhs=lhs, rhs=rhs, f0=f0, f_star=f_star,
+                          g_hat=g_hat, l_hat=l_hat, term_descent=descent, term_drift=drift,
+                          term_step=step, holds=holds, message=message)
+
+
 def bound_report(records, g_hat, l_hat):
-    """Assemble the bound's two sides from logged rounds. Warning-grade:
-    the report carries holds/message; callers log, never assert."""
+    """The bound over all of ``records``: the last value of bound_reports.
+    Needs at least 2 records and a positive Gamma."""
     records = list(records)
     if len(records) < 2:
         raise DiagnosticsError("bound_report needs at least 2 records")
-    gamma = sum(r.eta for r in records)
-    if gamma <= 0:
+    *_, report = bound_reports(records, g_hat, l_hat)
+    if report is None:
         raise DiagnosticsError("Gamma must be positive")
-    f0 = records[0].loss
-    f_star = min(r.loss for r in records)
-    lhs = sum(r.eta * r.grad_norm_sq for r in records) / gamma
-    drift = g_hat * sum(r.eta * (r.delta_mean + r.eps_mean) for r in records) / gamma
-    step = g_hat * sum((l_hat / 2.0) * r.eta**2 for r in records) / gamma
-    descent = 4.0 * (f0 - f_star) / (3.0 * gamma)
-    rhs = descent + drift + step
-    holds = bool(lhs <= rhs)
-    message = (
-        "bound holds"
-        if holds
-        else f"WARNING: LHS {lhs:.6g} exceeds RHS {rhs:.6g}; "
-        "G and L are sampled estimates, not suprema"
-    )
-    return BoundReport(
-        rounds=len(records),
-        gamma=gamma,
-        lhs=lhs,
-        rhs=rhs,
-        f0=f0,
-        f_star=f_star,
-        g_hat=g_hat,
-        l_hat=l_hat,
-        term_descent=descent,
-        term_drift=drift,
-        term_step=step,
-        holds=holds,
-        message=message,
-    )
+    return report
 
 
 def format_report(report):
@@ -327,33 +338,21 @@ def format_report(report):
 
 
 def write_diagnostics_csv(path, records, g_hat, l_hat):
-    """One row per round. lhs_running/rhs_running are the bound's two sides
-    over the prefix of rounds up to each row, using the full-run G and L
-    estimates throughout (so the columns are comparable down the file). They
-    are blank on the first row and while Gamma is 0, where the bound is
-    undefined."""
+    """One row per round, written in one pass over ``records`` (a list).
+    lhs_running/rhs_running are the bound's two sides over the prefix of
+    rounds up to each row (bound_reports), using the full-run G and L
+    estimates throughout (so the columns are comparable down the file).
+    They are blank on the first row and while the running Gamma is <= 0,
+    where the bound is undefined."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for i, rec in enumerate(records):
-            if i >= 1 and rec.gamma > 0:
-                rep = bound_report(records[: i + 1], g_hat, l_hat)
-                lhs, rhs = rep.lhs, rep.rhs
-            else:
-                lhs, rhs = "", ""
-            writer.writerow(
-                [
-                    rec.t,
-                    repr(rec.eta),
-                    repr(rec.grad_norm_sq),
-                    repr(rec.eps_mean),
-                    repr(rec.delta_mean),
-                    repr(rec.loss),
-                    repr(rec.gamma),
-                    repr(lhs) if lhs != "" else "",
-                    repr(rhs) if rhs != "" else "",
-                ]
-            )
+        for rec, rep in zip(records, bound_reports(records, g_hat, l_hat)):
+            writer.writerow([
+                rec.t, repr(rec.eta), repr(rec.grad_norm_sq), repr(rec.eps_mean),
+                repr(rec.delta_mean), repr(rec.loss), repr(rec.gamma),
+                *(("", "") if rep is None else (repr(rep.lhs), repr(rep.rhs))),
+            ])
 
 
 def read_diagnostics_csv(path):

@@ -105,9 +105,6 @@ class CostReport:
     def gib(self):
         return self.total_bytes / GIB
 
-    def per_device_traffic(self):
-        return {d: (self.per_device_up, self.per_device_down) for d in range(self.devices)}
-
 
 def record_bytes(batch, act_elements, rank, quantized):
     """Exact activation-record wire size for one batch, by the wire format's

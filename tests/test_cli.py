@@ -264,6 +264,19 @@ def test_gen_data_too_large_to_allocate_exits_4(tmp_path, capsys, per_class):
     assert not out_dir.exists()
 
 
+def test_gen_data_image_too_large_to_allocate_exits_4(tmp_path, capsys):
+    # 2**64 pixels a class: the template draw itself is too big for numpy.
+    out_dir = tmp_path / "data"
+    argv = ["gen-data", "--out", str(out_dir), "--height", str(2**32), "--width", str(2**32),
+            "--per-class", "1"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: cannot allocate")
+    assert not out_dir.exists()
+
+
 def test_run_with_blobs_too_large_to_allocate_exits_4(tmp_path, capsys):
     cfg = smoke_config(tmp_path, dataset={"kind": "blobs", "per_class": 10**15})
     out_dir = tmp_path / "out"
@@ -380,6 +393,8 @@ def test_non_finite_config_values_exit_3(tmp_path, capsys, overrides):
     ("image_shape", [1, 16, "a"]),
     ("image_shape", [0, 16, 16]),
     ("classes", 2.5),
+    ("kind", ["blobs"]),
+    ("kind", {"kind": "blobs"}),
 ])
 def test_bad_dataset_fields_exit_3(tmp_path, capsys, field, value):
     cfg = smoke_config(tmp_path, dataset={"kind": "blobs", field: value})

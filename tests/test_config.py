@@ -69,6 +69,8 @@ def test_wrong_version_rejected():
         ({"op_index": 40}, "op_index"),  # tiny_vgg expands to 11 layers
         ({"spill_dir": "cache"}, "spill_dir"),  # the cache exists in replay only
         ({"dataset": {"kind": "idx", "images": None, "labels": "b.idx"}}, "images"),
+        ({"dataset": {"kind": ["blobs"]}}, "kind must be a string"),
+        ({"dataset": {"kind": {"kind": "blobs"}}}, "kind must be a string"),
     ],
 )
 def test_invalid_values_rejected(patch, fragment):

@@ -23,6 +23,12 @@ def test_blobs_shapes_and_range():
     assert np.all(np.bincount(ds.labels) == 20)
 
 
+def test_blobs_image_too_large_to_allocate_is_a_data_error():
+    # 2**64 pixels a class: numpy refuses the template draw before allocating.
+    with pytest.raises(data.DataError, match="cannot allocate"):
+        data.generate_blobs(2, 1, image_shape=(1, 2**32, 2**32))
+
+
 def test_blobs_deterministic_and_seed_sensitive():
     a = data.generate_blobs(classes=2, per_class=10, image_shape=(1, 8, 8), noise_sigma=0.1, seed=5)
     b = data.generate_blobs(classes=2, per_class=10, image_shape=(1, 8, 8), noise_sigma=0.1, seed=5)

@@ -6,6 +6,7 @@ an independently scripted forward/backward; the bound's terms are checked
 by direct arithmetic on synthetic records.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -365,6 +366,128 @@ class TestBoundReport:
         assert "WARNING" not in dg.format_report(
             dg.bound_report(recs, 100.0, 100.0)
         )
+
+    def test_zero_gamma_rejected(self):
+        with pytest.raises(dg.DiagnosticsError, match="Gamma must be positive"):
+            dg.bound_report([synth_record(t, 0.0) for t in range(3)], 1.0, 1.0)
+
+
+def reference_bound_report(records, g_hat, l_hat):
+    """bound_report as it was before the running form: every sum re-taken
+    over the whole prefix. The reference the one pass must match bit for
+    bit."""
+    records = list(records)
+    if len(records) < 2:
+        raise dg.DiagnosticsError("bound_report needs at least 2 records")
+    gamma = sum(r.eta for r in records)
+    if gamma <= 0:
+        raise dg.DiagnosticsError("Gamma must be positive")
+    f0 = records[0].loss
+    f_star = min(r.loss for r in records)
+    lhs = sum(r.eta * r.grad_norm_sq for r in records) / gamma
+    drift = g_hat * sum(r.eta * (r.delta_mean + r.eps_mean) for r in records) / gamma
+    step = g_hat * sum((l_hat / 2.0) * r.eta**2 for r in records) / gamma
+    descent = 4.0 * (f0 - f_star) / (3.0 * gamma)
+    rhs = descent + drift + step
+    holds = bool(lhs <= rhs)
+    message = (
+        "bound holds"
+        if holds
+        else f"WARNING: LHS {lhs:.6g} exceeds RHS {rhs:.6g}; "
+        "G and L are sampled estimates, not suprema"
+    )
+    return dg.BoundReport(
+        rounds=len(records),
+        gamma=gamma,
+        lhs=lhs,
+        rhs=rhs,
+        f0=f0,
+        f_star=f_star,
+        g_hat=g_hat,
+        l_hat=l_hat,
+        term_descent=descent,
+        term_drift=drift,
+        term_step=step,
+        holds=holds,
+        message=message,
+    )
+
+
+def reference_prefix_reports(records, g_hat, l_hat):
+    """The reference report of every prefix, None where it is undefined."""
+    out = []
+    for i in range(len(records)):
+        try:
+            out.append(reference_bound_report(records[: i + 1], g_hat, l_hat))
+        except dg.DiagnosticsError:
+            out.append(None)
+    return out
+
+
+def random_records(rounds, devices=3):
+    """Records as the observer logs them, from random values: gamma is the
+    left-to-right running sum of eta, and about one round in five, the
+    first max(1, rounds // 10) among them, has eta 0, so the leading rows
+    have Gamma 0."""
+    rng = np.random.default_rng(rounds)
+    etas = np.where(rng.random(rounds) < 0.2, 0.0, rng.uniform(0.01, 0.2, rounds))
+    etas[-1] = 0.1
+    etas[: max(1, rounds // 10)] = 0.0
+    records, gamma = [], 0.0
+    for t, eta in enumerate(etas.tolist()):
+        gamma += eta
+        records.append(dg.DiagnosticsRecord(
+            t=t,
+            eta=eta,
+            grad_norm_sq=float(rng.exponential()),
+            eps={k: float(rng.exponential(1e-3)) for k in range(devices)},
+            delta={k: float(rng.exponential(1e-2)) for k in range(devices)},
+            loss=float(rng.uniform(0.1, 2.0)),
+            gamma=gamma,
+            max_sample_grad_sq=1.0,
+            server_params=None,
+        ))
+    return records
+
+
+class TestRunningBound:
+    G_HAT, L_HAT = 2.7, 0.9
+
+    @pytest.mark.parametrize("rounds", [1, 2, 50, 300])
+    def test_running_form_is_the_per_prefix_formula(self, tmp_path, rounds):
+        recs = random_records(rounds)
+        expected = reference_prefix_reports(recs, self.G_HAT, self.L_HAT)
+        reports = list(dg.bound_reports(recs, self.G_HAT, self.L_HAT))
+        assert [repr(r) for r in reports] == [repr(r) for r in expected]
+        if expected[-1] is not None:
+            assert repr(dg.bound_report(recs, self.G_HAT, self.L_HAT)) == repr(expected[-1])
+        if rounds >= 50:  # blank rows past the first, and both verdicts
+            assert expected[1] is None
+            assert {r.holds for r in expected if r is not None} == {False, True}
+        path = tmp_path / "diagnostics.csv"
+        dg.write_diagnostics_csv(path, recs, self.G_HAT, self.L_HAT)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(dg.CSV_COLUMNS)
+        assert rows[1:] == [
+            [str(r.t), repr(r.eta), repr(r.grad_norm_sq), repr(r.eps_mean),
+             repr(r.delta_mean), repr(r.loss), repr(r.gamma),
+             "" if ref is None else repr(ref.lhs), "" if ref is None else repr(ref.rhs)]
+            for r, ref in zip(recs, expected)
+        ]
+
+    def test_writer_reads_each_record_at_most_twice(self, tmp_path, monkeypatch):
+        reads = []
+        eps_mean = dg.DiagnosticsRecord.eps_mean.fget
+
+        def counted(record):
+            reads.append(record.t)
+            return eps_mean(record)
+
+        monkeypatch.setattr(dg.DiagnosticsRecord, "eps_mean", property(counted))
+        recs = random_records(200)
+        dg.write_diagnostics_csv(tmp_path / "diagnostics.csv", recs, self.G_HAT, self.L_HAT)
+        assert 0 < len(reads) <= 2 * len(recs)
 
 
 class TestCsv:

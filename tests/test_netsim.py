@@ -167,11 +167,16 @@ def test_round_latency_composition():
     assert 0.0 < report.comm_share < 1.0
 
 
+def device_traffic(report):
+    """{device: (up, down)} of a cost report, for round_latency."""
+    return {d: (report.per_device_up, report.per_device_down) for d in range(report.devices)}
+
+
 def test_comm_share_strictly_increases_as_bandwidth_drops():
     spec = models.vgg11()
     report = netsim.comm_bytes_per_round("split", spec, **CIFAR_LIKE)
     compute = netsim.computation_units("split", spec, samples_per_device=10_000)
-    traffic = report.per_device_traffic()
+    traffic = device_traffic(report)
     shares = []
     for name in ("wifi", "4g", "3g"):
         lat = netsim.round_latency(traffic, compute, netsim.PROFILES[name],
@@ -188,6 +193,6 @@ def test_replay_latency_beats_split_everywhere():
         for method in ("split", "replay_tx"):
             rep = netsim.comm_bytes_per_round(method, spec, **CIFAR_LIKE)
             comp = netsim.computation_units(method, spec, samples_per_device=10_000)
-            lats[method] = netsim.round_latency(rep.per_device_traffic(), comp, profile,
+            lats[method] = netsim.round_latency(device_traffic(rep), comp, profile,
                                                 device_speed=5e8, server_speed=5e9).round_latency_s
         assert lats["replay_tx"] < lats["split"]
