@@ -8,7 +8,8 @@ Subcommands
     selftest  quick invariant suite
 
 Exit codes: 0 success, 2 usage, 3 config error, 4 data error, 5 training
-error. Set SFL_LOG_LEVEL (DEBUG/INFO/WARNING/...) to adjust logging.
+error (a non-finite loss, weight, diagnostic, G or L). Commands run with
+numpy's floating-point warnings off, so a failure prints one stderr line.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import csv
 import hashlib
 import io
-import logging
 import math
 import os
 import sys
@@ -37,13 +37,6 @@ EXIT_CONFIG = 3
 EXIT_DATA = 4
 EXIT_TRAINING = 5
 
-SETTINGS = {
-    # The reference comparison point: 5 devices, 10k samples each, batch 100.
-    "cifar10-k5": dict(samples_per_device=10_000, devices=5, batch_size=100),
-}
-
-log = logging.getLogger("sflsim")
-
 
 class UsageError(ValueError):
     """An argument that parses but is out of range (exit 2)."""
@@ -57,12 +50,6 @@ def _check(condition, message):
     """Explicit selftest check; unlike ``assert`` it survives ``python -O``."""
     if not condition:
         raise SelftestError(message)
-
-
-def _configure_logging():
-    level = os.environ.get("SFL_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def build_parser():
@@ -83,10 +70,10 @@ def build_parser():
 
     p_cost = sub.add_parser("cost", help="print per-round communication cost tables")
     p_cost.add_argument("--model", choices=sorted(models.ZOO), default="vgg11")
-    p_cost.add_argument("--setting", choices=sorted(SETTINGS), default="cifar10-k5")
-    p_cost.add_argument("--devices", type=int, default=None)
-    p_cost.add_argument("--samples", type=int, default=None, help="samples per device")
-    p_cost.add_argument("--batch", type=int, default=None, help="batch size")
+    # Defaults: the reference comparison point.
+    p_cost.add_argument("--devices", type=int, default=5)
+    p_cost.add_argument("--samples", type=int, default=10_000, help="samples per device")
+    p_cost.add_argument("--batch", type=int, default=100, help="batch size")
     p_cost.add_argument("--csv", default=None, help="also write the table to this CSV path")
 
     p_diag = sub.add_parser("diagnose", help="bound report from a diagnostics log")
@@ -125,16 +112,18 @@ def cmd_run(args):
         overrides["profile"] = args.profile
     cfg = config_mod.load_config(args.config, overrides)
     _check_out_dir(args.out)
-    log.info("running %s: %s rounds, %s devices", cfg.mode, cfg.rounds, cfg.devices)
     output = runtime.run_training(cfg)
+    if cfg.diagnostics:
+        records = output.state.diagnostics_records
+        g_hat = diag_mod.estimate_G(records)
+        l_hat = diag_mod.trajectory_smoothness(output.state)
+        if not (math.isfinite(g_hat) and math.isfinite(l_hat)):
+            raise runtime.TrainingError(f"non-finite bound constants: G {g_hat}, L {l_hat}")
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.csv")
     runtime.write_metrics_csv(metrics_path, output.rows)
     print(f"metrics written to {metrics_path}")
     if cfg.diagnostics:
-        records = output.state.diagnostics_records
-        g_hat = diag_mod.estimate_G(records)
-        l_hat = diag_mod.trajectory_smoothness(output.state)
         diag_path = os.path.join(args.out, "diagnostics.csv")
         diag_mod.write_diagnostics_csv(diag_path, records, g_hat, l_hat)
         print(f"diagnostics written to {diag_path}")
@@ -195,14 +184,12 @@ def _format_cost_rows(rows, setting):
 
 
 def cmd_cost(args):
-    setting = dict(SETTINGS[args.setting])
-    for flag, key in (("devices", "devices"), ("samples", "samples_per_device"),
-                      ("batch", "batch_size")):
+    for flag in ("devices", "samples", "batch"):
         value = getattr(args, flag)
-        if value is not None:
-            if value <= 0:
-                raise UsageError(f"--{flag} must be positive, got {value}")
-            setting[key] = value
+        if value <= 0:
+            raise UsageError(f"--{flag} must be positive, got {value}")
+    setting = dict(samples_per_device=args.samples, devices=args.devices,
+                   batch_size=args.batch)
     rows = cost_table(args.model, **setting)
     print(_format_cost_rows(rows, setting), end="")
     if args.csv:
@@ -337,14 +324,14 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -257,43 +257,43 @@ def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=
     return device
 
 
-def tiny_vgg(num_classes=2, input_shape=(1, 16, 16)):
+def tiny_vgg():
     """Desk-scale VGG-style spec; split after the second maxpool."""
     return ModelSpec(
         name="tiny_vgg",
         layer_string="C8-MP-C16-MP|C32-MP-FC",
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
+        input_shape=(1, 16, 16),
+        num_classes=2,
     )
 
 
-def tiny_res(num_classes=2, input_shape=(1, 16, 16)):
+def tiny_res():
     """Desk-scale residual spec; same device side as tiny_vgg."""
     return ModelSpec(
         name="tiny_res",
         layer_string="C8-MP-C16-MP|RB32-FC",
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
+        input_shape=(1, 16, 16),
+        num_classes=2,
     )
 
 
-def vgg11(num_classes=10, input_shape=(3, 32, 32)):
+def vgg11():
     """VGG11-shaped analytic spec (34.4M params at 32x32x3, 10 classes)."""
     return ModelSpec(
         name="vgg11",
         layer_string="C64-MP-C128-MP|C256-C256-MP-C512-C512-MP-C512-C512-FC4096-FC4096-FC10",
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
+        input_shape=(3, 32, 32),
+        num_classes=10,
     )
 
 
-def resnet9(num_classes=10, input_shape=(3, 32, 32)):
+def resnet9():
     """ResNet9-shaped analytic spec (9.65M params at 32x32x3, 10 classes)."""
     return ModelSpec(
         name="resnet9",
         layer_string="C64-MP-C128-MP|RB256-RB512-RB512-FC10",
-        input_shape=tuple(input_shape),
-        num_classes=num_classes,
+        input_shape=(3, 32, 32),
+        num_classes=10,
     )
 
 

@@ -153,10 +153,10 @@ def comm_bytes_per_round(method, spec, op_index=None, *, samples_per_device,
     return report
 
 
-def cost_ratio(method_a, method_b, spec, op_index=None, **setting):
+def cost_ratio(method_a, method_b, spec, **setting):
     """Exact byte quotient of two methods' per-round costs."""
-    a = comm_bytes_per_round(method_a, spec, op_index, **setting)
-    b = comm_bytes_per_round(method_b, spec, op_index, **setting)
+    a = comm_bytes_per_round(method_a, spec, **setting)
+    b = comm_bytes_per_round(method_b, spec, **setting)
     if b.total_bytes == 0:
         raise NetsimError(f"{method_b} moves zero bytes; ratio undefined")
     return a.total_bytes / b.total_bytes

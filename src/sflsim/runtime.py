@@ -52,6 +52,7 @@ METRICS_COLUMNS = (
     "delta_hat",
     "sim_latency_s",
 )
+EVAL_BATCH = 256  # rows per evaluation chunk
 
 
 class TrainingError(RuntimeError):
@@ -157,7 +158,7 @@ def fedavg(vectors, sample_counts):
     return base + acc
 
 
-def evaluate(layers, dataset, split="test", batch_size=256, front=None):
+def evaluate(layers, dataset, split="test", front=None):
     """Argmax accuracy of one layer stack on a dataset split; full
     precision, no quantization. ``front(start, x)``, if given, maps the
     chunk of images from row ``start`` on to the stack's input: the
@@ -166,9 +167,9 @@ def evaluate(layers, dataset, split="test", batch_size=256, front=None):
     if len(labels) == 0:
         raise TrainingError(f"split {split!r} is empty")
     hits = 0
-    for start in range(0, len(labels), batch_size):
-        x = images[start : start + batch_size]
-        y = labels[start : start + batch_size]
+    for start in range(0, len(labels), EVAL_BATCH):
+        x = images[start : start + EVAL_BATCH]
+        y = labels[start : start + EVAL_BATCH]
         if front is not None:
             x = front(start, x)
         logits = kernel.predict(layers, x)
@@ -418,12 +419,16 @@ _STEPS = {
 MODES = tuple(_STEPS)  # one batch step per mode
 
 
-def _check_finite(state, t, losses):
-    """A diverged round fails loudly instead of logging NaN metrics."""
+def _check_finite(state, t, losses, record):
+    """A diverged round fails loudly instead of logging NaN metrics or diagnostics."""
     stacks = (state.global_model, state.global_device, state.global_head, state.global_server)
     values = [np.array(list(losses.values()))] + [kernel.param_vector(s) for s in stacks if s]
+    if record is not None:
+        values.append(np.array([record.grad_norm_sq, record.loss, record.max_sample_grad_sq,
+                                *record.eps.values(), *record.delta.values()]))
     if not all(np.isfinite(v).all() for v in values):
-        raise TrainingError(f"round {t} ({state.config.mode}): non-finite training loss or weights")
+        raise TrainingError(
+            f"round {t} ({state.config.mode}): non-finite training loss, weights or diagnostics")
 
 
 def run_round(state, t):
@@ -459,7 +464,7 @@ def run_round(state, t):
         state.diagnostics_records.append(diag_record)
     for s, stack in stacks.items():
         kernel.load_param_vector(stack, fedavg(vectors[s], counts))
-    _check_finite(state, t, losses)
+    _check_finite(state, t, losses, diag_record)
     return _finish_round(state, t, losses, diag_record)
 
 

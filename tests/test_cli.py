@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sflsim import cli, data as data_mod, kernel, models, netsim, runtime
+from sflsim import diagnostics as diag_mod
 
 
 def smoke_config(tmp_path, **overrides):
@@ -155,8 +156,7 @@ def test_run_seed_override_changes_metrics(tmp_path):
 
 def test_cost_prints_table_and_writes_csv(tmp_path, capsys):
     csv_path = tmp_path / "cost.csv"
-    code = cli.main(["cost", "--model", "vgg11", "--setting", "cifar10-k5",
-                     "--csv", str(csv_path)])
+    code = cli.main(["cost", "--model", "vgg11", "--csv", str(csv_path)])
     assert code == cli.EXIT_OK
     stdout = capsys.readouterr().out
     # The four training methods plus the cached-round row, with pinned GiB.
@@ -407,14 +407,53 @@ def test_bad_dataset_fields_exit_3(tmp_path, capsys, field, value):
 def test_diverged_run_exits_5_without_metrics(tmp_path, capsys):
     # A finite but huge step size overflows the weights in round 0.
     cfg = smoke_config(tmp_path, mode="split", rho=1, lr=1e30)
-    with np.errstate(all="ignore"):
-        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == cli.EXIT_TRAINING
     err = capsys.readouterr().err.strip()
     assert err.startswith("training error: round 0 (split)") and "non-finite" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "metrics.csv").exists()
     assert not (tmp_path / "weights.sfl").exists()
+
+
+def test_diverged_run_prints_one_stderr_line_in_a_real_process(tmp_path):
+    # Outside pytest numpy's overflow warnings would reach stderr; the
+    # CLI silences them and the finiteness check speaks once.
+    cfg = smoke_config(tmp_path, mode="split", rho=1, lr=1e30)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", "import sys; from sflsim import cli; "
+                           f"sys.exit(cli.main(['run', '--config', {str(cfg)!r}, "
+                           f"'--out', {str(tmp_path / 'out')!r}]))"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_TRAINING, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("training error: round 0 (split)"), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_diagnostics_exit_5_without_out_dir(tmp_path, capsys):
+    # Finite weights, but the observer's probe loss overflows to inf.
+    raw = {"version": 1, "mode": "classic", "model": "tiny_vgg", "devices": 1, "rounds": 1,
+           "lr": 1000.0, "batch_size": 5, "diagnostics": True,
+           "dataset": {"kind": "blobs", "per_class": 3, "noise_sigma": 0.3}}
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_TRAINING
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("training error: round 0 (classic): non-finite")
+    assert not out_dir.exists()
+
+
+def test_non_finite_smoothness_exits_5_without_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(diag_mod, "trajectory_smoothness", lambda state: float("nan"))
+    cfg = smoke_config(tmp_path, diagnostics=True, rounds=3)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_TRAINING
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("training error: ") and "L nan" in err[0]
+    assert not out_dir.exists()
 
 
 def test_diagnose_violated_bound_warns_but_exits_zero(tmp_path, capsys):

@@ -3,7 +3,8 @@ runtime dependency (every module imports only the standard library, numpy
 and sflsim itself), the package's modules import one another without a
 cycle, no module reads another module's ``_``-prefixed name, and no
 module holds an ``assert`` statement, so no self-check vanishes under
-``python -O``."""
+``python -O``, and no module reads the environment, so every setting is a
+config key or a flag."""
 
 from __future__ import annotations
 
@@ -128,3 +129,25 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """Lines that read the process environment: ``os.environ``-style
+    attributes and ``from os import environ``-style imports."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ENVIRONMENT_READERS):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (node.lineno for alias in node.names
+                        if alias.name in ENVIRONMENT_READERS)
+
+
+def test_package_reads_no_environment_variable():
+    found = [f"{name}:{line}"
+             for name, tree in _trees().items()
+             for line in _environment_reads(tree)]
+    assert not found, f"environment reads (use a config key or a flag): {found}"
