@@ -11,7 +11,7 @@ SETTING = dict(samples_per_device=10_000, devices=5, batch_size=100)
 
 
 def cost_table(spec_name):
-    spec = models.ZOO[spec_name]()
+    spec = models.ZOO[spec_name]
     facts = models.analyze(spec)
     print(f"\n{spec_name}: {facts.total_params:,} params, "
           f"device side {facts.device_params:,}, "
@@ -30,7 +30,7 @@ def main():
     for name in ("vgg11", "resnet9", "tiny_vgg"):
         cost_table(name)
 
-    spec = models.ZOO["vgg11"]()
+    spec = models.ZOO["vgg11"]
     print("\nhow much cheaper the cached-activation method is, exact quotients:")
     for other in ("classic", "split", "local_loss"):
         ratio = netsim.cost_ratio(other, "replay_tx", spec, **SETTING)

@@ -143,7 +143,7 @@ def cmd_run(args):
 
 def cost_table(spec_name, *, samples_per_device, devices, batch_size):
     """Rows of the per-round communication table for one model."""
-    spec = models.ZOO[spec_name]()
+    spec = models.ZOO[spec_name]
     rows = []
     for method in netsim.METHODS:
         report = netsim.comm_bytes_per_round(
@@ -279,7 +279,7 @@ def cmd_selftest(args):
             _check(on == -(-64 // rho), f"rho={rho}: {on} transmission rounds in 64")
 
     def fedavg_identity():
-        spec = models.ZOO["tiny_vgg"]()
+        spec = models.ZOO["tiny_vgg"]
         stack = models.build_model(spec, seed=1).layers
         vector = kernel.param_vector(stack)
         merged = runtime.fedavg([vector, vector, vector], [1, 2, 3])
@@ -298,7 +298,7 @@ def cmd_selftest(args):
                "dense weight gradient disagrees with finite differences")
 
     def cost_model_pinned():
-        spec = models.ZOO["vgg11"]()
+        spec = models.ZOO["vgg11"]
         report = netsim.comm_bytes_per_round(
             "split", spec, samples_per_device=10_000, devices=5, batch_size=100
         )

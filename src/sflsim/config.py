@@ -56,7 +56,7 @@ _MODE_FIELDS = {
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 _DATASET_KEYS = {
-    "blobs": {"kind", "classes", "per_class", "noise_sigma", "image_shape"},
+    "blobs": {"kind", "per_class", "noise_sigma"},
     "idx": {"kind", "images", "labels"},
 }
 
@@ -122,7 +122,7 @@ def from_dict(raw):
     _require(cfg.device_speed > 0 and cfg.server_speed > 0, "speeds must be positive")
     if cfg.op_index is not None:
         _require(cfg.op_index >= 1, "op_index must be >= 1")
-        layer_count = len(models.expand(models.ZOO[cfg.model]())[0])
+        layer_count = len(models.expand(models.ZOO[cfg.model])[0])
         _require(
             cfg.op_index < layer_count,
             f"op_index {cfg.op_index} must be below {cfg.model}'s layer count {layer_count}",
@@ -133,7 +133,6 @@ def from_dict(raw):
 
 
 def _validate_dataset(cfg):
-    spec = models.ZOO[cfg.model]()
     raw = dict(cfg.dataset) if cfg.dataset else {}
     kind = raw.get("kind", "blobs")
     _check_type("kind", kind, str)
@@ -145,18 +144,10 @@ def _validate_dataset(cfg):
         for key in ("images", "labels"):
             _check_type(key, raw[key], str)
         return raw
-    out = {"kind": "blobs", "classes": spec.num_classes, "per_class": 200, "noise_sigma": 0.05,
-           "image_shape": spec.input_shape, **raw}
-    for key, hint in (("classes", int), ("per_class", int), ("noise_sigma", float)):
+    out = {"kind": "blobs", "per_class": 200, "noise_sigma": 0.05, **raw}
+    for key, hint in (("per_class", int), ("noise_sigma", float)):
         _check_type(key, out[key], hint)
-    shape = out["image_shape"]
-    _require(isinstance(shape, (list, tuple)) and len(shape) == 3
-             and all(type(d) is int and d > 0 for d in shape),
-             "image_shape must be three positive integers (channels, height, width)")
     out["noise_sigma"] = float(out["noise_sigma"])
-    out["image_shape"] = tuple(shape)
-    _require(out["classes"] == spec.num_classes,
-             f"blobs classes {out['classes']} must match model classes {spec.num_classes}")
     _require(out["per_class"] >= 1, "per_class must be >= 1")
     _require(out["noise_sigma"] >= 0, "noise_sigma must be >= 0")
     return out
@@ -186,6 +177,4 @@ def load_config(path, overrides=None):
 def to_dict(cfg):
     out = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
     out["dataset"] = dict(out["dataset"])
-    if "image_shape" in out["dataset"]:
-        out["dataset"]["image_shape"] = list(out["dataset"]["image_shape"])
     return out

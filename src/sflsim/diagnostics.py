@@ -124,7 +124,7 @@ def record_round(state, t, device_id):
         delta={device_id: _staleness(state, device_id)},
         loss=loss,
         gamma=previous + cfg.lr,
-        max_sample_grad_sq=max(0.0, float(sample_sqs.max())),
+        max_sample_grad_sq=float(sample_sqs.max()),
         server_params=(kernel.param_vector(server_stack)
                        if first and _is_centre(t, cfg.rounds) else None),
         probe=(a, y) if first and t == cfg.rounds - 1 else None,
@@ -142,7 +142,7 @@ def round_record(device_records):
         eps={k: v for r in device_records for k, v in r.eps.items()},
         delta={k: v for r in device_records for k, v in r.delta.items()},
         loss=float(np.mean([r.loss for r in device_records])),
-        max_sample_grad_sq=max(r.max_sample_grad_sq for r in device_records),
+        max_sample_grad_sq=float(np.max([r.max_sample_grad_sq for r in device_records])),
     )
 
 
@@ -198,16 +198,18 @@ def _staleness(state, device_id):
 
 
 def estimate_G(records):
-    """Observed bound on per-sample squared gradient norms (running max)."""
+    """Observed bound on per-sample squared gradient norms (running max);
+    NaN if any record's is NaN."""
     records = list(records)
     if not records:
         raise DiagnosticsError("estimate_G needs at least one record")
-    return max(r.max_sample_grad_sq for r in records)
+    return float(np.max([r.max_sample_grad_sq for r in records]))
 
 
 def estimate_L(grad_fn, centers, rng, pairs_per_center=4, sigma=1e-2):
     """Smoothness estimate: max ||g(w) - g(v)|| / ||w - v|| over Gaussian
-    perturbation pairs (w, v) drawn around each trajectory center."""
+    perturbation pairs (w, v) drawn around each trajectory center; NaN if
+    any pair's ratio is NaN."""
     centers = [np.asarray(c, dtype=np.float64).reshape(-1) for c in centers]
     if not centers:
         raise DiagnosticsError("estimate_L needs at least one trajectory point")
@@ -222,7 +224,8 @@ def estimate_L(grad_fn, centers, rng, pairs_per_center=4, sigma=1e-2):
             while gap == 0.0:  # zero-denominator guard; measure-zero redraw
                 v = center + sigma * rng.standard_normal(center.shape)
                 gap = math.sqrt(kernel.sq_norm(w - v))
-            best = max(best, math.sqrt(kernel.sq_norm(grad_fn(w) - grad_fn(v))) / gap)
+            ratio = math.sqrt(kernel.sq_norm(grad_fn(w) - grad_fn(v))) / gap
+            best = float(np.maximum(best, ratio))
     return best
 
 

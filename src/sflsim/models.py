@@ -81,7 +81,6 @@ class ModelFacts:
 
 @dataclass
 class Model:
-    spec: ModelSpec
     layers: list
     default_split: int
 
@@ -205,7 +204,7 @@ def build_model(spec, seed, dtype=np.float32):
     descs, split = expand(spec)
     rng = np.random.default_rng(seed)
     layers = [_instantiate(d, rng, dtype) for d in descs]
-    return Model(spec=spec, layers=layers, default_split=split)
+    return Model(layers=layers, default_split=split)
 
 
 def partition(model, op_index):
@@ -257,49 +256,12 @@ def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=
     return device
 
 
-def tiny_vgg():
-    """Desk-scale VGG-style spec; split after the second maxpool."""
-    return ModelSpec(
-        name="tiny_vgg",
-        layer_string="C8-MP-C16-MP|C32-MP-FC",
-        input_shape=(1, 16, 16),
-        num_classes=2,
-    )
-
-
-def tiny_res():
-    """Desk-scale residual spec; same device side as tiny_vgg."""
-    return ModelSpec(
-        name="tiny_res",
-        layer_string="C8-MP-C16-MP|RB32-FC",
-        input_shape=(1, 16, 16),
-        num_classes=2,
-    )
-
-
-def vgg11():
-    """VGG11-shaped analytic spec (34.4M params at 32x32x3, 10 classes)."""
-    return ModelSpec(
-        name="vgg11",
-        layer_string="C64-MP-C128-MP|C256-C256-MP-C512-C512-MP-C512-C512-FC4096-FC4096-FC10",
-        input_shape=(3, 32, 32),
-        num_classes=10,
-    )
-
-
-def resnet9():
-    """ResNet9-shaped analytic spec (9.65M params at 32x32x3, 10 classes)."""
-    return ModelSpec(
-        name="resnet9",
-        layer_string="C64-MP-C128-MP|RB256-RB512-RB512-FC10",
-        input_shape=(3, 32, 32),
-        num_classes=10,
-    )
-
-
-ZOO = {
-    "tiny_vgg": tiny_vgg,
-    "tiny_res": tiny_res,
-    "vgg11": vgg11,
-    "resnet9": resnet9,
-}
+# The desk specs share one device side and split after its second maxpool.
+# The analytic VGG11 and ResNet9 shapes have 34.4M and 9.65M parameters.
+ZOO = {spec.name: spec for spec in (
+    ModelSpec("tiny_vgg", "C8-MP-C16-MP|C32-MP-FC", (1, 16, 16), 2),
+    ModelSpec("tiny_res", "C8-MP-C16-MP|RB32-FC", (1, 16, 16), 2),
+    ModelSpec("vgg11", "C64-MP-C128-MP|C256-C256-MP-C512-C512-MP-C512-C512-FC4096-FC4096-FC10",
+              (3, 32, 32), 10),
+    ModelSpec("resnet9", "C64-MP-C128-MP|RB256-RB512-RB512-FC10", (3, 32, 32), 10),
+)}

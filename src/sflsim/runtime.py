@@ -213,27 +213,27 @@ def init_state(config):
     ss = np.random.SeedSequence(config.seed)
     children = ss.spawn(3)
     data_words = children[0].generate_state(2)
-    dataset = _load_dataset(config, int(data_words[0]))
+    spec = models.ZOO[config.model]
+    dataset = _load_dataset(config, spec, int(data_words[0]))
     for split, used in (("test", True), ("pretrain", config.pretrain_epochs > 0)):
         if used and len(dataset.splits[split]) == 0:
             raise data_mod.DataError(
                 f"split {split!r} is empty: {len(dataset.labels)} samples are too few"
             )
-    spec = models.ZOO[config.model]()
     top = int(dataset.labels.max(initial=0))
     if top >= spec.num_classes:
         raise data_mod.DataError(
             f"dataset label {top} does not fit {config.model}, "
             f"which has {spec.num_classes} classes"
         )
-    model_words = children[1].generate_state(2)
-    model = models.build_model(spec, seed=int(model_words[0]))
-    op_index = config.op_index if config.op_index is not None else model.default_split
-    if tuple(dataset.images.shape[1:]) != tuple(spec.input_shape):
-        raise TrainingError(
+    if dataset.images.shape[1:] != spec.input_shape:
+        raise data_mod.DataError(
             f"dataset images {dataset.images.shape[1:]} do not match "
             f"model input {spec.input_shape}"
         )
+    model_words = children[1].generate_state(2)
+    model = models.build_model(spec, seed=int(model_words[0]))
+    op_index = config.op_index if config.op_index is not None else model.default_split
 
     train_idx = dataset.splits["train"]
     shard_list = data_mod.shard_uniform(train_idx, config.devices, seed=int(data_words[1]))
@@ -242,8 +242,6 @@ def init_state(config):
         k: [shard[i : i + config.batch_size] for i in range(0, len(shard), config.batch_size)]
         for k, shard in shards.items()
     }
-    if any(len(b) == 0 for b in batches.values()):
-        raise TrainingError("every device needs at least one batch")
 
     global_model = global_device = global_server = global_head = None
     if config.mode == "classic":
@@ -296,11 +294,12 @@ def init_state(config):
     )
 
 
-def _load_dataset(config, seed):
+def _load_dataset(config, spec, seed):
     src = dict(config.dataset)
     kind = src.pop("kind")
     if kind == "blobs":
-        return data_mod.generate_blobs(**src, seed=seed)
+        return data_mod.generate_blobs(spec.num_classes, image_shape=spec.input_shape, **src,
+                                       seed=seed)
     dataset = data_mod.load_idx(src["images"], src["labels"])
     dataset.splits.update(data_mod.make_splits(len(dataset.labels), seed))
     return dataset

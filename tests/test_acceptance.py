@@ -86,7 +86,7 @@ CALIBRATION = dict(
     batch_size=16,
     pretrain_epochs=2,
     seed=1234,
-    dataset={"kind": "blobs", "classes": 2, "per_class": 200, "noise_sigma": 0.05},
+    dataset={"kind": "blobs", "per_class": 200, "noise_sigma": 0.05},
 )
 
 
@@ -164,7 +164,7 @@ def test_criterion_02_cost_ratio_targets():
     than the two-decimal 0.39 cell alone carries (+/-1.3%).
     """
     t0 = time.perf_counter()
-    spec = models.ZOO["vgg11"]()
+    spec = models.ZOO["vgg11"]
     r_split = netsim.cost_ratio("split", "replay_tx", spec, **PAPER_SETTING)
     r_local = netsim.cost_ratio("local_loss", "replay_tx", spec, **PAPER_SETTING)
     elapsed = time.perf_counter() - t0

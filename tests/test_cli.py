@@ -178,7 +178,7 @@ def test_cost_size_overrides_set_every_row(tmp_path, capsys):
     assert list(rows) == list(netsim.METHODS)
     for method, row in rows.items():
         report = netsim.comm_bytes_per_round(
-            method, models.tiny_res(), samples_per_device=1000, devices=3, batch_size=50)
+            method, models.ZOO["tiny_res"], samples_per_device=1000, devices=3, batch_size=50)
         assert (int(row["per_device_up"]), int(row["per_device_down"]),
                 int(row["total_bytes"]), float(row["gib"])) == (
             report.per_device_up, report.per_device_down, report.total_bytes, report.gib)
@@ -359,14 +359,37 @@ def test_data_errors_exit_4(tmp_path, capsys):
     assert cli.main(["diagnose", "--log", str(tmp_path / "missing.csv")]) == cli.EXIT_DATA
 
 
-def test_training_errors_exit_5(tmp_path, capsys):
-    # Dataset images that do not match the model's input shape surface as a
-    # training error once the run starts.
-    cfg = smoke_config(
-        tmp_path,
-        dataset={"kind": "blobs", "per_class": 32, "image_shape": [1, 8, 8]},
-    )
-    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_TRAINING
+def test_idx_images_of_another_shape_exit_4(tmp_path, capsys, monkeypatch):
+    # tiny_vgg takes 16x16 images: 8x8 ones are a data error before the
+    # model is built, and no output directory is made.
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data_dir), "--per-class", "20",
+                     "--height", "8", "--width", "8"]) == cli.EXIT_OK
+    idx = {"kind": "idx", "images": str(data_dir / "images.idx"),
+           "labels": str(data_dir / "labels.idx")}
+    built = []
+    monkeypatch.setattr(models, "build_model", lambda *args, **kwargs: built.append(args))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    code = cli.main(["run", "--config", str(smoke_config(tmp_path, dataset=idx)),
+                     "--out", str(out_dir)])
+    assert code == cli.EXIT_DATA and not built and not out_dir.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: dataset images (1, 8, 8) do not match model input (1, 16, 16)"]
+
+
+def test_training_errors_exit_5(tmp_path, capsys, monkeypatch):
+    # NaN gradients on the smoothness pairs make L NaN: a non-finite bound
+    # constant is a training error, and no output directory is made.
+    monkeypatch.setattr(diag_mod, "server_grad_fn",
+                        lambda *args: lambda theta: np.full(theta.shape, np.nan))
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", "--config", str(smoke_config(tmp_path, diagnostics=True)),
+                     "--out", str(out_dir)])
+    assert code == cli.EXIT_TRAINING and not out_dir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("training error: non-finite bound constants: G ")
+    assert err[0].endswith(", L nan")
 
 
 @pytest.mark.parametrize("overrides", [
@@ -389,10 +412,10 @@ def test_non_finite_config_values_exit_3(tmp_path, capsys, overrides):
     ("per_class", "x"),
     ("per_class", True),
     ("noise_sigma", "a"),
-    ("image_shape", 5),
-    ("image_shape", [1, 16, "a"]),
-    ("image_shape", [0, 16, 16]),
-    ("classes", 2.5),
+    ("per_class", 0),
+    ("per_class", 2.5),
+    ("noise_sigma", -0.5),
+    ("noise_sigma", None),
     ("kind", ["blobs"]),
     ("kind", {"kind": "blobs"}),
 ])

@@ -28,8 +28,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.quantized is True
     assert cfg.profile == "wifi"
     assert cfg.dataset["kind"] == "blobs"
-    assert cfg.dataset["image_shape"] == (1, 16, 16)
-    assert cfg.dataset["classes"] == 2
 
 
 def test_unknown_top_level_key_rejected():
@@ -119,8 +117,10 @@ def test_dataset_unknown_key_rejected():
 
 
 def test_dataset_class_count_must_match_model():
-    with pytest.raises(ConfigError, match="classes"):
-        config_mod.from_dict(minimal(dataset={"kind": "blobs", "classes": 3}))
+    # The class count and image shape come from the model, so neither is a key.
+    for key, value in (("classes", 2), ("image_shape", [1, 16, 16])):
+        with pytest.raises(ConfigError, match=f"unknown dataset keys.*{key}"):
+            config_mod.from_dict(minimal(dataset={"kind": "blobs", key: value}))
 
 
 def test_idx_dataset_requires_paths():

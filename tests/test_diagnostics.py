@@ -164,6 +164,13 @@ class TestRecordRound:
             runs[flag] = kernel.param_vector(out.final_model)
         assert runs[True].tobytes() == runs[False].tobytes()
 
+    def test_keeps_a_nan_sample_norm(self):
+        state = runtime.init_state(make_config(mode="split", quantized=True))
+        kernel.load_param_vector(
+            state.global_server, np.full(kernel.param_vector(state.global_server).size, np.nan))
+        with np.errstate(all="ignore"):
+            assert np.isnan(dg.record_round(state, 0, 0).max_sample_grad_sq)
+
 
 class TestSampleGradients:
     @pytest.mark.parametrize("n", [7, 1])
@@ -171,7 +178,7 @@ class TestSampleGradients:
     @pytest.mark.parametrize("model", ["tiny_vgg", "tiny_res"])
     def test_per_example_norms_match_single_sample_loop(self, model, dtype, rtol, n):
         # n = 7 is not a power of two, so the rescaling by n**2 rounds.
-        spec = models.ZOO[model]()
+        spec = models.ZOO[model]
         built = models.build_model(spec, seed=9, dtype=dtype)
         device, server = models.partition(built, built.default_split)
         rng = np.random.default_rng(10)
@@ -184,7 +191,7 @@ class TestSampleGradients:
         np.testing.assert_allclose(got, want, rtol=rtol)
 
     def test_only_the_first_cap_samples_count(self):
-        spec = models.ZOO["tiny_vgg"]()
+        spec = models.ZOO["tiny_vgg"]
         built = models.build_model(spec, seed=11)
         device, server = models.partition(built, built.default_split)
         rng = np.random.default_rng(12)
@@ -248,6 +255,12 @@ class TestEstimateG:
         with pytest.raises(dg.DiagnosticsError):
             dg.estimate_G([])
 
+    @pytest.mark.parametrize("norms", [[1.0, np.nan], [np.nan, 1.0]])
+    def test_nan_passes_through_in_either_order(self, norms):
+        recs = [synth_record(t, 0.1, max_sq=m) for t, m in enumerate(norms)]
+        assert np.isnan(dg.estimate_G(recs))
+        assert np.isnan(dg.round_record(recs).max_sample_grad_sq)
+
 
 class TestEstimateL:
     def test_quadratic_matches_top_hessian_eigenvalue(self):
@@ -289,6 +302,10 @@ class TestEstimateL:
             )
         assert rng_vals[0] == rng_vals[1]
 
+    def test_nan_gradients_give_nan(self):
+        grad_fn = lambda theta: np.full(3, np.nan)
+        assert np.isnan(dg.estimate_L(grad_fn, [np.zeros(3)], np.random.default_rng(0)))
+
     def test_rejects_empty_centers_and_bad_sigma(self):
         grad_fn = lambda theta: theta
         with pytest.raises(dg.DiagnosticsError):
@@ -297,7 +314,7 @@ class TestEstimateL:
             dg.estimate_L(grad_fn, [np.ones(2)], np.random.default_rng(0), sigma=0.0)
 
     def test_server_grad_fn_matches_direct_computation(self):
-        spec = models.ZOO["tiny_vgg"]()
+        spec = models.ZOO["tiny_vgg"]
         model = models.build_model(spec, seed=5)
         _, server = models.partition(model, model.default_split)
         rng = np.random.default_rng(6)

@@ -344,7 +344,8 @@ def test_softmax_cross_entropy_fd_on_logits():
     assert np.max(np.abs(grad - numeric)) < 1e-7
 
 
-@pytest.mark.parametrize("spec", [models.tiny_vgg(), models.tiny_res()], ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", [models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]],
+                         ids=lambda s: s.name)
 def test_loss_grads_is_the_hand_sequence(spec):
     # forward -> softmax cross-entropy -> backward, bit for bit, in float32
     model = models.build_model(spec, seed=3)
@@ -462,7 +463,8 @@ def test_backward_without_input_grad_keeps_parameter_grads(kind, per_example):
             assert got[k].tobytes() == want[k].tobytes()
 
 
-@pytest.mark.parametrize("spec", [models.tiny_vgg(), models.tiny_res()], ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", [models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]],
+                         ids=lambda s: s.name)
 def test_predict_is_forward_output_bit_for_bit(spec):
     layers = models.build_model(spec, seed=5).layers
     x = np.random.default_rng(6).standard_normal((5, *spec.input_shape)).astype(np.float32)
@@ -480,7 +482,7 @@ def test_hot_path_does_no_einsum_planning(monkeypatch):
     monkeypatch.setattr(np, "einsum_path", planner)
     monkeypatch.setattr(einsumfunc, "einsum_path", planner)
     rng = np.random.default_rng(31)
-    for spec in (models.tiny_vgg(), models.tiny_res()):
+    for spec in (models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]):
         layers = models.build_model(spec, seed=32).layers
         x = rng.standard_normal((4, *spec.input_shape)).astype(np.float32)
         labels = rng.integers(0, spec.num_classes, size=4)
@@ -706,8 +708,8 @@ DESK_STACKS = {
     "relu": lambda rng: ([kernel.ReLU()], (16, 8, 8, 8)),
     "flatten": lambda rng: ([kernel.Flatten()], (16, 8, 4, 4)),
     "resblock": lambda rng: ([kernel.ResidualBlock(16, 32, rng)], (16, 16, 4, 4)),
-    "tiny_vgg_server": lambda rng: _desk_server_half(models.tiny_vgg(), rng),
-    "tiny_res_server": lambda rng: _desk_server_half(models.tiny_res(), rng),
+    "tiny_vgg_server": lambda rng: _desk_server_half(models.ZOO["tiny_vgg"], rng),
+    "tiny_res_server": lambda rng: _desk_server_half(models.ZOO["tiny_res"], rng),
 }
 
 

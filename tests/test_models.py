@@ -34,7 +34,7 @@ RESNET9_TOTAL_PARAMS = 9_652_874
 
 
 def test_tiny_vgg_facts():
-    spec = models.tiny_vgg()
+    spec = models.ZOO["tiny_vgg"]
     facts = models.analyze(spec)
     assert facts.device_params == TINY_VGG_DEVICE_PARAMS
     assert facts.server_params == TINY_VGG_SERVER_PARAMS
@@ -44,7 +44,7 @@ def test_tiny_vgg_facts():
 
 
 def test_vgg11_facts():
-    spec = models.vgg11()
+    spec = models.ZOO["vgg11"]
     facts = models.analyze(spec)
     assert facts.total_params == VGG11_TOTAL_PARAMS
     assert facts.device_params == VGG11_DEVICE_PARAMS
@@ -53,7 +53,7 @@ def test_vgg11_facts():
 
 
 def test_resnet9_facts():
-    spec = models.resnet9()
+    spec = models.ZOO["resnet9"]
     facts = models.analyze(spec)
     assert facts.total_params == RESNET9_TOTAL_PARAMS
     assert facts.device_params == VGG11_DEVICE_PARAMS
@@ -61,21 +61,21 @@ def test_resnet9_facts():
 
 
 def test_built_model_matches_analytic_counts():
-    for spec in (models.tiny_vgg(), models.tiny_res()):
+    for spec in (models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]):
         model = models.build_model(spec, seed=3)
         built = sum(layer.param_count() for layer in model.layers)
         assert built == models.analyze(spec).total_params
 
 
 def test_built_vgg11_matches_hand_count():
-    model = models.build_model(models.vgg11(), seed=0)
+    model = models.build_model(models.ZOO["vgg11"], seed=0)
     assert sum(layer.param_count() for layer in model.layers) == VGG11_TOTAL_PARAMS
 
 
 def test_build_is_deterministic():
-    a = models.build_model(models.tiny_vgg(), seed=11)
-    b = models.build_model(models.tiny_vgg(), seed=11)
-    c = models.build_model(models.tiny_vgg(), seed=12)
+    a = models.build_model(models.ZOO["tiny_vgg"], seed=11)
+    b = models.build_model(models.ZOO["tiny_vgg"], seed=11)
+    c = models.build_model(models.ZOO["tiny_vgg"], seed=12)
     for la, lb in zip(a.layers, b.layers):
         for k in la.params():
             assert np.array_equal(la.params()[k], lb.params()[k])
@@ -94,7 +94,7 @@ INIT_SHA256 = {
 @pytest.mark.parametrize("name", sorted(INIT_SHA256))
 def test_init_weights_are_pinned(name):
     digest = hashlib.sha256()
-    for i, layer in enumerate(models.build_model(models.ZOO[name](), seed=0).layers):
+    for i, layer in enumerate(models.build_model(models.ZOO[name], seed=0).layers):
         for key, arr in sorted(layer.params().items()):
             digest.update(f"{i}.{layer.kind}.{key}{arr.shape}{arr.dtype}".encode())
             digest.update(arr.tobytes())
@@ -102,7 +102,7 @@ def test_init_weights_are_pinned(name):
 
 
 def test_forward_shapes_through_zoo():
-    for spec in (models.tiny_vgg(), models.tiny_res()):
+    for spec in (models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]):
         model = models.build_model(spec, seed=5)
         x = np.zeros((3,) + spec.input_shape, dtype=np.float32)
         out = kernel.forward(model.layers, x).output
@@ -110,7 +110,7 @@ def test_forward_shapes_through_zoo():
 
 
 def test_partition_boundaries():
-    model = models.build_model(models.tiny_vgg(), seed=1)
+    model = models.build_model(models.ZOO["tiny_vgg"], seed=1)
     n = len(model.layers)
     with pytest.raises(models.ModelError):
         models.partition(model, 0)
@@ -122,7 +122,7 @@ def test_partition_boundaries():
 
 
 def test_partition_concat_round_trip():
-    model = models.build_model(models.tiny_vgg(), seed=2)
+    model = models.build_model(models.ZOO["tiny_vgg"], seed=2)
     device, server = models.partition(model, model.default_split)
     rebuilt = device + server
     assert len(rebuilt) == len(model.layers)
@@ -131,7 +131,7 @@ def test_partition_concat_round_trip():
 
 
 def test_partitioned_forward_equals_full_forward():
-    spec = models.tiny_vgg()
+    spec = models.ZOO["tiny_vgg"]
     model = models.build_model(spec, seed=9)
     device, server = models.partition(model, model.default_split)
     x = np.random.default_rng(0).standard_normal((4,) + spec.input_shape).astype(np.float32)
@@ -169,7 +169,7 @@ def test_layer_string_rejects_garbage():
 
 
 def test_auxiliary_head_shape():
-    spec = models.tiny_vgg()
+    spec = models.ZOO["tiny_vgg"]
     head = models.auxiliary_head(spec, seed=4)
     assert len(head) == 2  # flatten + dense
     assert head[-1].kind == "dense"
@@ -181,7 +181,7 @@ def test_auxiliary_head_shape():
 
 
 def test_pretrain_returns_deterministic_stack():
-    spec = models.tiny_vgg()
+    spec = models.ZOO["tiny_vgg"]
     ds = data.generate_blobs(classes=2, per_class=40, image_shape=(1, 16, 16), noise_sigma=0.1, seed=7)
     model = models.build_model(spec, seed=7)
 
@@ -203,7 +203,7 @@ def test_pretrain_returns_deterministic_stack():
 
 
 def test_pretrain_zero_epochs_is_init():
-    spec = models.tiny_vgg()
+    spec = models.ZOO["tiny_vgg"]
     ds = data.generate_blobs(classes=2, per_class=20, image_shape=(1, 16, 16), noise_sigma=0.1, seed=8)
     model = models.build_model(spec, seed=21)
     stack = models.pretrain_device_side(model, ds, epochs=0, lr=0.05, batch_size=8, seed=13)

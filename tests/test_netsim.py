@@ -28,53 +28,55 @@ GIB = 2**30
 
 
 def test_classic_bytes_exact():
-    report = netsim.comm_bytes_per_round("classic", models.vgg11(), **CIFAR_LIKE)
+    report = netsim.comm_bytes_per_round("classic", models.ZOO["vgg11"], **CIFAR_LIKE)
     assert report.total_bytes == 1_377_418_640
     assert report.gib == pytest.approx(1.28279, abs=1e-4)
-    r9 = netsim.comm_bytes_per_round("classic", models.resnet9(), **CIFAR_LIKE)
+    r9 = netsim.comm_bytes_per_round("classic", models.ZOO["resnet9"], **CIFAR_LIKE)
     assert r9.total_bytes == 386_114_960
     assert r9.gib == pytest.approx(0.35958, abs=1e-4)
 
 
 def test_split_bytes_exact():
-    report = netsim.comm_bytes_per_round("split", models.vgg11(), **CIFAR_LIKE)
+    report = netsim.comm_bytes_per_round("split", models.ZOO["vgg11"], **CIFAR_LIKE)
     assert report.total_bytes == 3_279_925_920
     assert report.gib == pytest.approx(3.05467, abs=1e-4)
     # same cell for the resnet9 spec: identical device stack and activation
-    r9 = netsim.comm_bytes_per_round("split", models.resnet9(), **CIFAR_LIKE)
+    r9 = netsim.comm_bytes_per_round("split", models.ZOO["resnet9"], **CIFAR_LIKE)
     assert r9.total_bytes == 3_279_925_920
 
 
 def test_split_frozen_device_skips_model_sync():
-    frozen = netsim.comm_bytes_per_round("split", models.vgg11(), freeze_device=True, **CIFAR_LIKE)
+    frozen = netsim.comm_bytes_per_round("split", models.ZOO["vgg11"], freeze_device=True,
+                                         **CIFAR_LIKE)
     assert frozen.total_bytes == 3_279_925_920 - 5 * 2 * 4 * 75_648
 
 
 def test_local_loss_bytes_exact():
-    report = netsim.comm_bytes_per_round("local_loss", models.vgg11(), **CIFAR_LIKE)
+    report = netsim.comm_bytes_per_round("local_loss", models.ZOO["vgg11"], **CIFAR_LIKE)
     assert report.total_bytes == 1_644_803_120
     assert report.purpose_bytes["gradient"] == 0  # no gradient downlink
 
 
 def test_replay_bytes_exact():
-    tx = netsim.comm_bytes_per_round("replay_tx", models.vgg11(), **CIFAR_LIKE)
+    tx = netsim.comm_bytes_per_round("replay_tx", models.ZOO["vgg11"], **CIFAR_LIKE)
     assert tx.total_bytes == 409_721_500
     assert tx.gib == pytest.approx(0.38158, abs=1e-4)
     assert tx.purpose_bytes["gradient"] == 0
     assert tx.purpose_bytes["model_up"] == 0
-    idle = netsim.comm_bytes_per_round("replay_buffer", models.vgg11(), **CIFAR_LIKE)
+    idle = netsim.comm_bytes_per_round("replay_buffer", models.ZOO["vgg11"], **CIFAR_LIKE)
     assert idle.total_bytes == 0
 
 
 def test_replay_quant_off_uses_raw_elements():
-    tx = netsim.comm_bytes_per_round("replay_tx", models.vgg11(), quantized=False, **CIFAR_LIKE)
+    tx = netsim.comm_bytes_per_round("replay_tx", models.ZOO["vgg11"], quantized=False,
+                                     **CIFAR_LIKE)
     # payload grows 4x: record = 43 + 200 + 100*8192*4 = 3,277,043 per batch
     assert tx.total_bytes == 3_277_043 * 100 * 5
 
 
 def test_ragged_last_batch_accounting():
     # 25 samples in batches of 10: two full records and one 5-sample record
-    spec = models.tiny_vgg()
+    spec = models.ZOO["tiny_vgg"]
     tx = netsim.comm_bytes_per_round("replay_tx", spec, samples_per_device=25,
                                      devices=1, batch_size=10)
     rec_full = 43 + 2 * 10 + 10 * 256
@@ -83,14 +85,14 @@ def test_ragged_last_batch_accounting():
 
 
 def test_cost_ratio_is_exact_byte_quotient():
-    ratio = netsim.cost_ratio("split", "replay_tx", models.vgg11(), **CIFAR_LIKE)
+    ratio = netsim.cost_ratio("split", "replay_tx", models.ZOO["vgg11"], **CIFAR_LIKE)
     assert ratio == 3_279_925_920 / 409_721_500
-    lgl = netsim.cost_ratio("local_loss", "replay_tx", models.vgg11(), **CIFAR_LIKE)
+    lgl = netsim.cost_ratio("local_loss", "replay_tx", models.ZOO["vgg11"], **CIFAR_LIKE)
     assert lgl == 1_644_803_120 / 409_721_500
 
 
 def test_computation_units_convention():
-    spec = models.vgg11()
+    spec = models.ZOO["vgg11"]
     split = netsim.computation_units("split", spec, samples_per_device=10_000)
     replay = netsim.computation_units("replay_tx", spec, samples_per_device=10_000)
     classic = netsim.computation_units("classic", spec, samples_per_device=10_000)
@@ -173,7 +175,7 @@ def device_traffic(report):
 
 
 def test_comm_share_strictly_increases_as_bandwidth_drops():
-    spec = models.vgg11()
+    spec = models.ZOO["vgg11"]
     report = netsim.comm_bytes_per_round("split", spec, **CIFAR_LIKE)
     compute = netsim.computation_units("split", spec, samples_per_device=10_000)
     traffic = device_traffic(report)
@@ -186,7 +188,7 @@ def test_comm_share_strictly_increases_as_bandwidth_drops():
 
 
 def test_replay_latency_beats_split_everywhere():
-    spec = models.vgg11()
+    spec = models.ZOO["vgg11"]
     for name in ("wifi", "4g", "3g"):
         profile = netsim.PROFILES[name]
         lats = {}
