@@ -84,8 +84,8 @@ def build_parser():
     p_gen = sub.add_parser("gen-data", help="write synthetic blobs as IDX files")
     p_gen.add_argument("--out", default=".", help="output directory")
     p_gen.add_argument("--classes", type=int, default=2)
-    p_gen.add_argument("--per-class", type=int, default=200)
-    p_gen.add_argument("--sigma", type=float, default=0.05)
+    p_gen.add_argument("--per-class", type=int, default=data_mod.BLOB_DEFAULTS["per_class"])
+    p_gen.add_argument("--sigma", type=float, default=data_mod.BLOB_DEFAULTS["noise_sigma"])
     p_gen.add_argument("--height", type=int, default=16)
     p_gen.add_argument("--width", type=int, default=16)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -202,16 +202,17 @@ def cmd_cost(args):
 
 
 def cmd_diagnose(args):
+    if args.at and min(args.at) < 2:
+        raise UsageError(f"--at must be >= 2 (the bound needs 2 rounds), got {min(args.at)}")
     rows = diag_mod.read_diagnostics_csv(args.log)
     if not args.at and len(rows) < 2:
         raise diag_mod.DiagnosticsError(f"the bound needs at least 2 rounds; {args.log} holds 1")
-    points = sorted(args.at) if args.at else [len(rows)]
+    points = sorted(set(args.at)) if args.at else [len(rows)]
+    if points[-1] > len(rows):
+        raise diag_mod.DiagnosticsError(
+            f"--at {points[-1]} outside the log's range (2..{len(rows)})")
     violated = undefined = False
     for point in points:
-        if point < 2 or point > len(rows):
-            raise diag_mod.DiagnosticsError(
-                f"--at {point} outside the log's range (2..{len(rows)})"
-            )
         row = rows[point - 1]
         lhs, rhs = row["lhs_running"], row["rhs_running"]
         head = f"after {point:>4} rounds: Gamma {row['gamma']:.6g}  "

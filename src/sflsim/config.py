@@ -11,6 +11,7 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
+from . import data as data_mod
 from . import models, netsim, runtime
 
 SCHEMA_VERSION = 1
@@ -56,7 +57,7 @@ _MODE_FIELDS = {
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 _DATASET_KEYS = {
-    "blobs": {"kind", "per_class", "noise_sigma"},
+    "blobs": {"kind", *data_mod.BLOB_DEFAULTS},
     "idx": {"kind", "images", "labels"},
 }
 
@@ -120,6 +121,7 @@ def from_dict(raw):
         f"profile must be one of {sorted(netsim.PROFILES)}",
     )
     _require(cfg.device_speed > 0 and cfg.server_speed > 0, "speeds must be positive")
+    _require(cfg.spill_dir != "", "spill_dir must not be empty")
     if cfg.op_index is not None:
         _require(cfg.op_index >= 1, "op_index must be >= 1")
         layer_count = len(models.expand(models.ZOO[cfg.model])[0])
@@ -144,7 +146,7 @@ def _validate_dataset(cfg):
         for key in ("images", "labels"):
             _check_type(key, raw[key], str)
         return raw
-    out = {"kind": "blobs", "per_class": 200, "noise_sigma": 0.05, **raw}
+    out = {"kind": "blobs", **data_mod.BLOB_DEFAULTS, **raw}
     for key, hint in (("per_class", int), ("noise_sigma", float)):
         _check_type(key, out[key], hint)
     out["noise_sigma"] = float(out["noise_sigma"])

@@ -17,6 +17,8 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 SPLIT_FRACTIONS = {"pretrain": 0.25, "train": 0.50, "test": 0.25}
+# What a blobs dataset and gen-data use unless told otherwise.
+BLOB_DEFAULTS = {"per_class": 200, "noise_sigma": 0.05}
 
 
 class DataError(ValueError):
@@ -46,7 +48,7 @@ def make_splits(n, seed):
     }
 
 
-def generate_blobs(classes, per_class, image_shape=(1, 16, 16), noise_sigma=0.1, seed=0):
+def generate_blobs(classes, per_class, image_shape, noise_sigma, seed):
     """Class-template images plus Gaussian pixel noise, clipped to [0, 1].
 
     Each class gets a fixed random template; samples are template + sigma *
@@ -89,13 +91,12 @@ def _read_idx(path, header, magic):
     return counts, np.frombuffer(raw, dtype=np.uint8, offset=size)
 
 
-def load_idx(image_path, label_path):
+def load_idx(image_path, label_path, seed):
     """Load an IDX ubyte image/label file pair into a Dataset.
 
     Big-endian headers: images magic 0x00000803 then count/rows/cols, labels
     magic 0x00000801 then count. Pixels are scaled to [0, 1] float32 and a
-    channel axis is added. All indices land in the train split; callers that
-    want pretrain/test portions reassign via make_splits.
+    channel axis is added. The splits are make_splits(count, seed).
     """
     (count, rows, cols), pixels = _read_idx(image_path, ">IIII", IDX_IMAGE_MAGIC)
     if rows * cols > 2**31:
@@ -104,12 +105,7 @@ def load_idx(image_path, label_path):
     (label_count,), labels = _read_idx(label_path, ">II", IDX_LABEL_MAGIC)
     if label_count != count:
         raise DataError(f"image/label count mismatch: {count} images, {label_count} labels")
-    splits = {
-        "pretrain": np.zeros(0, dtype=np.int64),
-        "train": np.arange(count),
-        "test": np.zeros(0, dtype=np.int64),
-    }
-    return Dataset(images=images, labels=labels.astype(np.int64), splits=splits)
+    return Dataset(images=images, labels=labels.astype(np.int64), splits=make_splits(count, seed))
 
 
 def write_idx(image_path, label_path, images, labels):

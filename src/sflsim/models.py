@@ -88,66 +88,50 @@ class Model:
 _TOKEN_RE = re.compile(r"^(C|RB|FC)(\d+)$")
 
 
-def _micro_tokens(spec):
-    """Side-tagged micro tokens from the layer string; 'post' marks device end."""
-    parts = spec.layer_string.split("|")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ModelError(f"layer string needs one '|' split point: {spec.layer_string!r}")
-    out = []
-    for side, chunk in zip(("device", "server"), parts):
-        for token in chunk.split("-"):
-            if token == "MP":
-                out.append((side, "maxpool", 0))
-            elif token == "Flatten":
-                out.append((side, "flatten", 0))
-            elif token == "FC":
-                out.append((side, "dense", spec.num_classes))
-            else:
-                m = _TOKEN_RE.match(token)
-                if not m:
-                    raise ModelError(f"unknown layer token {token!r} in {spec.layer_string!r}")
-                kind = {"C": "conv3x3", "RB": "resblock", "FC": "dense"}[m.group(1)]
-                out.append((side, kind, int(m.group(2))))
-    return out
-
-
 def expand(spec):
     """Layer string -> (list of LayerDesc, default split index).
 
-    Convs get a trailing ReLU; dense layers too except the final one; a
-    Flatten is inserted before the first dense when the activation is still
-    spatial. Shapes are threaded and validated as descriptors are emitted.
+    One pass over the device tokens, then the server tokens; the split index
+    is where the server tokens start. Convs get a trailing ReLU; dense layers
+    too except the final one; a Flatten is inserted before the first dense
+    when the activation is still spatial. Shapes are threaded and validated
+    as descriptors are emitted.
     """
-    micro = _micro_tokens(spec)
-    dense_positions = [i for i, (_, kind, _) in enumerate(micro) if kind == "dense"]
-    last_dense = dense_positions[-1] if dense_positions else -1
+    parts = spec.layer_string.split("|")
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise ModelError(f"layer string needs one '|' split point: {spec.layer_string!r}")
+    device_tokens, server_tokens = (part.split("-") for part in parts)
+    tokens = device_tokens + server_tokens
+    last_dense = max((i for i, token in enumerate(tokens) if token.startswith("FC")), default=-1)
 
-    descs = []
-    split_index = None
-    shape = tuple(spec.input_shape)
-    for i, (side, kind, arg) in enumerate(micro):
-        if side == "server" and split_index is None:
+    descs, split_index, shape = [], None, tuple(spec.input_shape)
+    for i, token in enumerate(tokens):
+        if i == len(device_tokens):
             split_index = len(descs)
-        if kind == "maxpool":
+        m = _TOKEN_RE.match(f"FC{spec.num_classes}" if token == "FC" else token)
+        kind, arg = (m.group(1), int(m.group(2))) if m else (token, 0)
+        if kind == "MP":
             if len(shape) != 3 or shape[1] % 2 or shape[2] % 2:
                 raise ModelError(f"maxpool needs even spatial input, got {shape}")
             out = (shape[0], shape[1] // 2, shape[2] // 2)
             descs.append(LayerDesc("maxpool2x2", shape, out))
-        elif kind == "flatten":
+        elif kind == "Flatten":
             out = (int(np.prod(shape)),)
             descs.append(LayerDesc("flatten", shape, out))
-        elif kind == "conv3x3":
+        elif m is None:
+            raise ModelError(f"unknown layer token {token!r} in {spec.layer_string!r}")
+        elif kind == "C":
             if len(shape) != 3:
                 raise ModelError(f"conv needs spatial input, got {shape}")
             out = (arg, shape[1], shape[2])
             descs.append(LayerDesc("conv3x3", shape, out, arg))
             descs.append(LayerDesc("relu", out, out))
-        elif kind == "resblock":
+        elif kind == "RB":
             if len(shape) != 3 or shape[1] % 2 or shape[2] % 2:
                 raise ModelError(f"residual block needs even spatial input, got {shape}")
             out = (arg, shape[1] // 2, shape[2] // 2)
             descs.append(LayerDesc("resblock", shape, out, arg))
-        elif kind == "dense":
+        else:  # FC
             if len(shape) == 3:
                 flat = (int(np.prod(shape)),)
                 descs.append(LayerDesc("flatten", shape, flat))
@@ -156,10 +140,8 @@ def expand(spec):
             descs.append(LayerDesc("dense", shape, out, arg))
             if i != last_dense:
                 descs.append(LayerDesc("relu", out, out))
-        else:
-            raise ModelError(f"unknown kind {kind}")
         shape = descs[-1].out_shape
-    if split_index is None or split_index == 0 or split_index == len(descs):
+    if split_index == 0 or split_index == len(descs):
         raise ModelError("split point must leave layers on both sides")
     return descs, split_index
 

@@ -14,6 +14,7 @@ replay-mode transmission round), replay_buffer (a replay-mode cached round).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -227,5 +228,7 @@ def round_latency(per_device_traffic, compute, profile, device_speed, server_spe
         comm_total += comm
         busy_total += comp + comm
     slowest = max(per_device.values())
+    if not math.isfinite(slowest):
+        raise NetsimError(f"round latency is not finite: {slowest} s")
     share = comm_total / busy_total if busy_total > 0 else 0.0
     return LatencyReport(per_device=per_device, round_latency_s=slowest, comm_share=share)

@@ -300,9 +300,7 @@ def _load_dataset(config, spec, seed):
     if kind == "blobs":
         return data_mod.generate_blobs(spec.num_classes, image_shape=spec.input_shape, **src,
                                        seed=seed)
-    dataset = data_mod.load_idx(src["images"], src["labels"])
-    dataset.splits.update(data_mod.make_splits(len(dataset.labels), seed))
-    return dataset
+    return data_mod.load_idx(src["images"], src["labels"], seed)
 
 
 def _finish_round(state, t, losses, diag_record):
@@ -330,18 +328,6 @@ def _finish_round(state, t, losses, diag_record):
         latency_s=latency.round_latency_s,
         diagnostics=diag_record,
     )
-
-
-def _stack_roles(state):
-    """(global stacks each device trains from the round's start vector and
-    FedAvg averages, stacks whose weights cross the link); never a frozen one."""
-    if state.config.mode == "classic":
-        return ("model",), ("model",)
-    if state.frozen_device:
-        return ("server",), ()
-    if state.config.mode == "local_loss":
-        return ("device", "head", "server"), ("device", "head")
-    return ("device", "server"), ("device",)
 
 
 def _classic_step(state, t, k, b, batch):
@@ -433,19 +419,24 @@ def _check_finite(state, t, losses, record):
 def run_round(state, t):
     """One round of any mode: each device trains the global stacks in place
     from the round's start vector, one mode step per batch, and the observer
-    measures it as it finishes; then FedAvg."""
-    trained, synced = _stack_roles(state)
+    measures it as it finishes; then FedAvg.
+
+    The trained stacks are those the state holds, in the order model,
+    device, head, server, less a frozen device stack; starts, vectors and
+    FedAvg run parallel to them. The synced stacks are the trained ones
+    other than the server's: their weights cross the link both ways."""
     step = _STEPS[state.config.mode]
-    stacks = {s: getattr(state, f"global_{s}") for s in trained}
-    starts = {s: kernel.param_vector(stack) for s, stack in stacks.items()}
-    sync_bytes = netsim.FLOAT_BYTES * sum(
-        layer.param_count() for s in synced for layer in stacks[s])
-    losses, vectors, counts, measured = {}, {s: [] for s in trained}, [], []
+    device = None if state.frozen_device else state.global_device
+    stacks = [s for s in (state.global_model, device, state.global_head, state.global_server) if s]
+    starts = [kernel.param_vector(stack) for stack in stacks]
+    synced = [stack for stack in stacks if stack is not state.global_server]
+    sync_bytes = netsim.FLOAT_BYTES * sum(layer.param_count() for s in synced for layer in s)
+    losses, vectors, counts, measured = {}, [[] for _ in stacks], [], []
     for k in sorted(state.batches):
         if synced:
             state.ledger.record(t, k, "model_down", sync_bytes)
-        for s, stack in stacks.items():
-            kernel.load_param_vector(stack, starts[s])
+        for stack, start in zip(stacks, starts):
+            kernel.load_param_vector(stack, start)
         total = 0.0
         for b, batch in enumerate(state.batches[k]):
             loss, n = step(state, t, k, b, batch)
@@ -453,16 +444,16 @@ def run_round(state, t):
         if synced:
             state.ledger.record(t, k, "model_up", sync_bytes)
         losses[k] = total / len(state.shards[k])
-        for s, stack in stacks.items():
-            vectors[s].append(kernel.param_vector(stack))
+        for stack, stack_vectors in zip(stacks, vectors):
+            stack_vectors.append(kernel.param_vector(stack))
         counts.append(len(state.shards[k]))
         if state.config.diagnostics:
             measured.append(diag_mod.record_round(state, t, k))
     diag_record = diag_mod.round_record(measured) if measured else None
     if diag_record is not None:
         state.diagnostics_records.append(diag_record)
-    for s, stack in stacks.items():
-        kernel.load_param_vector(stack, fedavg(vectors[s], counts))
+    for stack, stack_vectors in zip(stacks, vectors):
+        kernel.load_param_vector(stack, fedavg(stack_vectors, counts))
     _check_finite(state, t, losses, diag_record)
     return _finish_round(state, t, losses, diag_record)
 

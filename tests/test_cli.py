@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sflsim import cli, data as data_mod, kernel, models, netsim, runtime
+from sflsim import config as config_mod
 from sflsim import diagnostics as diag_mod
 
 
@@ -197,7 +198,7 @@ def test_gen_data_roundtrip(tmp_path):
     code = cli.main(["gen-data", "--out", str(out_dir), "--classes", "2",
                      "--per-class", "10", "--seed", "3"])
     assert code == cli.EXIT_OK
-    dataset = data_mod.load_idx(out_dir / "images.idx", out_dir / "labels.idx")
+    dataset = data_mod.load_idx(out_dir / "images.idx", out_dir / "labels.idx", seed=0)
     assert len(dataset.labels) == 20
     assert dataset.images.shape == (20, 1, 16, 16)
     assert set(np.unique(dataset.labels)) == {0, 1}
@@ -564,6 +565,70 @@ def test_diagnose_at_out_of_range_is_data_error(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
     log = str(out_dir / "diagnostics.csv")
     assert cli.main(["diagnose", "--log", log, "--at", "50"]) == cli.EXIT_DATA
+
+
+def test_diagnose_at_below_2_is_a_usage_error_before_the_log_is_read(tmp_path, capsys):
+    missing = tmp_path / "no-such-log.csv"
+    assert cli.main(["diagnose", "--log", str(missing), "--at", "1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: --at must be >= 2")
+
+
+def test_diagnose_repeated_at_reports_once(tmp_path, capsys):
+    log = tmp_path / "diag.csv"
+    log.write_text(
+        "t,eta,grad_norm_sq,eps_mean,delta_mean,loss,gamma,lhs_running,rhs_running\n"
+        "0,0.1,1.0,0.0,0.0,0.7,0.1,,\n"
+        "1,0.1,1.0,0.0,0.0,0.6,0.2,0.4,0.5\n"
+        "2,0.1,1.0,0.0,0.0,0.5,0.3,0.3,0.5\n"
+    )
+    assert cli.main(["diagnose", "--log", str(log), "--at", "3", "--at", "3"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("after    3 rounds:")
+
+
+def test_diagnose_at_beyond_the_log_prints_no_report(tmp_path, capsys):
+    log = tmp_path / "diag.csv"
+    log.write_text(
+        "t,eta,grad_norm_sq,eps_mean,delta_mean,loss,gamma,lhs_running,rhs_running\n"
+        "0,0.1,1.0,0.0,0.0,0.7,0.1,,\n"
+        "1,0.1,1.0,0.0,0.0,0.6,0.2,0.4,0.5\n"
+    )
+    assert cli.main(["diagnose", "--log", str(log), "--at", "2", "--at", "50"]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "data error: --at 50 outside the log's range (2..2)"
+
+
+def test_non_finite_latency_exits_5_without_out_dir(tmp_path, capsys):
+    # Every speed is finite and positive, but compute units / 1e-310 overflow.
+    raw = {"version": 1, "mode": "split", "model": "tiny_vgg", "devices": 2, "rounds": 1,
+           "lr": 0.05, "batch_size": 16, "device_speed": 1e-310,
+           "dataset": {"kind": "blobs", "per_class": 20, "noise_sigma": 0.3}}
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_TRAINING
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("training error: round 0 (split)")
+    assert "latency" in err[0] and not out_dir.exists()
+
+
+def test_empty_spill_dir_exits_3_and_spills_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = smoke_config(tmp_path, spill_dir="")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == "config error: spill_dir must not be empty"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["smoke.json"]
+
+
+def test_blob_defaults_have_one_source():
+    cfg = config_mod.from_dict({"version": 1, "mode": "split", "model": "tiny_vgg",
+                                "devices": 2, "rounds": 1, "lr": 0.05, "batch_size": 8})
+    assert cfg.dataset == {"kind": "blobs", **data_mod.BLOB_DEFAULTS}
+    args = cli.build_parser().parse_args(["gen-data"])
+    assert {"per_class": args.per_class, "noise_sigma": args.sigma} == data_mod.BLOB_DEFAULTS
 
 
 def test_profile_override(tmp_path, capsys):

@@ -26,7 +26,7 @@ def test_blobs_shapes_and_range():
 def test_blobs_image_too_large_to_allocate_is_a_data_error():
     # 2**64 pixels a class: numpy refuses the template draw before allocating.
     with pytest.raises(data.DataError, match="cannot allocate"):
-        data.generate_blobs(2, 1, image_shape=(1, 2**32, 2**32))
+        data.generate_blobs(2, 1, image_shape=(1, 2**32, 2**32), noise_sigma=0.1, seed=0)
 
 
 def test_blobs_deterministic_and_seed_sensitive():
@@ -69,7 +69,7 @@ def test_idx_hand_packed_fixture(tmp_path):
     ip.write_bytes(img_bytes)
     lp.write_bytes(lbl_bytes)
 
-    ds = data.load_idx(ip, lp)
+    ds = data.load_idx(ip, lp, seed=0)
     assert ds.images.shape == (2, 1, 2, 2)
     assert ds.labels.tolist() == [1, 0]
     expected0 = np.array([[0, 51], [102, 153]], dtype=np.float32) / 255.0
@@ -83,9 +83,21 @@ def test_idx_write_load_round_trip(tmp_path):
     labels = rng.integers(0, 3, size=5).astype(np.int64)
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
     data.write_idx(ip, lp, images, labels)
-    ds = data.load_idx(ip, lp)
+    ds = data.load_idx(ip, lp, seed=0)
     assert np.array_equal(ds.labels, labels)
     assert np.allclose(ds.images, images, atol=1e-7)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_load_idx_splits_its_data_by_seed(tmp_path, seed):
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    data.write_idx(ip, lp, np.zeros((21, 1, 2, 2), dtype=np.float32), np.arange(21) % 3)
+    ds = data.load_idx(ip, lp, seed)
+    want = data.make_splits(21, seed)
+    assert set(ds.splits) == set(want)
+    assert all(np.array_equal(ds.splits[k], want[k]) for k in want)
+    combined = np.concatenate([ds.splits[k] for k in ("pretrain", "train", "test")])
+    assert sorted(combined.tolist()) == list(range(21))
 
 
 def test_load_idx_closes_its_files(tmp_path, monkeypatch):
@@ -97,7 +109,7 @@ def test_load_idx_closes_its_files(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
-        data.load_idx(ip, lp)
+        data.load_idx(ip, lp, seed=0)
         gc.collect()
     assert not unraisable
 
@@ -111,24 +123,24 @@ def test_idx_distinct_errors(tmp_path):
     lbl = tmp_path / "l.idx"
     lbl.write_bytes(good_lbl)
     with pytest.raises(data.DataError, match="magic"):
-        data.load_idx(bad_magic, lbl)
+        data.load_idx(bad_magic, lbl, seed=0)
 
     img = tmp_path / "i.idx"
     img.write_bytes(good_img)
     bad_lbl_magic = tmp_path / "bl.idx"
     bad_lbl_magic.write_bytes(struct.pack(">II", 0x00000803, 1) + bytes(1))
     with pytest.raises(data.DataError, match="magic"):
-        data.load_idx(img, bad_lbl_magic)
+        data.load_idx(img, bad_lbl_magic, seed=0)
 
     truncated = tmp_path / "t.idx"
     truncated.write_bytes(good_img[:-2])
     with pytest.raises(data.DataError, match="truncat"):
-        data.load_idx(truncated, lbl)
+        data.load_idx(truncated, lbl, seed=0)
 
     two_lbl = tmp_path / "two.idx"
     two_lbl.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(2))
     with pytest.raises(data.DataError, match="count"):
-        data.load_idx(img, two_lbl)
+        data.load_idx(img, two_lbl, seed=0)
 
 
 def test_shard_uniform_properties():

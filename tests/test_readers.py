@@ -129,7 +129,7 @@ def test_corrupt_idx_pair_raises_only_data_error(tmp_path_factory, count, rows, 
         for corrupt in corruptions(blob, flip):
             path.write_bytes(corrupt)
             try:
-                data.load_idx(ip, lp)
+                data.load_idx(ip, lp, seed=0)
             except data.DataError:
                 pass
         path.write_bytes(blob)
@@ -147,4 +147,4 @@ def test_counts_numpy_cannot_shape_raise_reader_errors(tmp_path):
     ip.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 0, 2**32 - 1, 2**32 - 1))
     lp.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, 0))
     with pytest.raises(data.DataError, match="pixels"):
-        data.load_idx(ip, lp)
+        data.load_idx(ip, lp, seed=0)
