@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import math
 import os
 import sys
@@ -165,38 +164,29 @@ def cost_table(spec_name, *, samples_per_device, devices, batch_size):
     return rows
 
 
-def _format_cost_rows(rows, setting):
-    out = io.StringIO()
-    out.write(
-        f"per-round communication, {setting['devices']} devices x "
-        f"{setting['samples_per_device']} samples, batch {setting['batch_size']}\n"
-    )
-    header = f"{'model':<10} {'method':<14} {'up/dev B':>15} {'down/dev B':>15} {'total GiB':>12}"
-    out.write(header + "\n")
-    out.write("-" * len(header) + "\n")
-    for row in rows:
-        out.write(
-            f"{row['model']:<10} {row['method']:<14} "
-            f"{row['per_device_up']:>15,} {row['per_device_down']:>15,} "
-            f"{row['gib']:>12.5f}\n"
-        )
-    return out.getvalue()
-
-
 def cmd_cost(args):
+    """Print the table, after writing its CSV (if asked for), so that a CSV
+    path that cannot be written leaves stdout empty."""
     for flag in ("devices", "samples", "batch"):
         value = getattr(args, flag)
         if value <= 0:
             raise UsageError(f"--{flag} must be positive, got {value}")
-    setting = dict(samples_per_device=args.samples, devices=args.devices,
-                   batch_size=args.batch)
-    rows = cost_table(args.model, **setting)
-    print(_format_cost_rows(rows, setting), end="")
+    rows = cost_table(args.model, samples_per_device=args.samples, devices=args.devices,
+                      batch_size=args.batch)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
+    print(f"per-round communication, {args.devices} devices x {args.samples} samples, "
+          f"batch {args.batch}")
+    header = f"{'model':<10} {'method':<14} {'up/dev B':>15} {'down/dev B':>15} {'total GiB':>12}"
+    print(header)
+    print("-" * len(header))
+    for row in rows:
+        print(f"{row['model']:<10} {row['method']:<14} {row['per_device_up']:>15,} "
+              f"{row['per_device_down']:>15,} {row['gib']:>12.5f}")
+    if args.csv:
         print(f"table written to {args.csv}")
     return EXIT_OK
 

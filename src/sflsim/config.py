@@ -169,9 +169,7 @@ def load_config(path, overrides=None):
         raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if overrides:
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+    if overrides and isinstance(raw, dict):  # from_dict rejects a non-object
         raw = {**raw, **overrides}
     return from_dict(raw)
 

@@ -70,7 +70,6 @@ class DiagnosticsRecord:
     eps: dict  # device -> quantization gradient-gap estimate
     delta: dict  # device -> buffer staleness estimate
     loss: float  # mean probe server loss
-    gamma: float  # running sum of eta through this round
     max_sample_grad_sq: float  # max per-sample squared gradient norm seen
     server_params: np.ndarray | None  # first device's stack, at L centres only
     probe: tuple | None = None  # first device's (activations, labels), final round only
@@ -87,8 +86,8 @@ class DiagnosticsRecord:
 def _is_centre(t, rounds):
     """Whether round ``t`` of a ``rounds``-round run is a trajectory centre
     of the L estimate: every max(1, rounds // 8)-th round from 0, so at
-    most nine per run. The one rule for both the snapshots record_round
-    keeps and the centres trajectory_smoothness reads."""
+    most nine per run. record_round keeps a snapshot at these rounds only,
+    and trajectory_smoothness takes every snapshot kept."""
     return t % max(1, rounds // 8) == 0
 
 
@@ -96,9 +95,9 @@ def record_round(state, t, device_id):
     """Measure one device in round ``t`` of a running training state, as
     it finishes its SGD steps: the state's global stacks (its device side
     and ``server_side``) hold that device's trained weights. The state's
-    fields read are batches, dataset, probe_indices, diag_rng, buffer,
-    diagnostics_records and config. No training state is mutated; the only
-    write is to the device-output memo (see probe_batch).
+    fields read are batches, dataset, probe_indices, diag_rng, buffer and
+    config. No training state is mutated; the only write is to the
+    device-output memo (see probe_batch).
 
     This costs two server passes: the probe batch, whose backward also gives
     G (probe_gradients), and the decoded probe batch inside
@@ -114,7 +113,6 @@ def record_round(state, t, device_id):
     loss, g, sample_sqs = probe_gradients(server_stack, a, y)
     quantized_pipeline = cfg.mode == "replay" and cfg.quantized
     first = device_id == min(state.batches)
-    previous = state.diagnostics_records[-1].gamma if state.diagnostics_records else 0.0
     return DiagnosticsRecord(
         t=t,
         eta=cfg.lr,
@@ -123,7 +121,6 @@ def record_round(state, t, device_id):
              if quantized_pipeline else 0.0},
         delta={device_id: _staleness(state, device_id)},
         loss=loss,
-        gamma=previous + cfg.lr,
         max_sample_grad_sq=float(sample_sqs.max()),
         server_params=(kernel.param_vector(server_stack)
                        if first and _is_centre(t, cfg.rounds) else None),
@@ -208,8 +205,9 @@ def estimate_G(records):
 
 def estimate_L(grad_fn, centers, rng, pairs_per_center=4, sigma=1e-2):
     """Smoothness estimate: max ||g(w) - g(v)|| / ||w - v|| over Gaussian
-    perturbation pairs (w, v) drawn around each trajectory center; NaN if
-    any pair's ratio is NaN."""
+    perturbation pairs (w, v) drawn once each around each trajectory
+    center; NaN if any pair's ratio is NaN, or if a pair's perturbation
+    rounds away (w == v)."""
     centers = [np.asarray(c, dtype=np.float64).reshape(-1) for c in centers]
     if not centers:
         raise DiagnosticsError("estimate_L needs at least one trajectory point")
@@ -221,10 +219,7 @@ def estimate_L(grad_fn, centers, rng, pairs_per_center=4, sigma=1e-2):
             w = center + sigma * rng.standard_normal(center.shape)
             v = center + sigma * rng.standard_normal(center.shape)
             gap = math.sqrt(kernel.sq_norm(w - v))
-            while gap == 0.0:  # zero-denominator guard; measure-zero redraw
-                v = center + sigma * rng.standard_normal(center.shape)
-                gap = math.sqrt(kernel.sq_norm(w - v))
-            ratio = math.sqrt(kernel.sq_norm(grad_fn(w) - grad_fn(v))) / gap
+            ratio = math.sqrt(kernel.sq_norm(grad_fn(w) - grad_fn(v))) / gap if gap else math.nan
             best = float(np.maximum(best, ratio))
     return best
 
@@ -245,15 +240,14 @@ def server_grad_fn(server_layers, activations, labels):
 def trajectory_smoothness(state):
     """L estimate for a finished run: perturbation pairs around the logged
     server trajectory, gradients on the first device's final-round
-    diagnostics probe. The centres are the snapshots record_round kept, at
-    the rounds _is_centre names (at most nine), which caps the probe work
-    on long runs."""
+    diagnostics probe. The centres are every snapshot record_round kept,
+    at the rounds _is_centre names (at most nine), which caps the probe
+    work on long runs."""
     records = state.diagnostics_records
     if not records or records[-1].probe is None:
         raise DiagnosticsError("L needs every configured round run with diagnostics on")
     grad_fn = server_grad_fn(state.server_side, *records[-1].probe)
-    centers = [r.server_params for r in records
-               if _is_centre(r.t, state.config.rounds)]
+    centers = [r.server_params for r in records if r.server_params is not None]
     return estimate_L(grad_fn, centers, state.diag_rng)
 
 
@@ -275,14 +269,16 @@ class BoundReport:
 
 
 def bound_reports(records, g_hat, l_hat):
-    """Each prefix's BoundReport, in one left-to-right pass: the i-th value
-    is the bound over records[:i + 1], or None where it is undefined (the
-    first record, and while Gamma <= 0). Gamma and the three weighted sums
-    start from 0 and add in record order, as sum() over the prefix would,
+    """Each prefix's (Gamma, BoundReport), in one left-to-right pass: the
+    i-th pair is Gamma = sum of eta over records[:i + 1] and the bound over
+    that prefix, or None where it is undefined (the first record, and while
+    Gamma <= 0). This is the one place eta is summed. Gamma and the three
+    weighted sums start from 0.0 (so Gamma is a float even where every eta
+    is an int) and add in record order, as sum() over the prefix would,
     and F* is a running min, so each value is the per-prefix formula's to
     the bit. Warning-grade: a report carries holds/message; callers log,
     never assert."""
-    gamma = weighted_sq = drift_sum = step_sum = 0
+    gamma = weighted_sq = drift_sum = step_sum = 0.0
     for i, r in enumerate(records):
         if i == 0:
             f0 = f_star = r.loss
@@ -292,7 +288,7 @@ def bound_reports(records, g_hat, l_hat):
         drift_sum += r.eta * (r.delta_mean + r.eps_mean)
         step_sum += (l_hat / 2.0) * r.eta**2
         if i == 0 or gamma <= 0:
-            yield None
+            yield gamma, None
             continue
         lhs = weighted_sq / gamma
         drift = g_hat * drift_sum / gamma
@@ -306,9 +302,9 @@ def bound_reports(records, g_hat, l_hat):
             else f"WARNING: LHS {lhs:.6g} exceeds RHS {rhs:.6g}; "
             "G and L are sampled estimates, not suprema"
         )
-        yield BoundReport(rounds=i + 1, gamma=gamma, lhs=lhs, rhs=rhs, f0=f0, f_star=f_star,
-                          g_hat=g_hat, l_hat=l_hat, term_descent=descent, term_drift=drift,
-                          term_step=step, holds=holds, message=message)
+        yield gamma, BoundReport(rounds=i + 1, gamma=gamma, lhs=lhs, rhs=rhs, f0=f0,
+                                 f_star=f_star, g_hat=g_hat, l_hat=l_hat, term_descent=descent,
+                                 term_drift=drift, term_step=step, holds=holds, message=message)
 
 
 def bound_report(records, g_hat, l_hat):
@@ -317,7 +313,7 @@ def bound_report(records, g_hat, l_hat):
     records = list(records)
     if len(records) < 2:
         raise DiagnosticsError("bound_report needs at least 2 records")
-    *_, report = bound_reports(records, g_hat, l_hat)
+    *_, (_, report) = bound_reports(records, g_hat, l_hat)
     if report is None:
         raise DiagnosticsError("Gamma must be positive")
     return report
@@ -342,25 +338,28 @@ def format_report(report):
 
 def write_diagnostics_csv(path, records, g_hat, l_hat):
     """One row per round, written in one pass over ``records`` (a list).
-    lhs_running/rhs_running are the bound's two sides over the prefix of
-    rounds up to each row (bound_reports), using the full-run G and L
-    estimates throughout (so the columns are comparable down the file).
-    They are blank on the first row and while the running Gamma is <= 0,
+    gamma, lhs_running and rhs_running come from the bound pass
+    (bound_reports): the running Gamma, and the bound's two sides over the
+    prefix of rounds up to each row, using the full-run G and L estimates
+    throughout (so the columns are comparable down the file). The two
+    sides are blank on the first row and while the running Gamma is <= 0,
     where the bound is undefined."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec, rep in zip(records, bound_reports(records, g_hat, l_hat)):
+        for rec, (gamma, rep) in zip(records, bound_reports(records, g_hat, l_hat)):
             writer.writerow([
                 rec.t, repr(rec.eta), repr(rec.grad_norm_sq), repr(rec.eps_mean),
-                repr(rec.delta_mean), repr(rec.loss), repr(rec.gamma),
+                repr(rec.delta_mean), repr(rec.loss), repr(gamma),
                 *(("", "") if rep is None else (repr(rep.lhs), repr(rep.rhs))),
             ])
 
 
 def read_diagnostics_csv(path):
-    """Rows of the diagnostics CSV as dicts of finite floats and an int ``t``;
-    the running-bound cells are blank (None) where the bound is undefined."""
+    """Rows of the diagnostics CSV as dicts of finite floats and an int ``t``,
+    as write_diagnostics_csv leaves them: row i (from 1) has t = i - 1, and
+    the running-bound cells are both blank (None), where the bound is
+    undefined, or both filled."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -378,10 +377,14 @@ def read_diagnostics_csv(path):
                         row[key] = float(value)
                     except (TypeError, ValueError):  # a missing cell is None
                         row[key] = math.nan
-                    if not math.isfinite(row[key]) or (key == "t" and not row[key].is_integer()):
-                        what = "an integer" if key == "t" else "a finite number"
+                    if not math.isfinite(row[key]) or (key == "t" and row[key] != i - 1):
+                        what = f"the row's round {i - 1}" if key == "t" else "a finite number"
                         raise DiagnosticsError(
                             f"{path} row {i} column {key}: {value!r} is not {what}")
+                if (row["lhs_running"] is None) != (row["rhs_running"] is None):
+                    blank = "lhs_running" if row["lhs_running"] is None else "rhs_running"
+                    raise DiagnosticsError(
+                        f"{path} row {i} column {blank}: blank beside a filled bound cell")
                 row["t"] = int(row["t"])
                 rows.append(row)
     except UnicodeDecodeError as exc:

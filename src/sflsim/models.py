@@ -92,7 +92,8 @@ def expand(spec):
     """Layer string -> (list of LayerDesc, default split index).
 
     One pass over the device tokens, then the server tokens; the split index
-    is where the server tokens start. Convs get a trailing ReLU; dense layers
+    is where the server tokens start. Each side holds a token and each token
+    emits a descriptor or raises, so both sides get layers. Convs get a trailing ReLU; dense layers
     too except the final one; a Flatten is inserted before the first dense
     when the activation is still spatial. Shapes are threaded and validated
     as descriptors are emitted.
@@ -141,8 +142,6 @@ def expand(spec):
             if i != last_dense:
                 descs.append(LayerDesc("relu", out, out))
         shape = descs[-1].out_shape
-    if split_index == 0 or split_index == len(descs):
-        raise ModelError("split point must leave layers on both sides")
     return descs, split_index
 
 

@@ -86,7 +86,6 @@ class TrafficLedger:
 class CostReport:
     """Per-device byte prediction for one round of one method."""
 
-    method: str
     devices: int
     purpose_bytes: dict = field(default_factory=dict)  # purpose -> bytes per device
 
@@ -129,7 +128,7 @@ def comm_bytes_per_round(method, spec, op_index=None, *, samples_per_device,
         raise NetsimError(f"unknown method {method!r}")
     facts = models.analyze(spec, op_index)
     zeros = dict.fromkeys(PURPOSES, 0)
-    report = CostReport(method=method, devices=devices, purpose_bytes=zeros)
+    report = CostReport(devices=devices, purpose_bytes=zeros)
     act_raw = facts.activation_elements * FLOAT_BYTES * samples_per_device
     model = 0  # weight bytes synced each way per device
     if method == "classic":

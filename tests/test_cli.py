@@ -187,6 +187,14 @@ def test_cost_size_overrides_set_every_row(tmp_path, capsys):
         "1030992", "1028992")
 
 
+def test_cost_csv_path_that_is_a_directory_exits_4_before_printing(tmp_path, capsys):
+    assert cli.main(["cost", "--model", "tiny_res", "--csv", str(tmp_path)]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")
+
+
 def test_cost_resnet9_fl_row(capsys):
     assert cli.main(["cost", "--model", "resnet9"]) == cli.EXIT_OK
     stdout = capsys.readouterr().out
@@ -310,6 +318,16 @@ def test_config_errors_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 1, "mode": "warp"}))
     assert cli.main(["run", "--config", str(bad)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+def test_config_that_is_not_an_object_exits_3(tmp_path, capsys, seed):
+    # With or without an override to merge, the one check is from_dict's.
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([{"version": 1}]))
+    assert cli.main(["run", "--config", str(path), *seed]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: config must be a JSON object"]
 
 
 def test_config_path_that_is_a_directory_exits_3(tmp_path, capsys):
@@ -500,6 +518,9 @@ def test_diagnose_violated_bound_warns_but_exits_zero(tmp_path, capsys):
     ("1,0.1,1.0,0.0,inf,0.6,0.2,0.9,0.5", "delta_mean"),  # non-finite
     ("1,0.1,1.0,0.0,0.0,0.6,0.2,nan,0.5", "lhs_running"),
     ("1.5,0.1,1.0,0.0,0.0,0.6,0.2,0.9,0.5", "t"),  # not an integer
+    ("5,0.1,1.0,0.0,0.0,0.6,0.2,0.9,0.5", "t"),  # not the row's round
+    ("1,0.1,1,0,0,1,0.2,1,", "rhs_running"),  # half of the bound blank
+    ("1,0.1,1,0,0,1,0.2,,1", "lhs_running"),
 ])
 def test_diagnose_malformed_log_exits_4(tmp_path, capsys, row, column):
     log = tmp_path / "diag.csv"

@@ -10,8 +10,10 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +53,6 @@ def synth_record(t, eta, gnorm=1.0, loss=1.0, eps=0.0, delta=0.0, max_sq=1.0):
         eps={0: eps},
         delta={0: delta},
         loss=loss,
-        gamma=0.0,
         max_sample_grad_sq=max_sq,
         server_params=np.zeros(2),
     )
@@ -148,13 +149,26 @@ class TestRecordRound:
         for rec in recs[1:]:
             assert np.array_equal(rec.server_params, recs[0].server_params)
 
+    def test_a_round_record_reads_no_earlier_record(self):
+        cfg = make_config(rounds=3)
+        kept, emptied = runtime.init_state(cfg), runtime.init_state(cfg)
+        for state in (kept, emptied):
+            runtime.run_round(state, 0)
+        emptied.diagnostics_records.clear()
+        for state in (kept, emptied):
+            runtime.run_round(state, 1)
+        assert len(kept.diagnostics_records) == 2 and len(emptied.diagnostics_records) == 1
+        assert (pickle.dumps(kept.diagnostics_records[-1])
+                == pickle.dumps(emptied.diagnostics_records[-1]))
+
     def test_gamma_accumulates_etas(self):
         out = runtime.run_training(make_config(rounds=4))
         recs = out.state.diagnostics_records
-        for i, rec in enumerate(recs):
+        gammas = [gamma for gamma, _ in dg.bound_reports(recs, 1.0, 1.0)]
+        for i, gamma in enumerate(gammas):
             want = sum(r.eta for r in recs[: i + 1])
-            assert rec.gamma == pytest.approx(want, rel=1e-6)
-        assert all(b.gamma > a.gamma for a, b in zip(recs, recs[1:]))
+            assert gamma == pytest.approx(want, rel=1e-6)
+        assert all(b > a for a, b in zip(gammas, gammas[1:]))
 
     def test_observer_purity(self):
         # Enabling diagnostics must not change any trajectory bit.
@@ -306,6 +320,14 @@ class TestEstimateL:
         grad_fn = lambda theta: np.full(3, np.nan)
         assert np.isnan(dg.estimate_L(grad_fn, [np.zeros(3)], np.random.default_rng(0)))
 
+    def test_a_perturbation_that_rounds_away_gives_nan_at_once(self):
+        # float64 spacing at 1e17 is 16, so every sigma = 0.01 step rounds
+        # away and w == v: each pair is drawn once and its ratio is NaN.
+        start = time.perf_counter()
+        l_hat = dg.estimate_L(lambda w: 2 * w, [np.full(3, 1e17)], np.random.default_rng(0))
+        assert np.isnan(l_hat)
+        assert time.perf_counter() - start < 1.0
+
     def test_rejects_empty_centers_and_bad_sigma(self):
         grad_fn = lambda theta: theta
         with pytest.raises(dg.DiagnosticsError):
@@ -442,17 +464,15 @@ def reference_prefix_reports(records, g_hat, l_hat):
 
 
 def random_records(rounds, devices=3):
-    """Records as the observer logs them, from random values: gamma is the
-    left-to-right running sum of eta, and about one round in five, the
-    first max(1, rounds // 10) among them, has eta 0, so the leading rows
-    have Gamma 0."""
+    """Records as the observer logs them, from random values: about one
+    round in five, the first max(1, rounds // 10) among them, has eta 0, so
+    the leading rows have Gamma 0."""
     rng = np.random.default_rng(rounds)
     etas = np.where(rng.random(rounds) < 0.2, 0.0, rng.uniform(0.01, 0.2, rounds))
     etas[-1] = 0.1
     etas[: max(1, rounds // 10)] = 0.0
-    records, gamma = [], 0.0
+    records = []
     for t, eta in enumerate(etas.tolist()):
-        gamma += eta
         records.append(dg.DiagnosticsRecord(
             t=t,
             eta=eta,
@@ -460,7 +480,6 @@ def random_records(rounds, devices=3):
             eps={k: float(rng.exponential(1e-3)) for k in range(devices)},
             delta={k: float(rng.exponential(1e-2)) for k in range(devices)},
             loss=float(rng.uniform(0.1, 2.0)),
-            gamma=gamma,
             max_sample_grad_sq=1.0,
             server_params=None,
         ))
@@ -474,8 +493,10 @@ class TestRunningBound:
     def test_running_form_is_the_per_prefix_formula(self, tmp_path, rounds):
         recs = random_records(rounds)
         expected = reference_prefix_reports(recs, self.G_HAT, self.L_HAT)
-        reports = list(dg.bound_reports(recs, self.G_HAT, self.L_HAT))
-        assert [repr(r) for r in reports] == [repr(r) for r in expected]
+        gammas = [sum(r.eta for r in recs[: i + 1]) for i in range(rounds)]
+        pairs = list(dg.bound_reports(recs, self.G_HAT, self.L_HAT))
+        assert [repr(r) for _, r in pairs] == [repr(r) for r in expected]
+        assert [repr(gamma) for gamma, _ in pairs] == [repr(gamma) for gamma in gammas]
         if expected[-1] is not None:
             assert repr(dg.bound_report(recs, self.G_HAT, self.L_HAT)) == repr(expected[-1])
         if rounds >= 50:  # blank rows past the first, and both verdicts
@@ -488,9 +509,9 @@ class TestRunningBound:
         assert rows[0] == list(dg.CSV_COLUMNS)
         assert rows[1:] == [
             [str(r.t), repr(r.eta), repr(r.grad_norm_sq), repr(r.eps_mean),
-             repr(r.delta_mean), repr(r.loss), repr(r.gamma),
+             repr(r.delta_mean), repr(r.loss), repr(gamma),
              "" if ref is None else repr(ref.lhs), "" if ref is None else repr(ref.rhs)]
-            for r, ref in zip(recs, expected)
+            for r, gamma, ref in zip(recs, gammas, expected)
         ]
 
     def test_writer_reads_each_record_at_most_twice(self, tmp_path, monkeypatch):
@@ -520,7 +541,28 @@ class TestCsv:
         rep = dg.bound_report(recs, 2.0, 1.5)
         assert rows[-1]["lhs_running"] == pytest.approx(rep.lhs)
         assert rows[-1]["rhs_running"] == pytest.approx(rep.rhs)
-        assert rows[-1]["gamma"] == pytest.approx(recs[-1].gamma)
+        assert rows[-1]["gamma"] == pytest.approx(sum(r.eta for r in recs))
+
+    def test_gamma_column_is_the_bound_pass_running_sum(self, tmp_path):
+        out = runtime.run_training(make_config(rounds=4))
+        recs = out.state.diagnostics_records
+        path = tmp_path / "diagnostics.csv"
+        dg.write_diagnostics_csv(path, recs, g_hat=2.0, l_hat=1.5)
+        gammas = [row["gamma"] for row in dg.read_diagnostics_csv(path)]
+        assert gammas == [sum(r.eta for r in recs[: i + 1]) for i in range(len(recs))]
+        assert all(b > a for a, b in zip(gammas, gammas[1:]))
+        reports = [rep for _, rep in dg.bound_reports(recs, 2.0, 1.5)]
+        assert reports[0] is None
+        assert [rep.gamma for rep in reports[1:]] == gammas[1:]
+
+    def test_gamma_column_is_a_float_for_integer_etas(self, tmp_path):
+        path = tmp_path / "diagnostics.csv"
+        dg.write_diagnostics_csv(path, [synth_record(t, eta) for t, eta in enumerate((0, 1, 1))],
+                                 g_hat=1.0, l_hat=1.0)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["eta"], row["gamma"]) for row in rows] == [
+            ("0", "0.0"), ("1", "1.0"), ("1", "2.0")]
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"
