@@ -357,16 +357,21 @@ def write_diagnostics_csv(path, records, g_hat, l_hat):
 
 def read_diagnostics_csv(path):
     """Rows of the diagnostics CSV as dicts of finite floats and an int ``t``,
-    as write_diagnostics_csv leaves them: row i (from 1) has t = i - 1, and
-    the running-bound cells are both blank (None), where the bound is
-    undefined, or both filled."""
+    as write_diagnostics_csv leaves them: no row longer than the header,
+    row i (from 1) has t = i - 1, gamma is the running sum of eta (to a
+    relative 1e-9, so hand-typed sums read), and the running-bound cells
+    are both blank (None), where the bound is undefined, or both filled."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
                 raise DiagnosticsError(f"{path} is not a diagnostics log")
-            rows = []
+            rows, gamma = [], 0.0
             for i, raw in enumerate(reader, start=1):
+                if None in raw:  # DictReader files the cells past the header here
+                    raise DiagnosticsError(
+                        f"{path} row {i} column {len(reader.fieldnames) + 1}: "
+                        f"{raw[None][0]!r} lies past the header's last column")
                 row = {}
                 for key in CSV_COLUMNS:
                     value = raw[key]
@@ -381,6 +386,12 @@ def read_diagnostics_csv(path):
                         what = f"the row's round {i - 1}" if key == "t" else "a finite number"
                         raise DiagnosticsError(
                             f"{path} row {i} column {key}: {value!r} is not {what}")
+                    if key == "eta":
+                        gamma += row[key]
+                    elif key == "gamma" and not math.isclose(row[key], gamma, rel_tol=1e-9):
+                        raise DiagnosticsError(
+                            f"{path} row {i} column gamma: {value!r} is not the running "
+                            f"sum of eta, {gamma!r}")
                 if (row["lhs_running"] is None) != (row["rhs_running"] is None):
                     blank = "lhs_running" if row["lhs_running"] is None else "rhs_running"
                     raise DiagnosticsError(

@@ -116,9 +116,10 @@ class Dense(_WeightBias):
 # one case that Conv3x3.sample_grads names. The conv3x3 forward and input
 # gradient take their window matrix from shifted views of the unpadded batch
 # (_windows), one read-only view whose bounds the ndarray constructor checks
-# against the block it reads; only the weight gradient's operand, the
-# transposed matrix, is sliced from a zero-padded copy (_im2col), since a
-# shifted build of it was not faster.
+# against the block it reads. Only the weight gradients' operand, the
+# transposed (BHW, 9C) matrix, is built from a zero-padded copy (_im2col):
+# a channels-last one, so that each of its nine tap copies reads whole
+# (w, c) rows of the batch; a shifted build of that matrix was not faster.
 
 
 def _windows(x):
@@ -151,15 +152,16 @@ def _windows(x):
 def _im2col(x):
     """The transpose of _windows(x), built directly as the C-ordered
     (BHW, 9C) matrix: rows in (b, h, w) order, columns in (c, i, j) order.
-    Nine slice copies from a zero-padded C-ordered copy of the batch."""
+    The batch is copied once, channels-last, into a (B, H+2, W+2, C) block
+    zero-padded by one; tap (i, j) is then one slice copy of that block,
+    whose (w, c) axes both sides read as a single run of W*C entries."""
     b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x
+    xp = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
     out = np.empty((b, h, w, c, 3, 3), dtype=x.dtype)
-    cols = out.transpose(3, 4, 5, 0, 1, 2)
     for i in range(3):
         for j in range(3):
-            cols[:, i, j] = xp[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
+            out[..., i, j] = xp[:, i : i + h, j : j + w]
     return out.reshape(-1, 9 * c)
 
 
@@ -179,8 +181,10 @@ def _from_channel_rows(y, like):
 class Conv3x3(_WeightBias):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
-    The forward caches its input as it is; only the backward pads it, for
-    the weight gradient's operand."""
+    The forward caches its input as it is. The forward and the input
+    gradient read shifted views of an unpadded batch (_windows); only the
+    weight gradients (backward and sample_grads) pad the cached input, into
+    the channels-last copy that _im2col slices."""
 
     kind = "conv3x3"
 
@@ -256,7 +260,9 @@ _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class MaxPool2x2(Layer):
-    """2x2 max pooling, stride 2, over the four strided quadrant views.
+    """2x2 max pooling, stride 2. The forward takes the max of column
+    pairs, then of row pairs; the backward works on the four strided
+    quadrant views (_QUADRANTS).
 
     The backward routes each output gradient to the first quadrant, in
     row-major order, whose input equals the max; entries that get no
@@ -277,10 +283,23 @@ class MaxPool2x2(Layer):
     def forward(self, x):
         if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
             raise KernelError(f"maxpool2x2 needs even spatial dims, got {x.shape}")
-        q = [x[:, :, r::2, c::2] for r, c in _QUADRANTS]
-        # C order whatever the input's layout: the operands a later conv
-        # hands to matmul, and so its bits, depend on its input's strides.
-        y = np.ascontiguousarray(np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3])))
+        h, w = x.shape[2:]
+        # Pool in the input's own memory order: (B, C, H, W), or (C, B, H, W)
+        # as a conv's output arrives; any other layout is copied once.
+        c_first = not x.flags.c_contiguous and x.transpose(1, 0, 2, 3).flags.c_contiguous
+        u = x.transpose(1, 0, 2, 3) if c_first else np.ascontiguousarray(x)
+        # Column pairs as one 1-d loop, max(q00, q01) on even rows and
+        # max(q10, q11) on odd ones, then the max of each row pair: the
+        # association max(max(q00, q01), max(q10, q11)), so NaN, -0.0 and
+        # ties give the bits of the quadrant-view form.
+        row_pairs = u.shape[0] * u.shape[1] * h // 2
+        cols = u.reshape(-1, 2)
+        rows = np.maximum(cols[:, 0], cols[:, 1]).reshape(row_pairs, 2, w // 2)
+        y = np.maximum(rows[:, 0], rows[:, 1]).reshape(*u.shape[:2], h // 2, w // 2)
+        if c_first:
+            # C order whatever the input's layout: the operands a later conv
+            # hands to matmul, and so its bits, depend on its input's strides.
+            y = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
         return y, (x, y)
 
     def backward(self, cache, dy, input_grad=True, visit=None):
@@ -454,20 +473,24 @@ def softmax_cross_entropy(logits, labels):
         raise KernelError(f"logits must be 2-d, got {logits.shape}")
     if labels.shape != (logits.shape[0],):
         raise KernelError("labels must be one integer per row")
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":
         raise KernelError("labels must be integers")
     c = logits.shape[1]
     if labels.min() < 0 or labels.max() >= c:
         raise KernelError(f"labels must lie in [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
     n = logits.shape[0]
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    picked = probs[rows, labels]
+    loss = float(-np.mean(np.log(picked)))
+    # Softmax minus one-hot, over n, in C order whatever the logits' layout
+    # (a later matmul's bits depend on its operand's strides): the probs
+    # themselves unless they need that copy.
+    grad = np.ascontiguousarray(probs)
+    grad[rows, labels] = picked - 1.0
     grad /= n
-    return loss, grad.astype(logits.dtype)
+    return loss, grad.astype(logits.dtype, copy=False)
 
 
 def loss_grads(layers, x, labels, input_grad=True):
@@ -486,21 +509,22 @@ def sgd_step(layers, grads, lr):
         if not layer_grads:
             continue
         params = layer.params()
-        if set(layer_grads) != set(params):
+        if layer_grads.keys() != params.keys():
             raise KernelError(f"gradient keys {set(layer_grads)} != params {set(params)}")
         for name, g in layer_grads.items():
             p = params[name]
             if g.shape != p.shape:
                 raise KernelError(f"grad shape {g.shape} != param shape {p.shape}")
-            p -= (lr * g).astype(p.dtype)
+            # A Python float lr keeps g's dtype (NEP 50): no copy then.
+            p -= (lr * g).astype(p.dtype, copy=False)
         layer.bump()
 
 
 def _flat(dicts):
     """The arrays of a list of per-layer dicts as one float64 vector, keys
     visited in sorted order per layer."""
-    chunks = [d[k].reshape(-1).astype(np.float64) for d in dicts for k in sorted(d)]
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+    chunks = [d[k].reshape(-1) for d in dicts for k in sorted(d)]
+    return np.concatenate(chunks, dtype=np.float64) if chunks else np.zeros(0)
 
 
 def param_vector(layers):
@@ -521,7 +545,7 @@ def load_param_vector(layers, vector):
             chunk = vector[offset : offset + p.size]
             if chunk.size != p.size:
                 raise KernelError("vector too short for this layer stack")
-            p[...] = chunk.reshape(p.shape).astype(p.dtype)
+            p[...] = chunk.reshape(p.shape)  # the cast rounds as astype does
             offset += p.size
         layer.bump()
     if offset != vector.size:

@@ -14,6 +14,7 @@ trained here.
 from __future__ import annotations
 
 import copy
+import functools
 import re
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ class LayerDesc:
         return 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelFacts:
     """Analytic facts used by the cost model; no weights are materialized."""
 
@@ -145,8 +146,11 @@ def expand(spec):
     return descs, split_index
 
 
+@functools.cache
 def analyze(spec, op_index=None):
-    """Analytic parameter/MAC/activation facts at a partition point."""
+    """Analytic parameter/MAC/activation facts at a partition point. Cached:
+    a spec is frozen and so are its facts, and the runtime's cost model
+    asks for the same ones every round."""
     descs, default_split = expand(spec)
     idx = default_split if op_index is None else op_index
     if not 0 < idx < len(descs):

@@ -521,6 +521,8 @@ def test_diagnose_violated_bound_warns_but_exits_zero(tmp_path, capsys):
     ("5,0.1,1.0,0.0,0.0,0.6,0.2,0.9,0.5", "t"),  # not the row's round
     ("1,0.1,1,0,0,1,0.2,1,", "rhs_running"),  # half of the bound blank
     ("1,0.1,1,0,0,1,0.2,,1", "lhs_running"),
+    ("1,0.1,1.0,0.0,0.0,0.6,0.2,0.4,0.5,99", "10"),  # a cell past the header
+    ("1,0.1,1.0,0.0,0.0,0.6,0.9,0.4,0.5", "gamma"),  # not the running sum of eta, 0.2
 ])
 def test_diagnose_malformed_log_exits_4(tmp_path, capsys, row, column):
     log = tmp_path / "diag.csv"

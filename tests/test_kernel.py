@@ -149,8 +149,11 @@ def test_conv_is_its_einsum_reference_byte_for_byte(kind, dtype, batch, c_in):
 # Spatial sizes where a conv3x3 tap's shift, (i-1)W + (j-1) entries of the
 # flattened (b, h, w) axis, reaches past rows, samples or the whole batch:
 # (1, 2, 1, 4) shifts by W + 1 = 5 entries in a block of 4.
-@pytest.mark.parametrize("shape", [(1, 2, 1, 4), (1, 2, 1, 5), (2, 3, 3, 1),
-                                   (1, 2, 3, 1), (3, 2, 1, 1), (2, 3, 2, 3)])
+CONV3X3_EDGE_SHAPES = [(1, 2, 1, 4), (1, 2, 1, 5), (2, 3, 3, 1),
+                       (1, 2, 3, 1), (3, 2, 1, 1), (2, 3, 2, 3)]
+
+
+@pytest.mark.parametrize("shape", CONV3X3_EDGE_SHAPES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv3x3_edge_shapes_are_the_einsum_reference(dtype, shape):
     _assert_conv_is_its_reference("conv3x3", dtype, shape, sum(shape))
@@ -273,6 +276,103 @@ def test_maxpool_backward_is_the_zeros_copyto_reference(dtype, shape):
         y, cache = kernel.MaxPool2x2().forward(x)
         _, dx = kernel.MaxPool2x2().backward(cache, dy)
         _assert_same_array(dx, _reference_maxpool_backward(x, y, dy))
+
+
+# The rewritten copy helpers against the forms they replaced, byte for
+# byte, on values that tie, NaNs with and without a payload, both zeros,
+# infinities and a subnormal, in every layout the kernel meets.
+
+
+def _special_values(dtype):
+    return np.array([0.0, -0.0, 1.0, 2.0, -1.0, np.nan, _nan_with_payload(dtype),
+                     np.inf, -np.inf, np.finfo(dtype).smallest_subnormal], dtype=dtype)
+
+
+def _strided_copy(a):
+    """The same values as a view that no transposition makes contiguous:
+    every other entry of a buffer twice as wide."""
+    buf = np.zeros((*a.shape[:-1], 2 * a.shape[-1]), dtype=a.dtype)
+    buf[..., ::2] = a
+    out = buf[..., ::2]
+    assert not out.flags["C_CONTIGUOUS"] and not out.flags["F_CONTIGUOUS"]
+    return out
+
+
+LAYOUTS = {"c": lambda a: a, "conv": _conv_layout_copy, "strided": _strided_copy}
+
+
+def _reference_im2col(x):
+    """The (BHW, 9C) window matrix as nine slice copies from a zero-padded
+    C-ordered (B, C, H+2, W+2) copy of the batch."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
+    out = np.empty((b, h, w, c, 3, 3), dtype=x.dtype)
+    cols = out.transpose(3, 4, 5, 0, 1, 2)
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xp[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
+    return out.reshape(-1, 9 * c)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", [*CONV3X3_EDGE_SHAPES, (16, 1, 16, 16), (16, 8, 8, 8),
+                                   (16, 32, 4, 4), (3, 8, 8, 8)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_im2col_is_the_nine_slice_nchw_build(dtype, shape, layout):
+    x_c = np.random.default_rng(sum(shape)).choice(_special_values(dtype), size=shape)
+    x = LAYOUTS[layout](x_c)
+    got = kernel._im2col(x)
+    assert got.flags["C_CONTIGUOUS"]
+    _assert_same_array(got, _reference_im2col(x))
+
+
+def _reference_maxpool_forward(x):
+    q00, q01, q10, q11 = (x[:, :, r::2, c::2] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return np.ascontiguousarray(np.maximum(np.maximum(q00, q01), np.maximum(q10, q11)))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 5, 2, 6), (16, 8, 16, 16),
+                                   (16, 32, 4, 4), (100, 16, 8, 8)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_forward_is_the_quadrant_view_maximum(dtype, shape, layout):
+    x_c = np.random.default_rng(sum(shape)).choice(_special_values(dtype), size=shape)
+    x = LAYOUTS[layout](x_c)
+    y, (cached_x, cached_y) = kernel.MaxPool2x2().forward(x)
+    assert y.flags["C_CONTIGUOUS"] and cached_x is x and cached_y is y
+    _assert_same_array(y, _reference_maxpool_forward(x))
+
+
+def _reference_softmax_cross_entropy(logits, labels):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    loss = float(-np.mean(np.log(probs[np.arange(n), labels])))
+    grad = probs.copy()
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return loss, grad.astype(logits.dtype)
+
+
+@pytest.mark.parametrize("layout", ["c", "transposed", "strided"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_cross_entropy_is_the_copying_form(dtype, n, layout):
+    rng = np.random.default_rng(n)
+    for classes in (2, 10):
+        logits_c = (8 * rng.standard_normal((n, classes))).astype(dtype)
+        logits_c[0, -1] = logits_c[0, 0]  # a tie within a row
+        if n > 1:
+            logits_c[1] = -0.0
+        logits = {"c": logits_c, "transposed": np.asfortranarray(logits_c),
+                  "strided": _strided_copy(logits_c)}[layout]
+        labels = rng.integers(0, classes, size=n)
+        loss, grad = kernel.softmax_cross_entropy(logits, labels)
+        want_loss, want_grad = _reference_softmax_cross_entropy(logits, labels)
+        assert type(loss) is float and loss.hex() == want_loss.hex()
+        _assert_same_array(grad, want_grad)
 
 
 def test_maxpool_rejects_odd_spatial_dims():
