@@ -3,14 +3,12 @@
 Devices transmit activations only at rounds where the switch is on
 (t mod period == 0, so round 0 always transmits); between transmissions the
 server replays the cached record for each (device, batch) key. Keys are
-stable because the batch partition is fixed across rounds. The buffer holds
-each record only as its wire bytes (``quantize.serialize``): in memory, or
-spilled to disk as {device}_{batch}.qact files.
+stable because the batch partition is fixed across rounds. The buffer is
+one in-memory map from each key to its record's wire bytes
+(``quantize.serialize``).
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -39,18 +37,11 @@ def switch_is_on(t, period):
 class ReplayBuffer:
     """Latest activation record per (device, batch) key, as wire bytes."""
 
-    def __init__(self, period, spill_dir=None):
+    def __init__(self, period):
         if period < 1:
             raise BufferError(f"period must be >= 1, got {period}")
         self.period = int(period)
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        if self.spill_dir is not None:
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
-        self._blobs = {}  # in-memory bytes; unused when spilling
-        self._sizes = {}  # key -> stored byte count
-
-    def _path(self, device_id, batch_index):
-        return self.spill_dir / f"{device_id}_{batch_index}.qact"
+        self._blobs = {}  # (device, batch) -> wire bytes
 
     def store(self, record):
         """Cache a record's wire bytes; only legal while the switch is on for
@@ -60,29 +51,23 @@ class ReplayBuffer:
                 f"store at round {record.round_tag}: switch is off (period {self.period})"
             )
         key = (record.device_id, record.batch_index)
-        blob = quantize.serialize(record)
-        if self.spill_dir is not None:
-            self._path(*key).write_bytes(blob)
-        else:
-            self._blobs[key] = blob
-        self._sizes[key] = len(blob)
+        blob = self._blobs[key] = quantize.serialize(record)
         return len(blob)
 
     def fetch(self, device_id, batch_index):
         """Latest record for a key, parsed from its bytes; a miss before the
         first refresh is an error."""
-        key = (device_id, batch_index)
-        if key not in self._sizes:
+        blob = self._blobs.get((device_id, batch_index))
+        if blob is None:
             raise BufferMiss(f"no cached activation for device {device_id} batch {batch_index}")
-        blob = self._blobs[key] if self.spill_dir is None else self._path(*key).read_bytes()
         return quantize.parse(blob)
 
     def __len__(self):
-        return len(self._sizes)
+        return len(self._blobs)
 
     def total_bytes(self):
         """Wire bytes of all live records (the buffer-memory cost)."""
-        return sum(self._sizes.values())
+        return sum(map(len, self._blobs.values()))
 
 
 def buffer_distance_proxy(buf, device_id, batch_index, fresh):

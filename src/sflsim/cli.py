@@ -171,8 +171,11 @@ def cmd_cost(args):
         value = getattr(args, flag)
         if value <= 0:
             raise UsageError(f"--{flag} must be positive, got {value}")
-    rows = cost_table(args.model, samples_per_device=args.samples, devices=args.devices,
-                      batch_size=args.batch)
+    try:
+        rows = cost_table(args.model, samples_per_device=args.samples, devices=args.devices,
+                          batch_size=args.batch)
+    except OverflowError as exc:
+        raise UsageError("the GiB total of --devices x --samples overflows a float") from exc
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

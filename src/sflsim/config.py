@@ -42,13 +42,11 @@ class RunConfig:
     profile: str = "wifi"
     device_speed: float = 1e9
     server_speed: float = 1e10
-    spill_dir: str | None = None
 
 
 # Fields that act only in some modes; elsewhere they must keep their default.
 _MODE_FIELDS = {
     "rho": ("replay",),  # the cache exists in replay only
-    "spill_dir": ("replay",),
     "quantized": ("replay",),
     "pretrain_epochs": ("split", "local_loss", "replay"),  # classic has no cut
     "op_index": ("split", "local_loss", "replay"),
@@ -121,7 +119,6 @@ def from_dict(raw):
         f"profile must be one of {sorted(netsim.PROFILES)}",
     )
     _require(cfg.device_speed > 0 and cfg.server_speed > 0, "speeds must be positive")
-    _require(cfg.spill_dir != "", "spill_dir must not be empty")
     if cfg.op_index is not None:
         _require(cfg.op_index >= 1, "op_index must be >= 1")
         layer_count = len(models.expand(models.ZOO[cfg.model])[0])

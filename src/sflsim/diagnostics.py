@@ -357,14 +357,17 @@ def write_diagnostics_csv(path, records, g_hat, l_hat):
 
 def read_diagnostics_csv(path):
     """Rows of the diagnostics CSV as dicts of finite floats and an int ``t``,
-    as write_diagnostics_csv leaves them: no row longer than the header,
-    row i (from 1) has t = i - 1, gamma is the running sum of eta (to a
-    relative 1e-9, so hand-typed sums read), and the running-bound cells
-    are both blank (None), where the bound is undefined, or both filled."""
+    as write_diagnostics_csv leaves them: a header of the nine CSV_COLUMNS,
+    each once, in any order; no row longer than the header; row i (from 1)
+    has t = i - 1; eta is >= 0 (``run`` takes no negative lr); gamma is the
+    running sum of eta (to a relative 1e-9, so hand-typed sums read); and
+    the running-bound cells are blank (None) exactly where the bound is
+    undefined, on row 1 and while that running sum is <= 0, and filled
+    elsewhere."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(CSV_COLUMNS) - set(reader.fieldnames):
+            if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(CSV_COLUMNS):
                 raise DiagnosticsError(f"{path} is not a diagnostics log")
             rows, gamma = [], 0.0
             for i, raw in enumerate(reader, start=1):
@@ -382,8 +385,10 @@ def read_diagnostics_csv(path):
                         row[key] = float(value)
                     except (TypeError, ValueError):  # a missing cell is None
                         row[key] = math.nan
-                    if not math.isfinite(row[key]) or (key == "t" and row[key] != i - 1):
-                        what = f"the row's round {i - 1}" if key == "t" else "a finite number"
+                    if (not math.isfinite(row[key]) or (key == "t" and row[key] != i - 1)
+                            or (key == "eta" and row[key] < 0)):
+                        what = {"t": f"the row's round {i - 1}",
+                                "eta": "a finite number >= 0"}.get(key, "a finite number")
                         raise DiagnosticsError(
                             f"{path} row {i} column {key}: {value!r} is not {what}")
                     if key == "eta":
@@ -392,10 +397,13 @@ def read_diagnostics_csv(path):
                         raise DiagnosticsError(
                             f"{path} row {i} column gamma: {value!r} is not the running "
                             f"sum of eta, {gamma!r}")
-                if (row["lhs_running"] is None) != (row["rhs_running"] is None):
-                    blank = "lhs_running" if row["lhs_running"] is None else "rhs_running"
-                    raise DiagnosticsError(
-                        f"{path} row {i} column {blank}: blank beside a filled bound cell")
+                undefined = i == 1 or gamma <= 0  # where run leaves both cells blank
+                for key in ("lhs_running", "rhs_running"):
+                    if (row[key] is None) != undefined:
+                        state = (f"{raw[key]!r} where the bound is undefined" if undefined
+                                 else "blank where the bound is defined")
+                        raise DiagnosticsError(
+                            f"{path} row {i} column {key}: {state} (running Gamma {gamma!r})")
                 row["t"] = int(row["t"])
                 rows.append(row)
     except UnicodeDecodeError as exc:

@@ -105,12 +105,11 @@ class TrainState:
         afresh. ``key`` names the input: ("probe", device), ("batch",
         device, batch index) or ("test", first row). A frozen stack's output
         is computed once per stack stamp and kept read-only under its key,
-        except a training batch that augmentation redraws or that a
-        ``spill_dir`` run keeps off the heap."""
+        except a training batch that augmentation redraws."""
         stack = self.global_device
         if not stack:
             return x
-        redrawn = key[0] == "batch" and (self.config.augment or self.config.spill_dir is not None)
+        redrawn = key[0] == "batch" and self.config.augment
         if not self.frozen_device or redrawn:
             return kernel.predict(stack, x)
         stamp = kernel.stamp(stack)
@@ -272,7 +271,7 @@ def init_state(config):
 
     replay_buffer = None
     if config.mode == "replay":
-        replay_buffer = buffer_mod.ReplayBuffer(config.rho, spill_dir=config.spill_dir)
+        replay_buffer = buffer_mod.ReplayBuffer(config.rho)
 
     return TrainState(
         config=config,

@@ -1,5 +1,5 @@
 """Replay buffer oracles: transmission schedule arithmetic, store/fetch
-contracts, memory accounting, spill-to-disk byte fidelity, distance proxy."""
+contracts, byte fidelity, memory accounting, distance proxy."""
 
 from __future__ import annotations
 
@@ -9,11 +9,11 @@ import pytest
 from sflsim import buffer, quantize
 
 
-def _record(round_tag, device_id=0, batch_index=0, values=None, quantized=True):
+def _record(round_tag, device_id=0, batch_index=0, values=None, quantized=True, labels=(0, 0)):
     a = values if values is not None else np.arange(8, dtype=np.float32).reshape(2, 4)
     return quantize.encode(a, round_tag=round_tag, device_id=device_id,
                            batch_index=batch_index,
-                           labels=np.zeros(2, dtype=np.uint16), quantized=quantized)
+                           labels=np.array(labels, dtype=np.uint16), quantized=quantized)
 
 
 def test_switch_schedule_hand_values():
@@ -54,17 +54,21 @@ def test_fetch_miss_before_first_refresh():
 
 def test_store_fetch_round_trip_and_replacement():
     buf = buffer.ReplayBuffer(period=2)
-    first = _record(round_tag=0, values=np.ones((2, 4), dtype=np.float32))
-    assert buf.store(first) == len(quantize.serialize(first))
-    got = buf.fetch(0, 0)
+    first = _record(round_tag=0, device_id=3, batch_index=7, labels=(5, 1))
+    stored = buf.store(first)
+    assert stored == len(quantize.serialize(first)) == buf.total_bytes()
+    got = buf.fetch(3, 7)
     assert got is not first  # the buffer keeps bytes, not the record
     assert got.round_tag == 0
+    assert np.array_equal(got.payload, first.payload)
+    assert got.labels.tolist() == [5, 1]
     assert quantize.serialize(got) == quantize.serialize(first)
     assert np.array_equal(quantize.decode(got), quantize.decode(first))
 
-    newer = _record(round_tag=2, values=np.full((2, 4), 3.0, dtype=np.float32))
+    newer = _record(round_tag=2, device_id=3, batch_index=7,
+                    values=np.full((2, 4), 3.0, dtype=np.float32))
     buf.store(newer)
-    got = buf.fetch(0, 0)
+    got = buf.fetch(3, 7)
     assert got.round_tag == 2
     assert len(buf) == 1  # replaced, not appended
 
@@ -82,19 +86,6 @@ def test_memory_accounting_matches_wire_bytes():
     for rec in records:
         buf.store(_record(round_tag=1, device_id=rec.device_id, batch_index=rec.batch_index))
     assert buf.total_bytes() == before
-
-
-def test_spill_to_disk_byte_exact(tmp_path):
-    buf = buffer.ReplayBuffer(period=2, spill_dir=tmp_path)
-    rec = _record(round_tag=0, device_id=3, batch_index=7)
-    stored = buf.store(rec)
-    path = tmp_path / "3_7.qact"
-    assert path.exists()
-    assert path.read_bytes() == quantize.serialize(rec)
-    got = buf.fetch(3, 7)
-    assert np.array_equal(got.payload, rec.payload)
-    assert got.labels.tolist() == rec.labels.tolist()
-    assert buf.total_bytes() == stored == path.stat().st_size
 
 
 def test_distance_proxy_zero_for_identical_raw_records():

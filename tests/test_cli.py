@@ -245,6 +245,18 @@ def test_cost_non_positive_sizes_exit_2(flag, value, capsys):
     assert captured.err.strip().splitlines() == [f"usage error: {flag} must be positive, got {value}"]
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--devices"])
+def test_cost_sizes_past_the_float_range_exit_2(tmp_path, flag, capsys):
+    # An exact integer byte count whose GiB total no float can hold.
+    csv_path = tmp_path / "cost.csv"
+    assert cli.main(["cost", flag, "1" + "0" * 320, "--csv", str(csv_path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ")
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--classes", "0"), ("--classes", "257"), ("--per-class", "0"), ("--height", "0"),
     ("--width", "-2"), ("--seed", "-1"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
@@ -523,6 +535,8 @@ def test_diagnose_violated_bound_warns_but_exits_zero(tmp_path, capsys):
     ("1,0.1,1,0,0,1,0.2,,1", "lhs_running"),
     ("1,0.1,1.0,0.0,0.0,0.6,0.2,0.4,0.5,99", "10"),  # a cell past the header
     ("1,0.1,1.0,0.0,0.0,0.6,0.9,0.4,0.5", "gamma"),  # not the running sum of eta, 0.2
+    ("1,0.1,1.0,0.0,0.0,0.6,0.2,,", "lhs_running"),  # blank where Gamma 0.2 defines the bound
+    ("1,-0.1,1.0,0.0,0.0,0.6,0.0,,", "eta"),  # negative: run takes no negative lr
 ])
 def test_diagnose_malformed_log_exits_4(tmp_path, capsys, row, column):
     log = tmp_path / "diag.csv"
@@ -536,6 +550,39 @@ def test_diagnose_malformed_log_exits_4(tmp_path, capsys, row, column):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:")
     assert f"row 2 column {column}:" in err[0]
+
+
+@pytest.mark.parametrize("rows,bad", [
+    ("0,0.1,1.0,0.0,0.0,0.7,0.1,0.4,0.5\n1,0.1,1.0,0.0,0.0,0.6,0.2,0.4,0.5", 1),
+    ("0,0.0,1.0,0.0,0.0,0.7,0.0,,\n1,0.0,1.0,0.0,0.0,0.6,0.0,0.4,0.5", 2),
+], ids=["first-row", "gamma-0"])
+def test_diagnose_bound_cells_where_the_bound_is_undefined_exit_4(tmp_path, capsys, rows, bad):
+    # run leaves both cells blank on row 1 and while Gamma is 0.
+    log = tmp_path / "diag.csv"
+    log.write_text(
+        "t,eta,grad_norm_sq,eps_mean,delta_mean,loss,gamma,lhs_running,rhs_running\n"
+        + rows + "\n")
+    assert cli.main(["diagnose", "--log", str(log)]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert f"row {bad} column lhs_running: '0.4' where the bound is undefined" in err[0]
+
+
+@pytest.mark.parametrize("header", [
+    "t,eta,grad_norm_sq,eps_mean,delta_mean,loss,gamma,lhs_running,rhs_running,junk",
+    "t,eta,grad_norm_sq,eps_mean,delta_mean,loss,gamma,lhs_running,rhs_running,t",
+], ids=["extra-column", "repeated-t"])
+def test_diagnose_header_other_than_the_nine_columns_exits_4(tmp_path, capsys, header):
+    log = tmp_path / "diag.csv"
+    log.write_text(header + "\n"
+                   "0,0.1,1.0,0.0,0.0,0.7,0.1,,,0\n"
+                   "1,0.1,1.0,0.0,0.0,0.6,0.2,0.4,0.5,1\n")
+    assert cli.main(["diagnose", "--log", str(log)]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"data error: {log} is not a diagnostics log"]
 
 
 @pytest.mark.parametrize("at", [["--at", "2"], []])
@@ -635,15 +682,6 @@ def test_non_finite_latency_exits_5_without_out_dir(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("training error: round 0 (split)")
     assert "latency" in err[0] and not out_dir.exists()
-
-
-def test_empty_spill_dir_exits_3_and_spills_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cfg = smoke_config(tmp_path, spill_dir="")
-    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0] == "config error: spill_dir must not be empty"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["smoke.json"]
 
 
 def test_blob_defaults_have_one_source():

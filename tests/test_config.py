@@ -1,6 +1,9 @@
 """Run-config schema: versioning, fail-fast validation, defaults."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +68,7 @@ def test_wrong_version_rejected():
         ({"op_index": 0}, "op_index"),
         ({"device_speed": 0}, "speeds"),
         ({"op_index": 40}, "op_index"),  # tiny_vgg expands to 11 layers
-        ({"spill_dir": "cache"}, "spill_dir"),  # the cache exists in replay only
+        ({"spill_dir": "cache"}, "unknown config keys"),
         ({"dataset": {"kind": "idx", "images": None, "labels": "b.idx"}}, "images"),
         ({"dataset": {"kind": ["blobs"]}}, "kind must be a string"),
         ({"dataset": {"kind": {"kind": "blobs"}}}, "kind must be a string"),
@@ -74,6 +77,14 @@ def test_wrong_version_rejected():
 def test_invalid_values_rejected(patch, fragment):
     with pytest.raises(ConfigError, match=fragment):
         config_mod.from_dict(minimal(**patch))
+
+
+def test_readme_config_table_lists_the_fields_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert rows == [f.name for f in fields(config_mod.RunConfig)]
+    assert set(config_mod._MODE_FIELDS) <= set(rows)
 
 
 def test_rho_outside_replay_rejected():

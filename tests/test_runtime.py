@@ -510,12 +510,9 @@ class TestFrozenForward:
 
     @pytest.mark.parametrize("mode,extra", [
         ("replay", {"rho": 2, "augment": True}),
-        ("replay", {"rho": 2, "spill_dir": "SPILL"}),
         ("split", {"freeze_device": True, "augment": True}),
     ])
-    def test_no_training_batch_is_kept_when_redrawn_or_spilled(self, tmp_path, mode, extra):
-        if extra.get("spill_dir"):
-            extra = dict(extra, spill_dir=str(tmp_path / "spill"))
+    def test_no_training_batch_is_kept_when_redrawn_or_spilled(self, mode, extra):
         out = runtime.run_training(make_config(mode=mode, devices=2, diagnostics=True, **extra))
         kinds = {key[0] for key in out.state.frozen_outputs}
         assert kinds == {"probe", "test"}
