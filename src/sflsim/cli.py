@@ -82,11 +82,8 @@ def build_parser():
 
     p_gen = sub.add_parser("gen-data", help="write synthetic blobs as IDX files")
     p_gen.add_argument("--out", default=".", help="output directory")
-    p_gen.add_argument("--classes", type=int, default=2)
     p_gen.add_argument("--per-class", type=int, default=data_mod.BLOB_DEFAULTS["per_class"])
     p_gen.add_argument("--sigma", type=float, default=data_mod.BLOB_DEFAULTS["noise_sigma"])
-    p_gen.add_argument("--height", type=int, default=16)
-    p_gen.add_argument("--width", type=int, default=16)
     p_gen.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
@@ -225,19 +222,20 @@ def cmd_diagnose(args):
 
 
 def cmd_gen_data(args):
-    for flag in ("classes", "per_class", "height", "width", "seed"):
-        value, least = getattr(args, flag), 0 if flag == "seed" else 1
+    for flag, least in (("per_class", 1), ("seed", 0)):
+        value = getattr(args, flag)
         if value < least:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
-    if args.classes > 256:
-        raise UsageError(f"--classes must be <= 256 (one-byte IDX labels), got {args.classes}")
     if not (math.isfinite(args.sigma) and args.sigma >= 0):
         raise UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
     _check_out_dir(args.out)
+    # An IDX image has one channel. tiny_vgg and tiny_res share this
+    # one-channel input shape and class count, so either model runs the pair.
+    spec = models.ZOO["tiny_vgg"]
     dataset = data_mod.generate_blobs(
-        classes=args.classes,
+        classes=spec.num_classes,
         per_class=args.per_class,
-        image_shape=(1, args.height, args.width),
+        image_shape=spec.input_shape,
         noise_sigma=args.sigma,
         seed=args.seed,
     )
@@ -274,7 +272,7 @@ def cmd_selftest(args):
 
     def fedavg_identity():
         spec = models.ZOO["tiny_vgg"]
-        stack = models.build_model(spec, seed=1).layers
+        stack = models.build_model(spec, seed=1)
         vector = kernel.param_vector(stack)
         merged = runtime.fedavg([vector, vector, vector], [1, 2, 3])
         _check(np.array_equal(merged, vector), "fedavg moved a parameter")

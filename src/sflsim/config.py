@@ -50,7 +50,7 @@ _MODE_FIELDS = {
     "quantized": ("replay",),
     "pretrain_epochs": ("split", "local_loss", "replay"),  # classic has no cut
     "op_index": ("split", "local_loss", "replay"),
-    "freeze_device": ("split", "replay"),  # replay freezes regardless
+    "freeze_device": ("split",),  # replay freezes regardless
 }
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 

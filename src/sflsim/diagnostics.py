@@ -156,13 +156,11 @@ def probe_batch(state, device_id):
 
 def probe_gradients(server_layers, a, y):
     """(loss, flat gradient, sample norms) of a server stack on a probe
-    batch, from one forward and one backward. The backward's hook sums in
+    batch, from one kernel.loss_grads call. The backward's hook sums in
     float64 the squares of the first n = min(len(y), SAMPLE_GRAD_CAP)
     samples' gradients (Layer.sample_grads on the first n rows) and scales
     them by N**2, N = len(y): a row of the mean loss's gradient is 1/N of
     its sample's own."""
-    trace = kernel.forward(server_layers, a)
-    loss, dlogits = kernel.softmax_cross_entropy(trace.output, y)
     n = min(len(y), SAMPLE_GRAD_CAP)
     sqs = np.zeros(n)
 
@@ -170,7 +168,7 @@ def probe_gradients(server_layers, a, y):
         for rows in layer.sample_grads(cache[:n], dy[:n]).values():
             sqs[:] += np.sum(np.square(rows.reshape(n, -1), dtype=np.float64), axis=1)
 
-    grads = kernel.backward(server_layers, trace, dlogits, input_grad=False, visit=visit)
+    loss, grads = kernel.loss_grads(server_layers, a, y, input_grad=False, visit=visit)
     return loss, kernel.grad_vector(grads), sqs * len(y) ** 2
 
 

@@ -493,12 +493,13 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad.astype(logits.dtype, copy=False)
 
 
-def loss_grads(layers, x, labels, input_grad=True):
+def loss_grads(layers, x, labels, input_grad=True, visit=None):
     """Forward, mean softmax cross-entropy and exact backward of a stack on
-    one batch; returns (loss, Gradients). ``input_grad`` as in backward."""
+    one batch; returns (loss, Gradients). ``input_grad`` and ``visit`` as
+    in backward."""
     trace = forward(layers, x)
     loss, dlogits = softmax_cross_entropy(trace.output, labels)
-    return loss, backward(layers, trace, dlogits, input_grad=input_grad)
+    return loss, backward(layers, trace, dlogits, input_grad=input_grad, visit=visit)
 
 
 def sgd_step(layers, grads, lr):

@@ -78,12 +78,7 @@ class ModelFacts:
     activation_elements: int
     device_macs: int
     server_macs: int
-
-
-@dataclass
-class Model:
-    layers: list
-    default_split: int
+    op_index: int
 
 
 _TOKEN_RE = re.compile(r"^(C|RB|FC)(\d+)$")
@@ -148,11 +143,12 @@ def expand(spec):
 
 @functools.cache
 def analyze(spec, op_index=None):
-    """Analytic parameter/MAC/activation facts at a partition point. Cached:
+    """Analytic parameter/MAC/activation facts at a partition point, the one
+    place a missing ``op_index`` becomes the layer string's ``|``. Cached:
     a spec is frozen and so are its facts, and the runtime's cost model
     asks for the same ones every round."""
-    descs, default_split = expand(spec)
-    idx = default_split if op_index is None else op_index
+    descs, split_index = expand(spec)
+    idx = split_index if op_index is None else op_index
     if not 0 < idx < len(descs):
         raise ModelError(f"op_index {idx} out of range (0, {len(descs)})")
     device, server = descs[:idx], descs[idx:]
@@ -165,6 +161,7 @@ def analyze(spec, op_index=None):
         activation_elements=int(np.prod(act_shape)),
         device_macs=sum(d.forward_macs() for d in device),
         server_macs=sum(d.forward_macs() for d in server),
+        op_index=idx,
     )
 
 
@@ -185,16 +182,14 @@ def _instantiate(desc, rng, dtype):
 
 
 def build_model(spec, seed, dtype=np.float32):
-    """Materialize a spec with seeded uniform(-1/sqrt(fan_in), ..) weights."""
-    descs, split = expand(spec)
+    """A spec's layer list, with seeded uniform(-1/sqrt(fan_in), ..) weights."""
+    descs, _ = expand(spec)
     rng = np.random.default_rng(seed)
-    layers = [_instantiate(d, rng, dtype) for d in descs]
-    return Model(layers=layers, default_split=split)
+    return [_instantiate(d, rng, dtype) for d in descs]
 
 
-def partition(model, op_index):
-    """Split a model's layer stack at a boundary: (device stack, server stack)."""
-    layers = model.layers if isinstance(model, Model) else model
+def partition(layers, op_index):
+    """Split a layer stack at a boundary: (device stack, server stack)."""
     if not 0 < op_index < len(layers):
         raise ModelError(f"op_index {op_index} out of range (0, {len(layers)})")
     return layers[:op_index], layers[op_index:]
@@ -214,7 +209,7 @@ def head_descs(activation_shape, num_classes):
     ]
 
 
-def auxiliary_head(spec, seed, op_index=None):
+def auxiliary_head(spec, seed, op_index):
     """Local-loss head: Flatten + Dense from the split activation to classes."""
     facts = analyze(spec, op_index)
     rng = np.random.default_rng(seed)
@@ -222,12 +217,11 @@ def auxiliary_head(spec, seed, op_index=None):
             for d in head_descs(facts.activation_shape, spec.num_classes)]
 
 
-def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=None):
-    """Centrally train a clone of the full model on the pretrain split, then
-    return its device half. epochs=0 returns the initial half (the
-    no-pretraining ablation). The input model is never mutated."""
-    idx = model.default_split if op_index is None else op_index
-    clone = clone_stack(model.layers)
+def pretrain_device_side(layers, dataset, epochs, lr, batch_size, seed, op_index):
+    """Centrally train a clone of the full stack on the pretrain split, then
+    return its device half, cut at ``op_index``. epochs=0 returns the
+    initial half (the no-pretraining ablation). ``layers`` is never mutated."""
+    clone = clone_stack(layers)
     images, labels = dataset.subset("pretrain")
     rng = np.random.default_rng(seed)
     n = len(labels)
@@ -237,7 +231,7 @@ def pretrain_device_side(model, dataset, epochs, lr, batch_size, seed, op_index=
             take = order[start : start + batch_size]
             _, grads = kernel.loss_grads(clone, images[take], labels[take], input_grad=False)
             kernel.sgd_step(clone, grads, lr)
-    device, _ = partition(clone, idx)
+    device, _ = partition(clone, op_index)
     return device
 
 

@@ -231,8 +231,8 @@ def init_state(config):
             f"model input {spec.input_shape}"
         )
     model_words = children[1].generate_state(2)
-    model = models.build_model(spec, seed=int(model_words[0]))
-    op_index = config.op_index if config.op_index is not None else model.default_split
+    layers = models.build_model(spec, seed=int(model_words[0]))
+    op_index = models.analyze(spec, config.op_index).op_index
 
     train_idx = dataset.splits["train"]
     shard_list = data_mod.shard_uniform(train_idx, config.devices, seed=int(data_words[1]))
@@ -244,12 +244,12 @@ def init_state(config):
 
     global_model = global_device = global_server = global_head = None
     if config.mode == "classic":
-        global_model = model.layers
+        global_model = layers
     else:
-        global_device, global_server = models.partition(model, op_index)
+        global_device, global_server = models.partition(layers, op_index)
         if config.pretrain_epochs > 0:
             global_device = models.pretrain_device_side(
-                model,
+                layers,
                 dataset,
                 epochs=config.pretrain_epochs,
                 lr=config.lr,

@@ -1,9 +1,11 @@
 """CLI: subcommand behavior, file outputs, and exit-code categories."""
 
+import argparse
 import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,7 +62,7 @@ def assert_weights_load_back(path, output):
     of the run's final model and local-loss head."""
     state = output.state
     trained = output.final_model + (state.global_head or [])
-    fresh = models.build_model(state.spec, seed=12345).layers
+    fresh = models.build_model(state.spec, seed=12345)
     if state.global_head:
         fresh += models.auxiliary_head(state.spec, seed=12345, op_index=state.op_index)
     assert len(fresh) == len(trained)
@@ -82,14 +84,28 @@ def test_run_writes_weights_that_load_back_bit_exactly(tmp_path, capsys, monkeyp
     assert_weights_load_back(path, output)
 
 
+def _write_blob_pair(data_dir, classes, image_shape):
+    """An IDX pair of 20 blobs a class, of a class count or image shape that
+    gen-data, which takes both from a model, does not write."""
+    dataset = data_mod.generate_blobs(classes=classes, per_class=20, image_shape=image_shape,
+                                      noise_sigma=data_mod.BLOB_DEFAULTS["noise_sigma"], seed=0)
+    data_dir.mkdir()
+    data_mod.write_idx(data_dir / "images.idx", data_dir / "labels.idx",
+                       dataset.images, dataset.labels)
+
+
 @pytest.mark.parametrize("classes", [2, 3])
 @pytest.mark.parametrize("mode", ["split", "replay"])
 def test_run_on_a_gen_data_pair(tmp_path, capsys, monkeypatch, mode, classes):
     # tiny_vgg has 2 classes: a third is a data error before any training,
     # pretraining (replay) included, and no output directory is made.
+    # gen-data writes only the model's own classes, so the third is written
+    # here.
     data_dir = tmp_path / "data"
-    assert cli.main(["gen-data", "--out", str(data_dir), "--classes", str(classes),
-                     "--per-class", "20"]) == cli.EXIT_OK
+    if classes == 2:
+        assert cli.main(["gen-data", "--out", str(data_dir), "--per-class", "20"]) == cli.EXIT_OK
+    else:
+        _write_blob_pair(data_dir, classes=classes, image_shape=(1, 16, 16))
     idx = {"kind": "idx", "images": str(data_dir / "images.idx"),
            "labels": str(data_dir / "labels.idx")}
     cfg = smoke_config(tmp_path, mode=mode, rho=2 if mode == "replay" else 1, dataset=idx)
@@ -203,8 +219,7 @@ def test_cost_resnet9_fl_row(capsys):
 
 def test_gen_data_roundtrip(tmp_path):
     out_dir = tmp_path / "data"
-    code = cli.main(["gen-data", "--out", str(out_dir), "--classes", "2",
-                     "--per-class", "10", "--seed", "3"])
+    code = cli.main(["gen-data", "--out", str(out_dir), "--per-class", "10", "--seed", "3"])
     assert code == cli.EXIT_OK
     dataset = data_mod.load_idx(out_dir / "images.idx", out_dir / "labels.idx", seed=0)
     assert len(dataset.labels) == 20
@@ -257,9 +272,42 @@ def test_cost_sizes_past_the_float_range_exit_2(tmp_path, flag, capsys):
     assert not csv_path.exists()
 
 
+def test_gen_data_pair_trains_under_tiny_res(tmp_path, capsys):
+    # gen-data writes tiny_vgg's shape and classes, which tiny_res shares.
+    data_dir = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data_dir), "--per-class", "20"]) == cli.EXIT_OK
+    idx = {"kind": "idx", "images": str(data_dir / "images.idx"),
+           "labels": str(data_dir / "labels.idx")}
+    cfg = smoke_config(tmp_path, model="tiny_res", dataset=idx)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_OK
+    assert (out_dir / "weights.sfl").exists()
+
+
+def test_readme_cli_synopsis_lists_each_subcommand_s_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and lines[0].startswith("sflsim "), "the synopsis must open with a subcommand"
+    listed, options = {}, None
+    for line in lines:
+        if line.startswith("sflsim "):
+            options = listed.setdefault(line.split()[1], [])
+        options += re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)
+    # argparse has no public way to list a parser's subcommands and options,
+    # so this reads its _actions and _SubParsersAction.
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == {
+        name: [o for a in p._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"]
+        for name, p in sub.choices.items()
+    }
+
+
 @pytest.mark.parametrize("flag,value", [
-    ("--classes", "0"), ("--classes", "257"), ("--per-class", "0"), ("--height", "0"),
-    ("--width", "-2"), ("--seed", "-1"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
+    ("--per-class", "0"), ("--seed", "-1"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf"),
 ])
 def test_gen_data_bad_arguments_exit_2(tmp_path, flag, value, capsys):
     out_dir = tmp_path / "data"
@@ -277,19 +325,6 @@ def test_gen_data_bad_arguments_exit_2(tmp_path, flag, value, capsys):
 def test_gen_data_too_large_to_allocate_exits_4(tmp_path, capsys, per_class):
     out_dir = tmp_path / "data"
     argv = ["gen-data", "--out", str(out_dir), "--per-class", str(per_class)]
-    assert cli.main(argv) == cli.EXIT_DATA
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("data error: cannot allocate")
-    assert not out_dir.exists()
-
-
-def test_gen_data_image_too_large_to_allocate_exits_4(tmp_path, capsys):
-    # 2**64 pixels a class: the template draw itself is too big for numpy.
-    out_dir = tmp_path / "data"
-    argv = ["gen-data", "--out", str(out_dir), "--height", str(2**32), "--width", str(2**32),
-            "--per-class", "1"]
     assert cli.main(argv) == cli.EXIT_DATA
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -394,8 +429,7 @@ def test_idx_images_of_another_shape_exit_4(tmp_path, capsys, monkeypatch):
     # tiny_vgg takes 16x16 images: 8x8 ones are a data error before the
     # model is built, and no output directory is made.
     data_dir = tmp_path / "data"
-    assert cli.main(["gen-data", "--out", str(data_dir), "--per-class", "20",
-                     "--height", "8", "--width", "8"]) == cli.EXIT_OK
+    _write_blob_pair(data_dir, classes=2, image_shape=(1, 8, 8))
     idx = {"kind": "idx", "images": str(data_dir / "images.idx"),
            "labels": str(data_dir / "labels.idx")}
     built = []

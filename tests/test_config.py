@@ -115,6 +115,9 @@ def test_classic_rejects_pretraining_and_cut(patch):
 def test_freeze_device_only_for_split_family():
     with pytest.raises(ConfigError, match="freeze_device"):
         config_mod.from_dict(minimal(mode="classic", freeze_device=True))
+    # Replay freezes the device side regardless, so the key does not act there.
+    with pytest.raises(ConfigError, match="^freeze_device only applies to split, not replay$"):
+        config_mod.from_dict(minimal(mode="replay", freeze_device=True))
     assert config_mod.from_dict(minimal(mode="split", freeze_device=True)).freeze_device
 
 

@@ -194,7 +194,7 @@ class TestSampleGradients:
         # n = 7 is not a power of two, so the rescaling by n**2 rounds.
         spec = models.ZOO[model]
         built = models.build_model(spec, seed=9, dtype=dtype)
-        device, server = models.partition(built, built.default_split)
+        device, server = models.partition(built, models.analyze(spec).op_index)
         rng = np.random.default_rng(10)
         x = rng.uniform(0.0, 1.0, size=(n, *spec.input_shape)).astype(dtype)
         y = rng.integers(0, spec.num_classes, size=n)
@@ -207,7 +207,7 @@ class TestSampleGradients:
     def test_only_the_first_cap_samples_count(self):
         spec = models.ZOO["tiny_vgg"]
         built = models.build_model(spec, seed=11)
-        device, server = models.partition(built, built.default_split)
+        device, server = models.partition(built, models.analyze(spec).op_index)
         rng = np.random.default_rng(12)
         x = rng.uniform(0.0, 1.0, size=(dg.SAMPLE_GRAD_CAP + 5, *spec.input_shape))
         y = rng.integers(0, spec.num_classes, size=len(x))
@@ -338,7 +338,7 @@ class TestEstimateL:
     def test_server_grad_fn_matches_direct_computation(self):
         spec = models.ZOO["tiny_vgg"]
         model = models.build_model(spec, seed=5)
-        _, server = models.partition(model, model.default_split)
+        _, server = models.partition(model, models.analyze(spec).op_index)
         rng = np.random.default_rng(6)
         a = rng.normal(0.5, 0.2, size=(6, 16, 4, 4)).astype(np.float32)
         labels = rng.integers(0, 2, size=6)

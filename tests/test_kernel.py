@@ -449,7 +449,7 @@ def test_softmax_cross_entropy_fd_on_logits():
 def test_loss_grads_is_the_hand_sequence(spec):
     # forward -> softmax cross-entropy -> backward, bit for bit, in float32
     model = models.build_model(spec, seed=3)
-    _, server = models.partition(model, model.default_split)
+    _, server = models.partition(model, models.analyze(spec).op_index)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, *models.analyze(spec).activation_shape)).astype(np.float32)
     labels = rng.integers(0, spec.num_classes, size=6)
@@ -566,7 +566,7 @@ def test_backward_without_input_grad_keeps_parameter_grads(kind, per_example):
 @pytest.mark.parametrize("spec", [models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]],
                          ids=lambda s: s.name)
 def test_predict_is_forward_output_bit_for_bit(spec):
-    layers = models.build_model(spec, seed=5).layers
+    layers = models.build_model(spec, seed=5)
     x = np.random.default_rng(6).standard_normal((5, *spec.input_shape)).astype(np.float32)
     got = kernel.predict(layers, x)
     want = kernel.forward(layers, x).output
@@ -583,7 +583,7 @@ def test_hot_path_does_no_einsum_planning(monkeypatch):
     monkeypatch.setattr(einsumfunc, "einsum_path", planner)
     rng = np.random.default_rng(31)
     for spec in (models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]):
-        layers = models.build_model(spec, seed=32).layers
+        layers = models.build_model(spec, seed=32)
         x = rng.standard_normal((4, *spec.input_shape)).astype(np.float32)
         labels = rng.integers(0, spec.num_classes, size=4)
         kernel.loss_grads(layers, x, labels)
@@ -795,7 +795,7 @@ def test_param_vector_round_trip():
 # server halves (built by the stack builders below from a seeded rng).
 def _desk_server_half(spec, rng):
     model = models.build_model(spec, seed=int(rng.integers(1 << 30)))
-    device, server = models.partition(model, model.default_split)
+    device, server = models.partition(model, models.analyze(spec).op_index)
     x = rng.standard_normal((16, *spec.input_shape)).astype(np.float32)
     return server, kernel.forward(device, x).output
 

@@ -60,26 +60,38 @@ def test_resnet9_facts():
     assert facts.activation_elements == 8192
 
 
+@pytest.mark.parametrize("name", sorted(models.ZOO))
+def test_analyze_is_where_the_cut_is_resolved(name):
+    spec = models.ZOO[name]
+    descs, split = models.expand(spec)
+    assert models.analyze(spec).op_index == split
+    for op_index in (1, split, len(descs) - 1):
+        assert models.analyze(spec, op_index).op_index == op_index
+    for op_index in (0, len(descs)):
+        with pytest.raises(models.ModelError, match=f"^op_index {op_index} out of range"):
+            models.analyze(spec, op_index)
+
+
 def test_built_model_matches_analytic_counts():
     for spec in (models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]):
         model = models.build_model(spec, seed=3)
-        built = sum(layer.param_count() for layer in model.layers)
+        built = sum(layer.param_count() for layer in model)
         assert built == models.analyze(spec).total_params
 
 
 def test_built_vgg11_matches_hand_count():
     model = models.build_model(models.ZOO["vgg11"], seed=0)
-    assert sum(layer.param_count() for layer in model.layers) == VGG11_TOTAL_PARAMS
+    assert sum(layer.param_count() for layer in model) == VGG11_TOTAL_PARAMS
 
 
 def test_build_is_deterministic():
     a = models.build_model(models.ZOO["tiny_vgg"], seed=11)
     b = models.build_model(models.ZOO["tiny_vgg"], seed=11)
     c = models.build_model(models.ZOO["tiny_vgg"], seed=12)
-    for la, lb in zip(a.layers, b.layers):
+    for la, lb in zip(a, b):
         for k in la.params():
             assert np.array_equal(la.params()[k], lb.params()[k])
-    assert not np.array_equal(a.layers[0].params()["w"], c.layers[0].params()["w"])
+    assert not np.array_equal(a[0].params()["w"], c[0].params()["w"])
 
 
 # SHA-256 of build_model(spec, seed=0)'s parameters: per layer index, kind,
@@ -94,7 +106,7 @@ INIT_SHA256 = {
 @pytest.mark.parametrize("name", sorted(INIT_SHA256))
 def test_init_weights_are_pinned(name):
     digest = hashlib.sha256()
-    for i, layer in enumerate(models.build_model(models.ZOO[name], seed=0).layers):
+    for i, layer in enumerate(models.build_model(models.ZOO[name], seed=0)):
         for key, arr in sorted(layer.params().items()):
             digest.update(f"{i}.{layer.kind}.{key}{arr.shape}{arr.dtype}".encode())
             digest.update(arr.tobytes())
@@ -105,37 +117,37 @@ def test_forward_shapes_through_zoo():
     for spec in (models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]):
         model = models.build_model(spec, seed=5)
         x = np.zeros((3,) + spec.input_shape, dtype=np.float32)
-        out = kernel.forward(model.layers, x).output
+        out = kernel.forward(model, x).output
         assert out.shape == (3, spec.num_classes)
 
 
 def test_partition_boundaries():
     model = models.build_model(models.ZOO["tiny_vgg"], seed=1)
-    n = len(model.layers)
+    n = len(model)
     with pytest.raises(models.ModelError):
         models.partition(model, 0)
     with pytest.raises(models.ModelError):
         models.partition(model, n)
-    device, server = models.partition(model, model.default_split)
+    device, server = models.partition(model, models.analyze(models.ZOO["tiny_vgg"]).op_index)
     assert len(device) + len(server) == n
     assert sum(l.param_count() for l in device) == TINY_VGG_DEVICE_PARAMS
 
 
 def test_partition_concat_round_trip():
     model = models.build_model(models.ZOO["tiny_vgg"], seed=2)
-    device, server = models.partition(model, model.default_split)
+    device, server = models.partition(model, models.analyze(models.ZOO["tiny_vgg"]).op_index)
     rebuilt = device + server
-    assert len(rebuilt) == len(model.layers)
-    for la, lb in zip(model.layers, rebuilt):
+    assert len(rebuilt) == len(model)
+    for la, lb in zip(model, rebuilt):
         assert la is lb  # same objects, same order
 
 
 def test_partitioned_forward_equals_full_forward():
     spec = models.ZOO["tiny_vgg"]
     model = models.build_model(spec, seed=9)
-    device, server = models.partition(model, model.default_split)
+    device, server = models.partition(model, models.analyze(spec).op_index)
     x = np.random.default_rng(0).standard_normal((4,) + spec.input_shape).astype(np.float32)
-    full = kernel.forward(model.layers, x).output
+    full = kernel.forward(model, x).output
     act = kernel.forward(device, x).output
     split = kernel.forward(server, act).output
     assert np.array_equal(full, split)
@@ -154,9 +166,9 @@ def test_layer_string_parsing_variants():
     assert facts.total_params == 40 + 296 + 528 + 51
     model = models.build_model(spec, seed=0)
     x = np.zeros((2, 1, 8, 8), dtype=np.float32)
-    assert kernel.forward(model.layers, x).output.shape == (2, 3)
+    assert kernel.forward(model, x).output.shape == (2, 3)
     # final dense has no trailing relu
-    assert model.layers[-1].kind == "dense"
+    assert model[-1].kind == "dense"
 
 
 def test_layer_string_rejects_garbage():
@@ -170,7 +182,7 @@ def test_layer_string_rejects_garbage():
 
 def test_auxiliary_head_shape():
     spec = models.ZOO["tiny_vgg"]
-    head = models.auxiliary_head(spec, seed=4)
+    head = models.auxiliary_head(spec, seed=4, op_index=models.analyze(spec).op_index)
     assert len(head) == 2  # flatten + dense
     assert head[-1].kind == "dense"
     # maps flattened split activation (256) to num_classes
@@ -187,7 +199,8 @@ def test_pretrain_returns_deterministic_stack():
 
     def run():
         return models.pretrain_device_side(
-            model, ds, epochs=2, lr=0.05, batch_size=8, seed=13
+            model, ds, epochs=2, lr=0.05, batch_size=8, seed=13,
+            op_index=models.analyze(spec).op_index,
         )
 
     a = run()
@@ -197,7 +210,7 @@ def test_pretrain_returns_deterministic_stack():
             assert np.array_equal(la.params()[k], lb.params()[k])
     # pretraining trains a clone, never the input model
     fresh = models.build_model(spec, seed=7)
-    for la, lb in zip(model.layers, fresh.layers):
+    for la, lb in zip(model, fresh):
         for k in la.params():
             assert np.array_equal(la.params()[k], lb.params()[k])
 
@@ -206,8 +219,9 @@ def test_pretrain_zero_epochs_is_init():
     spec = models.ZOO["tiny_vgg"]
     ds = data.generate_blobs(classes=2, per_class=20, image_shape=(1, 16, 16), noise_sigma=0.1, seed=8)
     model = models.build_model(spec, seed=21)
-    stack = models.pretrain_device_side(model, ds, epochs=0, lr=0.05, batch_size=8, seed=13)
-    device, _ = models.partition(model, model.default_split)
+    stack = models.pretrain_device_side(model, ds, epochs=0, lr=0.05, batch_size=8, seed=13,
+                                        op_index=models.analyze(spec).op_index)
+    device, _ = models.partition(model, models.analyze(spec).op_index)
     for la, lb in zip(stack, device):
         for k in la.params():
             assert np.array_equal(la.params()[k], lb.params()[k])
