@@ -107,19 +107,18 @@ class Dense(_WeightBias):
         return {"w": np.einsum("bi,bo->bio", cache, dy), "b": dy}
 
 
-# The convolutions are direct matmuls. Each one gets, byte for byte, the
-# operands that numpy builds for the contraction named in its comment (an
-# einsum plan, numpy._core.einsumfunc._parse_eq_to_batch_matmul, or a
-# tensordot): the same values in the same memory layout, so BLAS sums in the
-# same order and no bit differs from the einsum formulation that
-# tests/test_kernel.py keeps as a reference, but for the sign of a zero in
-# one case that Conv3x3.sample_grads names. The conv3x3 forward and input
-# gradient take their window matrix from shifted views of the unpadded batch
-# (_windows), one read-only view whose bounds the ndarray constructor checks
-# against the block it reads. Only the weight gradients' operand, the
-# transposed (BHW, 9C) matrix, is built from a zero-padded copy (_im2col):
-# a channels-last one, so that each of its nine tap copies reads whole
-# (w, c) rows of the batch; a shifted build of that matrix was not faster.
+# The convolutions are direct matmuls. But for the conv3x3 weight gradients,
+# each gets, byte for byte, the operands that numpy builds for the
+# contraction named in its comment (an einsum plan, or
+# numpy._core.einsumfunc._parse_eq_to_batch_matmul): the same values in the
+# same memory layout, so BLAS sums in the same order and no bit differs from
+# the einsum formulation that tests/test_kernel.py keeps as a reference.
+# Every conv3x3 window matrix is the (9C, BHW) matrix of shifted views of an
+# unpadded batch (_windows), one read-only view whose bounds the ndarray
+# constructor checks against the block it reads. The weight gradients take
+# their (BHW, 9C) operand as its transpose, a view, so no second matrix is
+# built. BLAS sums that view in another order than einsum's C-ordered copy,
+# so their reference is the same matmul on a window matrix built by np.pad.
 
 
 def _windows(x):
@@ -149,22 +148,6 @@ def _windows(x):
     return out.reshape(9 * c, n)
 
 
-def _im2col(x):
-    """The transpose of _windows(x), built directly as the C-ordered
-    (BHW, 9C) matrix: rows in (b, h, w) order, columns in (c, i, j) order.
-    The batch is copied once, channels-last, into a (B, H+2, W+2, C) block
-    zero-padded by one; tap (i, j) is then one slice copy of that block,
-    whose (w, c) axes both sides read as a single run of W*C entries."""
-    b, c, h, w = x.shape
-    xp = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
-    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
-    out = np.empty((b, h, w, c, 3, 3), dtype=x.dtype)
-    for i in range(3):
-        for j in range(3):
-            out[..., i, j] = xp[:, i : i + h, j : j + w]
-    return out.reshape(-1, 9 * c)
-
-
 def _channel_rows(x):
     """(B, C, H, W) -> (C, BHW), columns in (b, h, w) order: a view where
     the layout allows one, else a C-ordered copy."""
@@ -181,10 +164,10 @@ def _from_channel_rows(y, like):
 class Conv3x3(_WeightBias):
     """3x3 convolution, stride 1, zero padding 1 (spatial size preserved).
 
-    The forward caches its input as it is. The forward and the input
-    gradient read shifted views of an unpadded batch (_windows); only the
-    weight gradients (backward and sample_grads) pad the cached input, into
-    the channels-last copy that _im2col slices."""
+    The forward caches its input as it is, not its window matrix (_windows):
+    the weight gradients (backward and sample_grads) rebuild that matrix and
+    read it through a transposed view, and the input gradient reads the
+    window matrix of dy."""
 
     kind = "conv3x3"
 
@@ -201,8 +184,8 @@ class Conv3x3(_WeightBias):
         return y, x
 
     def backward(self, cache, dy, input_grad=True, visit=None):
-        # np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
-        dw = (_channel_rows(dy) @ _im2col(cache)).reshape(self.w.shape)
+        # bohw,bchwij->ocij, on the transposed window matrix
+        dw = (_channel_rows(dy) @ _windows(cache).T).reshape(self.w.shape)
         grads = {"w": dw, "b": dy.sum(axis=(0, 2, 3))}
         if not input_grad:
             return grads, None
@@ -211,11 +194,10 @@ class Conv3x3(_WeightBias):
         return grads, _from_channel_rows(w_flip @ _windows(dy), dy)
 
     def sample_grads(self, cache, dy):
-        # bohw,bchwij->bocij, byte for byte but for one case: at H*W = 1
-        # einsum contracts nothing and multiplies, so dy * 0 keeps dy's sign
-        # (-0.0), where the matmul's sum gives +0.0.
+        # bohw,bchwij->bocij, on the transposed window matrix; its columns
+        # run in (b, h, w) order, so the reshape is a view
         b, o, h, w = dy.shape
-        rows = _im2col(cache).reshape(b, h * w, -1)
+        rows = _windows(cache).T.reshape(b, h * w, -1)
         dw = (dy.reshape(b, o, h * w) @ rows).reshape(b, *self.w.shape)
         return {"w": dw, "b": dy.sum(axis=(2, 3))}
 

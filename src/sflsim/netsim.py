@@ -139,9 +139,9 @@ def comm_bytes_per_round(method, spec, op_index=None, *, samples_per_device,
         if method == "local_loss":
             head = models.head_descs(facts.activation_shape, spec.num_classes)
             model = (facts.device_params + sum(d.param_count() for d in head)) * FLOAT_BYTES
-        else:
+        elif not freeze_device:  # a frozen device stack takes no gradient and no sync
             report.purpose_bytes["gradient"] = act_raw
-            model = 0 if freeze_device else facts.device_params * FLOAT_BYTES
+            model = facts.device_params * FLOAT_BYTES
     elif method == "replay_tx":
         rank = 1 + len(facts.activation_shape)
         wire = _batched_record_bytes(samples_per_device, batch_size,
@@ -168,15 +168,15 @@ class ComputeReport:
     server_units: float
 
 
-def computation_units(method, spec, op_index=None, *, samples_per_device):
+def computation_units(method, spec, op_index=None, *, samples_per_device, freeze_device=False):
     """Per-device and server MAC units for one round.
 
     Training a stack costs 2x its forward MACs (forward + backward), so a
     forward-only pass costs half of a trained one. classic trains the whole
     model on device; split/local_loss train the device stack there (the
-    local-loss auxiliary head included); replay transmission rounds run the
-    frozen device stack forward only, and cached rounds cost the device
-    nothing while the server keeps training.
+    local-loss auxiliary head included), but split with ``freeze_device``
+    runs it forward only, as replay transmission rounds do; cached replay
+    rounds cost the device nothing while the server keeps training.
     """
     if method not in METHODS:
         raise NetsimError(f"unknown method {method!r}")
@@ -185,7 +185,8 @@ def computation_units(method, spec, op_index=None, *, samples_per_device):
     if method == "classic":
         return ComputeReport(2 * (facts.device_macs + facts.server_macs) * samples_per_device, 0)
     if method == "split":
-        return ComputeReport(2 * facts.device_macs * samples_per_device, server_train)
+        passes = 1 if freeze_device else 2
+        return ComputeReport(passes * facts.device_macs * samples_per_device, server_train)
     if method == "local_loss":
         head = models.head_descs(facts.activation_shape, spec.num_classes)
         head_macs = sum(d.forward_macs() for d in head)

@@ -7,7 +7,9 @@ Modes
                 device uploads the activation (full precision) plus labels,
                 the server trains its stack and sends the cut gradient
                 back, and the device updates its stack. Device and server
-                stacks are both averaged at the end of the round.
+                stacks are both averaged at the end of the round. With
+                freeze_device the device stack never trains: no gradient
+                travels downlink and only server stacks are averaged.
     local_loss  like split, but the device trains its stack with a local
                 auxiliary-head loss instead of server gradients; no
                 gradient ever travels downlink.
@@ -311,6 +313,7 @@ def _finish_round(state, t, losses, diag_record):
     compute = netsim.computation_units(
         method, state.spec, state.op_index,
         samples_per_device=max(len(s) for s in state.shards.values()),
+        freeze_device=state.frozen_device,
     )
     latency = netsim.round_latency(
         traffic,
@@ -352,11 +355,12 @@ def _serve_upload(state, t, k, b, batch, input_grad=False):
 
 
 def _split_step(state, t, k, b, batch):
-    """Activation up, gradient down; a frozen device stack skips its update."""
+    """Activation up, gradient down; a frozen device stack takes no gradient
+    and skips its update."""
     trains = not state.frozen_device
     dtrace, a, y, loss, cut_grad = _serve_upload(state, t, k, b, batch, input_grad=trains)
-    state.ledger.record(t, k, "gradient", netsim.FLOAT_BYTES * a.size)
     if trains:
+        state.ledger.record(t, k, "gradient", netsim.FLOAT_BYTES * a.size)
         dev = state.global_device
         grads = kernel.backward(dev, dtrace, cut_grad, input_grad=False)
         kernel.sgd_step(dev, grads, state.config.lr)

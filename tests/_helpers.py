@@ -1,8 +1,11 @@
 """Shared test oracles: finite-difference gradient checks (on
-kernel.central_differences), conditioned inputs and a per-layer FedAvg
-reference."""
+kernel.central_differences), conditioned inputs, a per-layer FedAvg
+reference and the pinned digests of pinned_digests.json."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -11,6 +14,18 @@ from sflsim.kernel import central_differences
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
+
+PINNED_DIGESTS = json.loads(Path(__file__).with_name("pinned_digests.json").read_text())
+PINNED_READS = set()  # the (section, entry) pairs that a test module has read
+
+
+def pinned(section, name=None):
+    """The entries of one section of pinned_digests.json, or its entry
+    ``name``, noting each entry read in PINNED_READS."""
+    entries = PINNED_DIGESTS["digests"][section]
+    names = list(entries) if name is None else [name]
+    PINNED_READS.update((section, n) for n in names)
+    return entries if name is None else entries[name]
 
 
 def conditioned_input(rng, shape, margin=1e-3):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _helpers import pinned
 from test_runtime import PINNED_RUNS
 
 from sflsim import config as config_mod
@@ -589,20 +590,14 @@ def test_staleness_positive_with_augmentation_and_long_period():
 
 SMALL_BLOBS = {"kind": "blobs", "per_class": 12, "noise_sigma": 0.3}
 
-# sha256 of the diagnostics.csv of the run below. Re-recorded when G came to
-# be read from the probe's own backward and every norm became a numpy sum: G
-# moved by 1.1e-8 relative, and through it rhs_running by 8.3e-9; grad_norm_sq
-# and eps_mean moved by at most 2.4e-16, the other columns not at all.
-SEVENTEEN_ROUND_DIAGNOSTICS_SHA256 = "b9db8d6ca1d99ccae2b4c5d6da1a7b48697695cea6e362e19ebe63bef5532733"
+# The diagnostics.csv of a 17-round tiny_res replay run with 12-sample probes,
+# so G comes from the first 8 rows of each probe's backward, and its SHA-256.
+SEVENTEEN_ROUNDS = pinned("diagnostics_log", "seventeen_rounds")
 
 
 def seventeen_round_log_sha(tmp_path):
-    """The SHA-256 of the diagnostics.csv of a 17-round tiny_res replay run
-    with 12-sample probes, so G comes from the first 8 rows of each probe's
-    backward."""
-    cfg = make_config(model="tiny_res", rounds=17, rho=3, quantized=True,
-                      dataset=dict(SMALL_BLOBS, per_class=24))
-    out = runtime.run_training(cfg)
+    """The SHA-256 of the SEVENTEEN_ROUNDS run's diagnostics.csv."""
+    out = runtime.run_training(make_config(**SEVENTEEN_ROUNDS["config"]))
     recs = out.state.diagnostics_records
     path = tmp_path / "diagnostics.csv"
     dg.write_diagnostics_csv(path, recs, dg.estimate_G(recs), dg.trajectory_smoothness(out.state))
@@ -619,7 +614,7 @@ class TestObserverBudget:
         assert kept == list(range(rounds)[:: max(1, rounds // 8)])
 
     def test_seventeen_round_diagnostics_log_is_pinned(self, tmp_path):
-        assert seventeen_round_log_sha(tmp_path) == SEVENTEEN_ROUND_DIAGNOSTICS_SHA256
+        assert seventeen_round_log_sha(tmp_path) == SEVENTEEN_ROUNDS["sha256"]["csv"]
 
     def test_pinned_digests_hold_on_one_blas_thread(self, tmp_path):
         # The in-process runs use as many BLAS threads as the host has CPUs.
@@ -637,8 +632,8 @@ class TestObserverBudget:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         replay, log = json.loads(proc.stdout)
-        assert replay == list(PINNED_RUNS["replay"][1:])
-        assert log == SEVENTEEN_ROUND_DIAGNOSTICS_SHA256
+        assert replay == [PINNED_RUNS["replay"]["sha256"][k] for k in ("weights", "rows")]
+        assert log == SEVENTEEN_ROUNDS["sha256"]["csv"]
 
     @pytest.mark.parametrize("quantized,augment,server_passes,device_passes", [
         (True, False, 2, 0),  # probe, decoded probe; the memo serves the device side

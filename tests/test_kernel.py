@@ -46,30 +46,44 @@ def test_conv1x1_is_channel_mix():
     assert np.all(y == 2.0 * 1.0 + 3.0 * 10.0 + 1.0)
 
 
-# The einsum/tensordot formulation the convolutions had before they became
-# direct matmuls. The kernel must match it byte for byte: values and, on
-# every axis of size > 1, strides (the layout of an output decides how a
-# later contraction sums it).
+# The einsum formulation the convolutions had before they became direct
+# matmuls. The kernel must match it byte for byte: values and, on every axis
+# of size > 1, strides (the layout of an output decides how a later
+# contraction sums it). The conv3x3 weight gradients are the exception: they
+# read the (BHW, 9C) window matrix as the transpose of a (9C, BHW) one, which
+# BLAS sums in another order than einsum's own operand, so their reference is
+# the same matmul on a (9C, BHW) matrix built from np.pad.
 
 
 def _windows(x_padded):
     return np.lib.stride_tricks.sliding_window_view(x_padded, (3, 3), axis=(2, 3))
 
 
+def _pad(x):
+    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+
+
+def _reference_window_columns(x):
+    """The C-ordered (9C, BHW) window matrix of x: rows in (c, i, j) order,
+    columns in (b, h, w) order."""
+    win = _windows(_pad(x))
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(9 * x.shape[1], -1)
+
+
 def _reference_conv3x3(w, b, x, dy, per_example, input_grad):
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    y = np.einsum("bchwij,ocij->bohw", _windows(xp), w, optimize=True)
+    y = np.einsum("bchwij,ocij->bohw", _windows(_pad(x)), w, optimize=True)
     y += b[None, :, None, None]
+    cols = _reference_window_columns(x)
+    batch, o, h, w_ = dy.shape
     if per_example:
-        grads = {"w": np.einsum("bchwij,bohw->bocij", _windows(xp), dy, optimize=True),
-                 "b": dy.sum(axis=(2, 3))}
+        dw = dy.reshape(batch, o, h * w_) @ cols.T.reshape(batch, h * w_, -1)
+        grads = {"w": dw.reshape(batch, *w.shape), "b": dy.sum(axis=(2, 3))}
     else:
-        grads = {"w": np.tensordot(dy, _windows(xp), axes=([0, 2, 3], [0, 2, 3])),
-                 "b": dy.sum(axis=(0, 2, 3))}
+        dw = dy.transpose(1, 0, 2, 3).reshape(o, -1) @ cols.T
+        grads = {"w": dw.reshape(w.shape), "b": dy.sum(axis=(0, 2, 3))}
     dx = None
     if input_grad:
-        dyp = np.pad(dy, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        dx = np.einsum("bohwij,ocij->bchw", _windows(dyp), w[:, :, ::-1, ::-1], optimize=True)
+        dx = np.einsum("bohwij,ocij->bchw", _windows(_pad(dy)), w[:, :, ::-1, ::-1], optimize=True)
     return y, grads, dx
 
 
@@ -128,14 +142,7 @@ def _assert_conv_is_its_reference(kind, dtype, shape, seed):
         rows = conv.sample_grads(cache, dy)
         assert rows.keys() == want_rows.keys()
         for name in want_rows:
-            if name == "w" and h * w == 1:
-                # One pixel: einsum contracts nothing and multiplies, so
-                # dy * 0 keeps dy's sign, in its own layout; the matmul's
-                # sum makes that zero +0.0.
-                assert np.array_equal(rows[name], want_rows[name])
-                assert rows[name].dtype == want_rows[name].dtype
-            else:
-                _assert_same_array(rows[name], want_rows[name])
+            _assert_same_array(rows[name], want_rows[name])
 
 
 @pytest.mark.parametrize("c_in", [1, 8, 16])
@@ -164,6 +171,40 @@ def test_conv3x3_caches_its_input_without_a_padded_copy():
     x = np.ones((3, 2, 4, 4), dtype=np.float32)
     _, cache = conv.forward(x)
     assert np.shares_memory(cache, x) and cache.shape == x.shape
+
+
+class _MatmulOperands(np.ndarray):
+    """An array that notes, as plain arrays, the operands of every matmul
+    that it or a view of it takes part in."""
+
+    seen = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(a) for a in inputs]
+        if ufunc is np.matmul:
+            _MatmulOperands.seen.extend(plain)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("grads", [lambda conv, cache, dy: conv.sample_grads(cache, dy),
+                                   lambda conv, cache, dy: conv.backward(cache, dy, False)],
+                         ids=["sample_grads", "backward"])
+def test_conv3x3_weight_gradients_read_the_one_window_matrix(monkeypatch, grads):
+    built, windows = [], kernel._windows
+
+    def noting(x):
+        built.append(windows(x))
+        return built[-1].view(_MatmulOperands)
+
+    monkeypatch.setattr(kernel, "_windows", noting)
+    monkeypatch.setattr(_MatmulOperands, "seen", [])
+    rng = np.random.default_rng(0)
+    conv = kernel.Conv3x3(2, 4, rng, np.float64)
+    _, cache = conv.forward(rng.standard_normal((3, 2, 4, 5)))
+    built.clear()
+    grads(conv, cache, rng.standard_normal((3, 4, 4, 5)))
+    assert len(built) == 1
+    assert any(np.shares_memory(a, built[0]) for a in _MatmulOperands.seen)
 
 
 def test_maxpool_forward_and_gradient_routing():
@@ -320,11 +361,13 @@ def _reference_im2col(x):
                                    (16, 32, 4, 4), (3, 8, 8, 8)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_im2col_is_the_nine_slice_nchw_build(dtype, shape, layout):
+    # The weight gradients' operand is the transpose of _windows' matrix, a
+    # view by design, so its values are compared and not its strides.
     x_c = np.random.default_rng(sum(shape)).choice(_special_values(dtype), size=shape)
     x = LAYOUTS[layout](x_c)
-    got = kernel._im2col(x)
-    assert got.flags["C_CONTIGUOUS"]
-    _assert_same_array(got, _reference_im2col(x))
+    got, want = kernel._windows(x).T, _reference_im2col(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def _reference_maxpool_forward(x):

@@ -7,6 +7,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from _helpers import pinned
 
 from sflsim import data, kernel, models
 
@@ -94,23 +95,22 @@ def test_build_is_deterministic():
     assert not np.array_equal(a[0].params()["w"], c[0].params()["w"])
 
 
-# SHA-256 of build_model(spec, seed=0)'s parameters: per layer index, kind,
-# key (sorted), shape and dtype, then the raw bytes. A change in the order
-# or shape of the init draws moves every trained weight; it fails here first.
-INIT_SHA256 = {
-    "tiny_vgg": "420e017dd4af0406a4db304ee3db186489e3c76091d51353273120cdfbd459b8",
-    "tiny_res": "cdd10d769446c1f22e342aeeb137d4a9eb32146e37d6940917de9ce2324c2904",
-}
+# SHA-256 of build_model(spec, seed)'s parameters, from pinned_digests.json:
+# per layer index, kind, key (sorted), shape and dtype, then the raw bytes. A
+# change in the order or shape of the init draws moves every trained weight;
+# it fails here first.
+INIT_WEIGHTS = pinned("init_weights")
 
 
-@pytest.mark.parametrize("name", sorted(INIT_SHA256))
+@pytest.mark.parametrize("name", sorted(INIT_WEIGHTS))
 def test_init_weights_are_pinned(name):
+    entry = INIT_WEIGHTS[name]
     digest = hashlib.sha256()
-    for i, layer in enumerate(models.build_model(models.ZOO[name], seed=0)):
+    for i, layer in enumerate(models.build_model(models.ZOO[entry["model"]], seed=entry["seed"])):
         for key, arr in sorted(layer.params().items()):
             digest.update(f"{i}.{layer.kind}.{key}{arr.shape}{arr.dtype}".encode())
             digest.update(arr.tobytes())
-    assert digest.hexdigest() == INIT_SHA256[name]
+    assert digest.hexdigest() == entry["sha256"]["params"]
 
 
 def test_forward_shapes_through_zoo():

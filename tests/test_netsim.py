@@ -8,6 +8,8 @@ batch 100, split activation 8*8*128 = 8192 elements, 4-byte raw elements,
   classic vgg11:  2 * 4 * 34,435,466 * 5                  = 1,377,418,640
   classic resnet9: 2 * 4 * 9,652,874 * 5                  =   386,114,960
   split:    (2*4*75,648 + 2*10000*8192*4 + 2*10000) * 5   = 3,279,925,920
+  split, device frozen: no model sync, no gradient down
+            (10000*8192*4 + 2*10000) * 5                  = 1,638,500,000
   local_loss: head = 8192*10+10 = 81,930 params
             (2*4*(75,648+81,930) + 10000*8192*4 + 20,000) * 5 = 1,644,803,120
   replay tx: record = 43 + 2*100 + 100*8192 = 819,443 per batch
@@ -48,7 +50,8 @@ def test_split_bytes_exact():
 def test_split_frozen_device_skips_model_sync():
     frozen = netsim.comm_bytes_per_round("split", models.ZOO["vgg11"], freeze_device=True,
                                          **CIFAR_LIKE)
-    assert frozen.total_bytes == 3_279_925_920 - 5 * 2 * 4 * 75_648
+    assert frozen.total_bytes == 1_638_500_000
+    assert frozen.purpose_bytes["gradient"] == 0
 
 
 def test_local_loss_bytes_exact():
@@ -99,6 +102,8 @@ def test_computation_units_convention():
     facts = models.analyze(spec)
     assert split.device_units == 2 * facts.device_macs * 10_000
     assert replay.device_units == split.device_units // 2  # forward only
+    frozen = netsim.computation_units("split", spec, samples_per_device=10_000, freeze_device=True)
+    assert frozen == netsim.ComputeReport(replay.device_units, split.server_units)
     assert classic.device_units == 2 * (facts.device_macs + facts.server_macs) * 10_000
     assert classic.server_units == 0
     assert split.server_units == 2 * facts.server_macs * 10_000

@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from _helpers import fedavg_reference, flat_state
+from _helpers import fedavg_reference, flat_state, pinned
 
 from sflsim import config as config_mod
 from sflsim import data as data_mod
@@ -270,6 +270,12 @@ class TestTrafficContracts:
             out = runtime.run_training(make_config(mode=mode, **extra))
             assert out.state.ledger.total(purpose="gradient") == 0
 
+    def test_frozen_split_ledger_has_no_gradient_rows(self):
+        # A frozen device stack runs no backward, so no gradient travels
+        # downlink, and it is never synced.
+        out = runtime.run_training(make_config(mode="split", freeze_device=True))
+        assert {purpose for _, _, purpose in out.state.ledger.entries} == {"activation", "labels"}
+
     def test_replay_buffer_rounds_are_silent(self):
         out = runtime.run_training(make_config(mode="replay", rho=2, rounds=4))
         led = out.state.ledger
@@ -414,53 +420,18 @@ def test_latency_recorded_positive_and_profile_sensitive():
 
 
 # SHA-256 of the final param_vector bytes (the full model, plus the local-loss
-# head) and of the metrics rows after a 2-round run of each mode. A kernel
-# change that keeps values but moves a bit, for instance by handing a later
-# matmul a differently strided operand, changes these digests. They predate
-# the strided maxpool, input_grad=False, predict, the tensordot conv weight
-# gradient and the direct-matmul convolutions, which kept them; the
-# split_frozen pair predates frozen split's trace-free device forward. The
-# replay rows digest was re-recorded when the observer's norms became numpy
-# sums instead of BLAS dots, which moved one epsilon_hat by 1 ULP; its weights
-# digest did not move. They hold for the numpy/BLAS build named in README's
-# "Tests and acceptance gates", at any BLAS thread count
-# (test_pinned_digests_hold_on_one_blas_thread).
-PINNED_RUNS = {
-    "classic": (
-        {"mode": "classic", "pretrain_epochs": 0},
-        "acfe50ab1f2d56372dca6d94de20ef3c34a2417256aa5e623946656f4366675b",
-        "7accf60a4e7be0505e39ec58577da98073c7372eb3321767d576b83fad647c41",
-    ),
-    "split": (
-        {"mode": "split", "augment": True, "pretrain_epochs": 0},
-        "fa1c3e1b8381e7a3614b579aecce4c4dc39e8ae7f7a8516ec281875447d30fab",
-        "7ab93f42e9ce303f2faee1bb55c0c00f0353a8073669f2973ba18926ceade90e",
-    ),
-    "split_frozen": (
-        {"mode": "split", "freeze_device": True},
-        "abfdbaf9b58dcf6f52a8900e6951dd8fe1c2388c76262306ce01110da95325a8",
-        "64d00e86c763f3cd2dd17bcedb6e25d565ea14e56cb440ef9c07360a6fe10f14",
-    ),
-    "local_loss": (
-        {"mode": "local_loss"},
-        "7f6f56eccc0d66c5eeab2e4cba1409e96f6f0162692f154c79a837f2eff6b31e",
-        "c6e24a63edf12c59d6265b56dc0db13c218665d7cd9ea9bc729bcadec0646a84",
-    ),
-    "replay": (
-        {"mode": "replay", "model": "tiny_res", "rho": 2, "diagnostics": True},
-        "fbe55bb257c45ce02bd9717b3bbe79074dc64d5e00bd917b95d34edaccf29d55",
-        "6cd01c44d88c3bdba4c311a8edd4d7bac70bc3d253b4a4a15e7fd18804c97892",
-    ),
-}
+# head) and of the metrics rows after a 2-round run of each mode, from
+# pinned_digests.json. A kernel change that keeps values but moves a bit, for
+# instance by handing a later matmul a differently strided operand, changes
+# these digests. They hold for the numpy/BLAS build that file names, at any
+# BLAS thread count (test_pinned_digests_hold_on_one_blas_thread).
+PINNED_RUNS = pinned("final_weights")
 
 
 def pinned_run_digests(mode):
     """The SHA-256 of the final weights and of the metrics rows of the
     PINNED_RUNS run of ``mode``."""
-    cfg = make_config(devices=2, rounds=2, seed=7,
-                      dataset={"kind": "blobs", "per_class": 16, "noise_sigma": 0.3},
-                      **PINNED_RUNS[mode][0])
-    out = runtime.run_training(cfg)
+    out = runtime.run_training(make_config(**PINNED_RUNS[mode]["config"]))
     weights = kernel.param_vector(out.final_model + (out.state.global_head or [])).tobytes()
     return hashlib.sha256(weights).hexdigest(), hashlib.sha256(repr(out.rows).encode()).hexdigest()
 
@@ -468,8 +439,8 @@ def pinned_run_digests(mode):
 @pytest.mark.parametrize("mode", sorted(PINNED_RUNS))
 def test_final_weights_are_pinned(mode):
     weights_sha, rows_sha = pinned_run_digests(mode)
-    assert weights_sha == PINNED_RUNS[mode][1]
-    assert rows_sha == PINNED_RUNS[mode][2]
+    assert weights_sha == PINNED_RUNS[mode]["sha256"]["weights"]
+    assert rows_sha == PINNED_RUNS[mode]["sha256"]["rows"]
 
 
 def test_metrics_reader_rejects_non_utf8_bytes(tmp_path):
