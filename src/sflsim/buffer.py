@@ -62,6 +62,16 @@ class ReplayBuffer:
             raise BufferMiss(f"no cached activation for device {device_id} batch {batch_index}")
         return quantize.parse(blob)
 
+    def blobs(self):
+        """A copy of the map from (device, batch) key to wire bytes."""
+        return dict(self._blobs)
+
+    def adopt(self, blobs):
+        """Keep wire bytes that a copy of this buffer stored (runtime's
+        worker processes), in their order; the stores already passed the
+        switch check there."""
+        self._blobs.update(blobs)
+
     def __len__(self):
         return len(self._blobs)
 

@@ -21,18 +21,29 @@ Modes
                 averaged.
 
 One pass over each device's shard per round; the batch partition and batch
-order are fixed across rounds so cached records keep stable keys. Devices
-run one after another in device-id order, each training the global stacks
-in place from the round's start vector, so no device sees another's update
-and runs are bit-deterministic under a fixed seed. What the device side
-hands the server, in every mode, is TrainState.device_output; the stack
-the server trains is TrainState.server_side. Every transfer is recorded in
-a TrafficLedger whose totals match the cost model to the byte.
+order are fixed across rounds so cached records keep stable keys. Each
+device trains the global stacks in place from the round's start vector, so
+no device sees another's update. The devices are cut into contiguous
+groups in device order, one per usable CPU (parallel_slots): the calling
+process trains the first group, and a forked worker process trains each
+other one on its own copy of the state. The caller takes each device's
+results back in device order (its trained vectors, ledger rows, stored
+replay records, frozen-output memo entries and RNG state) and runs the
+observer itself, so every round leaves the state bit for bit as training
+the devices one after another would, and runs are bit-deterministic under
+a fixed seed. What the device side hands the server, in every mode, is
+TrainState.device_output; the stack the server trains is
+TrainState.server_side. Every transfer is recorded in a TrafficLedger
+whose totals match the cost model to the byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import pickle
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,39 +430,283 @@ def _check_finite(state, t, losses, record):
             f"round {t} ({state.config.mode}): non-finite training loss, weights or diagnostics")
 
 
+def parallel_slots():
+    """How many device groups a round may train at once: the CPUs this
+    process may run on, if it runs one thread, else 1. Fork copies only the
+    calling thread, and a multi-threaded BLAS, which starts its threads when
+    numpy loads, would already use the CPUs that workers need: on 2 CPUs
+    with 2 BLAS threads, rounds with a worker ran about 3x slower. 1 also
+    without os.fork or os.sched_getaffinity, or where /proc/self/task
+    cannot tell the thread count."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
+
+
+def _device_groups(devices, n):
+    """``devices`` cut into ``n`` contiguous runs, in order; their sizes
+    differ by at most one, the larger first."""
+    size, extra = divmod(len(devices), n)
+    bounds = [0]
+    for i in range(n):
+        bounds.append(bounds[-1] + size + (i < extra))
+    return [devices[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _trained_stacks(state):
+    """(the stacks a round trains, the bytes a device syncs each way, or
+    None if it syncs none). They are the stacks the state holds, in the
+    order model, device, head, server, less a frozen device stack; the
+    synced ones are those other than the server's, whose weights cross the
+    link both ways."""
+    device = None if state.frozen_device else state.global_device
+    stacks = [s for s in (state.global_model, device, state.global_head, state.global_server) if s]
+    synced = [stack for stack in stacks if stack is not state.global_server]
+    if not synced:
+        return stacks, None
+    return stacks, netsim.FLOAT_BYTES * sum(layer.param_count() for s in synced for layer in s)
+
+
+def _train_device(state, t, k, stacks, starts, sync_bytes):
+    """Device k's part of round t: restore the trained stacks to the start
+    vectors, then one mode step per batch; returns its mean loss."""
+    if sync_bytes is not None:
+        state.ledger.record(t, k, "model_down", sync_bytes)
+    for stack, start in zip(stacks, starts):
+        kernel.load_param_vector(stack, start)
+    step, total = _STEPS[state.config.mode], 0.0
+    for b, batch in enumerate(state.batches[k]):
+        loss, n = step(state, t, k, b, batch)
+        total += loss * n
+    if sync_bytes is not None:
+        state.ledger.record(t, k, "model_up", sync_bytes)
+    return total / len(state.shards[k])
+
+
+def _stores(state):
+    """The state's frozen-output memo and replay cache, as dicts to compare."""
+    return dict(state.frozen_outputs), state.buffer.blobs() if state.buffer is not None else {}
+
+
+def _new_items(before, after):
+    """The items of ``after`` that ``before`` lacks or holds another object for."""
+    return {key: value for key, value in after.items() if before.get(key) is not value}
+
+
+def _send(file, obj):
+    """Write one message, a pickle, to a pipe opened as a binary file."""
+    pickle.dump(obj, file, pickle.HIGHEST_PROTOCOL)
+    file.flush()
+
+
+def _serve(state, devices, jobs, replies):
+    """A worker's loop. Per round the caller sends (t, start vectors, the
+    devices' RNG states); the reply is (one tuple per device trained, the
+    exception that stopped the round or None). A device's tuple holds what
+    its training left in the state: (device, mean loss, trained vectors,
+    ledger rows, replay records stored, memo entries added, RNG state).
+    Messages are pickles on the pipes ``jobs`` and ``replies``. Returns at
+    EOF."""
+    stacks, sync_bytes = _trained_stacks(state)
+    while True:
+        try:
+            t, starts, rng_states = pickle.load(jobs)
+        except EOFError:
+            return
+        done, error = [], None
+        try:
+            for k in devices:
+                state.device_rngs[k].bit_generator.state = rng_states[k]
+                state.ledger = netsim.TrafficLedger()
+                memo, blobs = _stores(state)
+                loss = _train_device(state, t, k, stacks, starts, sync_bytes)
+                new_memo, new_blobs = _stores(state)
+                done.append((
+                    k, loss, [kernel.param_vector(s) for s in stacks],
+                    dict(state.ledger.entries), _new_items(blobs, new_blobs),
+                    _new_items(memo, new_memo), state.device_rngs[k].bit_generator.state,
+                ))
+        except Exception as exc:
+            error = exc
+        _send(replies, (done, error))
+
+
+@dataclass
+class _Worker:
+    """The caller's side of a worker: its pid, the pipe ends it writes jobs
+    to and reads replies from (binary files), and the devices it trains."""
+
+    pid: int
+    jobs: object
+    replies: object
+    devices: list
+
+    def close(self):
+        for file in (self.jobs, self.replies):
+            try:
+                file.close()
+            except OSError:  # a flush into a pipe whose reader has exited
+                pass
+
+
+def _fork(state, devices, siblings):
+    """A worker process serving ``devices`` of ``state`` (_serve) over two
+    pipes. The child closes the caller's ends, its siblings' too, so that
+    each worker sees EOF once the caller closes its end; it leaves only
+    through os._exit."""
+    jobs_out, jobs_in = os.pipe()
+    replies_out, replies_in = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (jobs_out, jobs_in, replies_out, replies_in):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(jobs_in)
+            os.close(replies_out)
+            for sibling in siblings:
+                sibling.close()
+            _serve(state, devices, open(jobs_out, "rb"), open(replies_in, "wb"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(jobs_out)
+    os.close(replies_in)
+    return _Worker(pid, open(jobs_in, "wb"), open(replies_out, "rb"), devices)
+
+
+def _reap(workers):
+    """Close the caller's end of each worker's pipes, then wait for each to
+    exit."""
+    for worker in workers:
+        worker.close()
+    for worker in workers:
+        try:
+            os.waitpid(worker.pid, 0)
+        except ChildProcessError:
+            pass
+    workers.clear()
+
+
+class _Pool:
+    """The workers of one state: one per device group but the first, forked
+    at the state's first round and kept for its later ones. At most one
+    pool lives (_live); ``stop`` reaps its workers, at the latest when the
+    state is released or the interpreter exits."""
+
+    def __init__(self, state, groups):
+        self.state = weakref.ref(state)
+        self.groups = groups
+        self.workers = []
+        self.stop = weakref.finalize(state, _reap, self.workers)
+        try:
+            for group in groups[1:]:
+                self.workers.append(_fork(state, group, self.workers))
+        except BaseException:
+            self.stop()
+            raise
+
+
+_live = None  # the one _Pool whose workers run
+
+
+def _workers(state, devices):
+    """(the first of ``devices``' groups, which the calling process trains,
+    the workers that train the others). The workers are forked now if the
+    live pool is another state's or cuts the devices otherwise."""
+    global _live
+    groups = _device_groups(devices, min(parallel_slots(), len(devices)))
+    if _live is None or _live.state() is not state or _live.groups != groups:
+        _stop_workers()
+        if len(groups) > 1:
+            _live = _Pool(state, groups)
+    return groups[0], _live.workers if _live is not None else []
+
+
+def _stop_workers():
+    """Reap the live pool's workers, if any; the next round forks anew."""
+    global _live
+    if _live is not None:
+        _live.stop()
+        _live = None
+
+
+@contextlib.contextmanager
+def _pipe_to(worker, state, t):
+    """Raise an error on a worker's pipe, which means the worker has
+    exited, as a TrainingError."""
+    try:
+        yield
+    except (EOFError, OSError, pickle.UnpicklingError) as exc:
+        raise TrainingError(f"round {t} ({state.config.mode}): the worker training devices "
+                            f"{worker.devices} has stopped ({type(exc).__name__})") from exc
+
+
+def _trained_devices(state, t, devices, stacks, starts, sync_bytes):
+    """Yield (device, mean loss, trained vectors) for each device of round
+    t, in device order. The workers' groups start first; the calling process
+    trains the first group, then merges each worker's devices into the
+    state in order. With diagnostics on, a worker's device's vectors are
+    loaded into the stacks before it is yielded, so the observer reads the
+    stacks as that device left them."""
+    own, workers = _workers(state, devices)
+    for worker in workers:
+        rng_states = {k: state.device_rngs[k].bit_generator.state for k in worker.devices}
+        with _pipe_to(worker, state, t):
+            _send(worker.jobs, (t, starts, rng_states))
+    for k in own:
+        loss = _train_device(state, t, k, stacks, starts, sync_bytes)
+        yield k, loss, [kernel.param_vector(stack) for stack in stacks]
+    for worker in workers:
+        with _pipe_to(worker, state, t):
+            replies, error = pickle.load(worker.replies)
+        for k, loss, vectors, rows, blobs, memo, rng_state in replies:
+            state.ledger.entries.update(rows)
+            if blobs:
+                state.buffer.adopt(blobs)
+            for key, (stamp, out) in memo.items():
+                out.setflags(write=False)
+                state.frozen_outputs[key] = (stamp, out)
+            state.device_rngs[k].bit_generator.state = rng_state
+            if state.config.diagnostics:
+                for stack, vector in zip(stacks, vectors):
+                    kernel.load_param_vector(stack, vector)
+            yield k, loss, vectors
+        if error is not None:
+            raise error
+
+
 def run_round(state, t):
     """One round of any mode: each device trains the global stacks in place
     from the round's start vector, one mode step per batch, and the observer
-    measures it as it finishes; then FedAvg.
+    measures it as it finishes; then FedAvg. Devices past the first group
+    train in worker processes (_trained_devices); a round that raises reaps
+    them.
 
-    The trained stacks are those the state holds, in the order model,
-    device, head, server, less a frozen device stack; starts, vectors and
-    FedAvg run parallel to them. The synced stacks are the trained ones
-    other than the server's: their weights cross the link both ways."""
-    step = _STEPS[state.config.mode]
-    device = None if state.frozen_device else state.global_device
-    stacks = [s for s in (state.global_model, device, state.global_head, state.global_server) if s]
+    The trained stacks are those the state holds (_trained_stacks); starts,
+    vectors and FedAvg run parallel to them."""
+    stacks, sync_bytes = _trained_stacks(state)
     starts = [kernel.param_vector(stack) for stack in stacks]
-    synced = [stack for stack in stacks if stack is not state.global_server]
-    sync_bytes = netsim.FLOAT_BYTES * sum(layer.param_count() for s in synced for layer in s)
     losses, vectors, counts, measured = {}, [[] for _ in stacks], [], []
-    for k in sorted(state.batches):
-        if synced:
-            state.ledger.record(t, k, "model_down", sync_bytes)
-        for stack, start in zip(stacks, starts):
-            kernel.load_param_vector(stack, start)
-        total = 0.0
-        for b, batch in enumerate(state.batches[k]):
-            loss, n = step(state, t, k, b, batch)
-            total += loss * n
-        if synced:
-            state.ledger.record(t, k, "model_up", sync_bytes)
-        losses[k] = total / len(state.shards[k])
-        for stack, stack_vectors in zip(stacks, vectors):
-            stack_vectors.append(kernel.param_vector(stack))
-        counts.append(len(state.shards[k]))
-        if state.config.diagnostics:
-            measured.append(diag_mod.record_round(state, t, k))
+    try:
+        for k, loss, device_vectors in _trained_devices(
+                state, t, sorted(state.batches), stacks, starts, sync_bytes):
+            losses[k] = loss
+            for stack_vectors, vector in zip(vectors, device_vectors):
+                stack_vectors.append(vector)
+            counts.append(len(state.shards[k]))
+            if state.config.diagnostics:
+                measured.append(diag_mod.record_round(state, t, k))
+    except BaseException:
+        _stop_workers()
+        raise
     diag_record = diag_mod.round_record(measured) if measured else None
     if diag_record is not None:
         state.diagnostics_records.append(diag_record)
@@ -467,17 +722,21 @@ run_round_classic = run_round_split = run_round_local_loss = run_round_replay = 
 
 def run_training(config):
     """Execute T rounds of the configured mode; returns the final model,
-    per-round results, and metrics rows. Deterministic under fixed seeds."""
+    per-round results, and metrics rows. Deterministic under fixed seeds.
+    No worker process outlives it."""
     state = init_state(config)
     results, rows = [], []
-    for t in range(config.rounds):
-        try:
-            result = run_round(state, t)
-        except (kernel.KernelError, quantize.QuantizeError, buffer_mod.BufferError,
-                buffer_mod.BufferMiss, netsim.NetsimError, data_mod.DataError) as exc:
-            raise TrainingError(f"round {t} ({config.mode}): {exc}") from exc
-        results.append(result)
-        rows.extend(_metrics_rows(config, result))
+    try:
+        for t in range(config.rounds):
+            try:
+                result = run_round(state, t)
+            except (kernel.KernelError, quantize.QuantizeError, buffer_mod.BufferError,
+                    buffer_mod.BufferMiss, netsim.NetsimError, data_mod.DataError) as exc:
+                raise TrainingError(f"round {t} ({config.mode}): {exc}") from exc
+            results.append(result)
+            rows.extend(_metrics_rows(config, result))
+    finally:
+        _stop_workers()
     final_model = (state.global_device or []) + state.server_side
     return RunOutput(final_model=final_model, results=results, rows=rows, state=state)
 

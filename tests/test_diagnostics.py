@@ -129,6 +129,7 @@ class TestRecordRound:
 
         monkeypatch.setattr(dg, "record_round", spy_record)
         monkeypatch.setattr(runtime, "fedavg", spy_fedavg)
+        monkeypatch.setattr(runtime, "parallel_slots", lambda: 1)  # every device in this process
         runtime.run_training(make_config(rounds=2))
         assert len(seen) == 4 and len(set(seen)) == 4 and seen == averaged
 
@@ -625,15 +626,25 @@ class TestObserverBudget:
                                 os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
                "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        script = ("import json, pathlib, sys, test_diagnostics, test_runtime\n"
-                  "print(json.dumps([test_runtime.pinned_run_digests('replay'),\n"
-                  "    test_diagnostics.seventeen_round_log_sha(pathlib.Path(sys.argv[1]))]))\n")
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                              capture_output=True, text=True, timeout=300)
+        # With one BLAS thread a round trains a group of devices per CPU, in
+        # worker processes; pinned to one CPU it trains them all in one
+        # process. The digests hold on both paths, and no warning is raised.
+        script = ("import json, os, pathlib, sys, test_diagnostics, test_runtime\n"
+                  "from sflsim import runtime\n"
+                  "def run():\n"
+                  "    return [runtime.parallel_slots(), test_runtime.pinned_run_digests('replay'),\n"
+                  "        test_diagnostics.seventeen_round_log_sha(pathlib.Path(sys.argv[1]))]\n"
+                  "runs = [run()]\n"
+                  "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "print(json.dumps(runs + [run()]))\n")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        replay, log = json.loads(proc.stdout)
-        assert replay == [PINNED_RUNS["replay"]["sha256"][k] for k in ("weights", "rows")]
-        assert log == SEVENTEEN_ROUNDS["sha256"]["csv"]
+        runs = json.loads(proc.stdout)
+        assert [slots for slots, _, _ in runs] == [len(os.sched_getaffinity(0)), 1]
+        for _, replay, log in runs:
+            assert replay == [PINNED_RUNS["replay"]["sha256"][k] for k in ("weights", "rows")]
+            assert log == SEVENTEEN_ROUNDS["sha256"]["csv"]
 
     @pytest.mark.parametrize("quantized,augment,server_passes,device_passes", [
         (True, False, 2, 0),  # probe, decoded probe; the memo serves the device side

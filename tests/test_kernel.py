@@ -624,6 +624,7 @@ def test_hot_path_does_no_einsum_planning(monkeypatch):
     # np.einsum(..., optimize=...) plans through einsumfunc's own name.
     monkeypatch.setattr(np, "einsum_path", planner)
     monkeypatch.setattr(einsumfunc, "einsum_path", planner)
+    monkeypatch.setattr(runtime, "parallel_slots", lambda: 1)  # every device in this process
     rng = np.random.default_rng(31)
     for spec in (models.ZOO["tiny_vgg"], models.ZOO["tiny_res"]):
         layers = models.build_model(spec, seed=32)

@@ -216,12 +216,72 @@ MODE_CASES = [
 def test_rounds_clone_no_stack(monkeypatch, mode, extra):
     # Each device trains the global stacks in place from the round's start
     # vector, and the observer reads them as the device finishes.
+    # A call made in a worker process is invisible here: every device
+    # trains in this process.
+    monkeypatch.setattr(runtime, "parallel_slots", lambda: 1)
     state = runtime.init_state(make_config(mode=mode, diagnostics=True, **extra))
     clone, calls = models.clone_stack, []
     monkeypatch.setattr(models, "clone_stack", lambda layers: calls.append(1) or clone(layers))
     for t in range(state.config.rounds):
         runtime.run_round(state, t)
     assert calls == []
+
+
+def kernel_macs(layer, out):
+    """The MACs of one forward of ``layer`` that gave ``out`` (or of the
+    backward that took a gradient of its shape), from the shapes that ran."""
+    if layer.kind == "conv3x3":
+        return out.size * 9 * layer.c_in
+    if layer.kind == "conv1x1":
+        return out.size * layer.c_in
+    return out.shape[0] * layer.n_in * out.shape[1]  # dense
+
+
+@pytest.mark.parametrize("model", ["tiny_vgg", "tiny_res"])
+@pytest.mark.parametrize("mode,extra,methods", [
+    ("classic", {"pretrain_epochs": 0}, ["classic"]),
+    ("split", {}, ["split"]),
+    ("split", {"freeze_device": True}, ["split"]),
+    ("local_loss", {}, ["local_loss"]),
+    ("replay", {"rho": 2}, ["replay_tx", "replay_buffer"]),
+], ids=["classic", "split", "split_frozen", "local_loss", "replay"])
+def test_computation_units_are_the_macs_the_kernel_ran(monkeypatch, model, mode, extra,
+                                                       methods):
+    # Each forward or backward of a layer with weights is charged its
+    # forward MACs, to the side whose stack holds the layer: a layer that
+    # ran forward and backward costs 2x, as computation_units charges. The
+    # test accuracy is no training work, so evaluation is stubbed out, and
+    # every device trains in this process, where the counters are.
+    monkeypatch.setattr(runtime, "parallel_slots", lambda: 1)
+    monkeypatch.setattr(runtime, "evaluate", lambda *args, **kwargs: 0.0)
+    state = runtime.init_state(make_config(mode=mode, model=model, **extra))
+    side = {}
+    for name, stacks in (("device", (state.global_model, state.global_device,
+                                     state.global_head)), ("server", (state.global_server,))):
+        for layer in (layer for stack in stacks for layer in stack or ()):
+            for sub in [layer] + getattr(layer, "main", []) + getattr(layer, "side", []):
+                side[id(sub)] = name
+    counted = {"device": 0, "server": 0}
+
+    def counting(method, shape_of):
+        def run(layer, *args, **kwargs):
+            result = method(layer, *args, **kwargs)
+            counted[side[id(layer)]] += kernel_macs(layer, shape_of(args, result))
+            return result
+        return run
+
+    for cls in (kernel.Conv3x3, kernel.Conv1x1, kernel.Dense):
+        monkeypatch.setattr(cls, "forward", counting(cls.forward, lambda args, result: result[0]))
+        monkeypatch.setattr(cls, "backward", counting(cls.backward, lambda args, result: args[1]))
+    for t, method in enumerate(methods):  # replay: a transmission round, then a cached one
+        counted.update(device=0, server=0)
+        runtime.run_round(state, t)
+        charged = [netsim.computation_units(method, state.spec, state.op_index,
+                                            samples_per_device=len(shard),
+                                            freeze_device=state.frozen_device)
+                   for shard in state.shards.values()]
+        assert counted == {"device": sum(c.device_units for c in charged),
+                           "server": sum(c.server_units for c in charged)}, method
 
 
 class TestLedgerAgreement:

@@ -1,0 +1,203 @@
+"""Worker processes: a round whose devices train in forked workers leaves
+the state byte for byte as one that trains them all in the calling process,
+and no worker outlives its run, its state or a fault."""
+
+import gc
+import os
+import pickle
+import signal
+import threading
+
+import pytest
+from test_runtime import MODE_CASES, make_config
+
+from sflsim import cli, kernel, runtime
+
+# Beyond MODE_CASES: augmentation draws, the observer and its diag_rng draws,
+# and the replay cache read by the observer, quantized and raw.
+MORE_CASES = [
+    ("classic", {"pretrain_epochs": 0, "augment": True, "diagnostics": True}),
+    ("split", {"augment": True}),
+    ("split", {"diagnostics": True}),
+    ("split", {"freeze_device": True, "augment": True, "diagnostics": True}),
+    ("local_loss", {"augment": True, "diagnostics": True}),
+    ("replay", {"rho": 2, "quantized": True, "augment": True, "diagnostics": True}),
+    ("replay", {"rho": 2, "quantized": False, "diagnostics": True}),
+]
+
+
+def use_slots(monkeypatch, n):
+    """Cut every round's devices into ``n`` groups: n - 1 workers."""
+    monkeypatch.setattr(runtime, "parallel_slots", lambda: n)
+
+
+def forked_pids(monkeypatch):
+    """The pid of every process the runtime forks from now on, in order."""
+    pids, fork = [], os.fork
+
+    def noting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", noting)
+    return pids
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def fingerprint(out):
+    """Every byte a run leaves: weights, metrics rows, ledger, replay cache,
+    frozen-output memo, RNG streams and diagnostics records."""
+    state = out.state
+    memo = [(key, array.flags.writeable, array.tobytes())
+            for key, (_, array) in state.frozen_outputs.items()]
+    return {
+        "weights": kernel.param_vector(out.final_model + (state.global_head or [])).tobytes(),
+        "rows": repr(out.rows),
+        "ledger": list(state.ledger.entries.items()),
+        "buffer": list(state.buffer.blobs().items()) if state.buffer is not None else None,
+        "memo": memo,
+        "rngs": [state.device_rngs[k].bit_generator.state for k in sorted(state.device_rngs)]
+                + [state.diag_rng.bit_generator.state],
+        "diagnostics": pickle.dumps(state.diagnostics_records),
+    }
+
+
+CASES = MODE_CASES + MORE_CASES
+
+
+@pytest.mark.parametrize("mode,extra", CASES, ids=[
+    "-".join([mode, *(f"{key}={value}" for key, value in extra.items())]) for mode, extra in CASES])
+def test_workers_leave_the_state_byte_for_byte(monkeypatch, mode, extra):
+    prints = {}
+    for slots in (1, 2, 4):
+        use_slots(monkeypatch, slots)
+        prints[slots] = fingerprint(runtime.run_training(make_config(mode=mode, **extra)))
+    for slots in (2, 4):
+        for part, want in prints[1].items():
+            assert prints[slots][part] == want, (slots, part)
+
+
+def test_groups_are_contiguous_and_larger_first():
+    assert runtime._device_groups(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
+    assert runtime._device_groups([0, 1], 2) == [[0], [1]]
+
+
+def test_a_process_running_threads_trains_in_one_process():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert runtime.parallel_slots() == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_one_slot_forks_nothing(monkeypatch):
+    use_slots(monkeypatch, 1)
+    pids = forked_pids(monkeypatch)
+    runtime.run_training(make_config(rounds=1))
+    assert pids == []
+
+
+def test_no_worker_outlives_run_training(monkeypatch):
+    use_slots(monkeypatch, 4)
+    pids = forked_pids(monkeypatch)
+    runtime.run_training(make_config(rounds=2))
+    assert len(pids) == 3  # forked at the first round, kept for the second
+    assert not any(map(alive, pids))
+
+
+def test_a_released_state_reaps_its_workers(monkeypatch):
+    use_slots(monkeypatch, 2)
+    pids = forked_pids(monkeypatch)
+    state = runtime.init_state(make_config())
+    runtime.run_round(state, 0)
+    assert len(pids) == 1 and alive(pids[0])
+    del state
+    gc.collect()
+    assert not alive(pids[0])
+
+
+def test_another_states_round_reaps_the_workers(monkeypatch):
+    use_slots(monkeypatch, 2)
+    pids = forked_pids(monkeypatch)
+    first, second = (runtime.init_state(make_config()) for _ in range(2))
+    runtime.run_round(first, 0)
+    runtime.run_round(second, 0)
+    assert len(pids) == 2 and not alive(pids[0]) and alive(pids[1])
+    del second
+    gc.collect()
+    assert not alive(pids[1])
+
+
+def plant_fault(monkeypatch, device):
+    """Make split's step raise a KernelError at ``device``'s first batch."""
+    step = runtime._STEPS["split"]
+
+    def faulty(state, t, k, b, batch):
+        if k == device:
+            raise kernel.KernelError(f"injected fault at device {k}")
+        return step(state, t, k, b, batch)
+
+    monkeypatch.setitem(runtime._STEPS, "split", faulty)
+
+
+def training_error(config):
+    with pytest.raises(runtime.TrainingError) as excinfo:
+        runtime.run_training(config)
+    return str(excinfo.value)
+
+
+def test_a_fault_in_a_worker_is_the_in_process_training_error(monkeypatch):
+    plant_fault(monkeypatch, 3)
+    use_slots(monkeypatch, 1)
+    want = training_error(make_config())
+    assert want == "round 0 (split): injected fault at device 3"
+    use_slots(monkeypatch, 2)
+    pids = forked_pids(monkeypatch)
+    assert training_error(make_config()) == want
+    assert len(pids) == 1 and not alive(pids[0])
+
+
+def test_a_fault_in_the_calling_process_reaps_the_workers(monkeypatch):
+    plant_fault(monkeypatch, 0)
+    use_slots(monkeypatch, 4)
+    pids = forked_pids(monkeypatch)
+    assert training_error(make_config()) == "round 0 (split): injected fault at device 0"
+    assert len(pids) == 3 and not any(map(alive, pids))
+
+
+def test_a_worker_that_died_is_a_training_error(monkeypatch):
+    use_slots(monkeypatch, 2)
+    pids = forked_pids(monkeypatch)
+    state = runtime.init_state(make_config())
+    runtime.run_round(state, 0)
+    os.kill(pids[0], signal.SIGKILL)
+    with pytest.raises(runtime.TrainingError, match=r"round 1 \(split\): the worker training "
+                                                    r"devices \[2, 3\] has stopped"):
+        runtime.run_round(state, 1)
+    assert not alive(pids[0])
+
+
+def test_cli_run_exits_5_on_a_fault_in_a_worker(tmp_path, capsys, monkeypatch):
+    from test_cli import smoke_config
+
+    plant_fault(monkeypatch, 1)
+    use_slots(monkeypatch, 2)
+    pids = forked_pids(monkeypatch)
+    cfg = smoke_config(tmp_path, mode="split", rho=1)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "training error: round 0 (split): injected fault at device 1"]
+    assert len(pids) == 1 and not alive(pids[0])
