@@ -91,12 +91,14 @@ def _is_centre(t, rounds):
     return t % max(1, rounds // 8) == 0
 
 
-def record_round(state, t, device_id):
+def record_round(state, t, device_id, draw):
     """Measure one device in round ``t`` of a running training state, as
     it finishes its SGD steps: the state's global stacks (its device side
-    and ``server_side``) hold that device's trained weights. The state's
-    fields read are batches, dataset, probe_indices, diag_rng, buffer and
-    config. No training state is mutated; the only write is to the
+    and ``server_side``) hold that device's trained weights. ``draw`` is
+    the device's entry of this round's staleness_draws, None off replay.
+    The state's fields read are dataset, probe_indices, buffer and config;
+    diag_rng is not, so each device can be measured in the process that
+    trained it. No training state is mutated; the only write is to the
     device-output memo (see probe_batch).
 
     This costs two server passes: the probe batch, whose backward also gives
@@ -119,7 +121,7 @@ def record_round(state, t, device_id):
         grad_norm_sq=kernel.sq_norm(g),
         eps={device_id: quantize.quantization_error(a, server_stack, y, g)
              if quantized_pipeline else 0.0},
-        delta={device_id: _staleness(state, device_id)},
+        delta={device_id: _staleness(state, device_id, draw)},
         loss=loss,
         max_sample_grad_sq=float(sample_sqs.max()),
         server_params=(kernel.param_vector(server_stack)
@@ -172,22 +174,36 @@ def probe_gradients(server_layers, a, y):
     return loss, kernel.grad_vector(grads), sqs * len(y) ** 2
 
 
-def _staleness(state, device_id):
+def staleness_draws(state):
+    """A round's staleness batches: {device: (batch index, images)}, drawn
+    from diag_rng in device order, so the measurement never consumes
+    training RNG state. Each device's batch index comes first, then, with
+    augmentation, its flips. Nothing training does feeds these draws, so
+    the runtime makes them all before the round's devices train. {} off
+    replay or with diagnostics off."""
+    if state.buffer is None or not state.config.diagnostics:
+        return {}
+    draws = {}
+    for k in sorted(state.batches):
+        batches = state.batches[k]
+        b = int(state.diag_rng.integers(len(batches)))
+        x = state.dataset.images[batches[b]]
+        if state.config.augment:
+            x = data_mod.augment_hflip(x, state.diag_rng)
+        draws[k] = (b, x)
+    return draws
+
+
+def _staleness(state, device_id, draw):
     """Buffer-vs-fresh activation distance for one device (0 off-replay).
 
-    The fresh side replays the frozen device forward on one cached batch
-    with this round's augmentation setting; the batch index and the
-    augmentation draws come from the diagnostics RNG so the measurement
-    never consumes training RNG state. Without augmentation the forward is
-    the memo's (state.device_output).
+    The fresh side replays the frozen device forward on the cached batch
+    that ``draw`` names (staleness_draws), with its augmentation. Without
+    augmentation the forward is the memo's (state.device_output).
     """
     if state.buffer is None:
         return 0.0
-    batches = state.batches[device_id]
-    b = int(state.diag_rng.integers(len(batches)))
-    x = state.dataset.images[batches[b]]
-    if state.config.augment:
-        x = data_mod.augment_hflip(x, state.diag_rng)
+    b, x = draw
     fresh = state.device_output(("batch", device_id, b), x)
     return buffer_mod.buffer_distance_proxy(state.buffer, device_id, b, fresh)
 

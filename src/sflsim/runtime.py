@@ -26,15 +26,17 @@ device trains the global stacks in place from the round's start vector, so
 no device sees another's update. The devices are cut into contiguous
 groups in device order, one per usable CPU (parallel_slots): the calling
 process trains the first group, and a forked worker process trains each
-other one on its own copy of the state. The caller takes each device's
-results back in device order (its trained vectors, ledger rows, stored
-replay records, frozen-output memo entries and RNG state) and runs the
-observer itself, so every round leaves the state bit for bit as training
-the devices one after another would, and runs are bit-deterministic under
-a fixed seed. What the device side hands the server, in every mode, is
-TrainState.device_output; the stack the server trains is
-TrainState.server_side. Every transfer is recorded in a TrafficLedger
-whose totals match the cost model to the byte.
+other one on its own copy of the state. Each process also runs the
+observer on the devices it trains, as each finishes, with staleness draws
+the caller made from diag_rng in device order before training began. The
+caller takes each device's results back in device order (its trained
+vectors, ledger rows, stored replay records, frozen-output memo entries,
+RNG state and diagnostics record), so every round leaves the state bit for
+bit as training the devices one after another would, and runs are
+bit-deterministic under a fixed seed. What the device side hands the
+server, in every mode, is TrainState.device_output; the stack the server
+trains is TrainState.server_side. Every transfer is recorded in a
+TrafficLedger whose totals match the cost model to the byte.
 """
 
 from __future__ import annotations
@@ -471,9 +473,12 @@ def _trained_stacks(state):
     return stacks, netsim.FLOAT_BYTES * sum(layer.param_count() for s in synced for layer in s)
 
 
-def _train_device(state, t, k, stacks, starts, sync_bytes):
+def _train_device(state, t, k, stacks, starts, sync_bytes, draws):
     """Device k's part of round t: restore the trained stacks to the start
-    vectors, then one mode step per batch; returns its mean loss."""
+    vectors, then one mode step per batch; with diagnostics on, the observer
+    then measures the stacks as the device left them, with its entry of the
+    round's staleness ``draws``. Returns (mean loss, DiagnosticsRecord or
+    None)."""
     if sync_bytes is not None:
         state.ledger.record(t, k, "model_down", sync_bytes)
     for stack, start in zip(stacks, starts):
@@ -484,7 +489,8 @@ def _train_device(state, t, k, stacks, starts, sync_bytes):
         total += loss * n
     if sync_bytes is not None:
         state.ledger.record(t, k, "model_up", sync_bytes)
-    return total / len(state.shards[k])
+    record = diag_mod.record_round(state, t, k, draws.get(k)) if state.config.diagnostics else None
+    return total / len(state.shards[k]), record
 
 
 def _stores(state):
@@ -505,16 +511,17 @@ def _send(file, obj):
 
 def _serve(state, devices, jobs, replies):
     """A worker's loop. Per round the caller sends (t, start vectors, the
-    devices' RNG states); the reply is (one tuple per device trained, the
-    exception that stopped the round or None). A device's tuple holds what
-    its training left in the state: (device, mean loss, trained vectors,
-    ledger rows, replay records stored, memo entries added, RNG state).
+    devices' RNG states, their staleness draws); the reply is (one tuple per
+    device trained, the exception that stopped the round or None). A
+    device's tuple holds what its training and its measurement left in the
+    state: (device, mean loss, trained vectors, ledger rows, replay records
+    stored, memo entries added, RNG state, diagnostics record or None).
     Messages are pickles on the pipes ``jobs`` and ``replies``. Returns at
     EOF."""
     stacks, sync_bytes = _trained_stacks(state)
     while True:
         try:
-            t, starts, rng_states = pickle.load(jobs)
+            t, starts, rng_states, draws = pickle.load(jobs)
         except EOFError:
             return
         done, error = [], None
@@ -523,12 +530,12 @@ def _serve(state, devices, jobs, replies):
                 state.device_rngs[k].bit_generator.state = rng_states[k]
                 state.ledger = netsim.TrafficLedger()
                 memo, blobs = _stores(state)
-                loss = _train_device(state, t, k, stacks, starts, sync_bytes)
+                loss, record = _train_device(state, t, k, stacks, starts, sync_bytes, draws)
                 new_memo, new_blobs = _stores(state)
                 done.append((
                     k, loss, [kernel.param_vector(s) for s in stacks],
                     dict(state.ledger.entries), _new_items(blobs, new_blobs),
-                    _new_items(memo, new_memo), state.device_rngs[k].bit_generator.state,
+                    _new_items(memo, new_memo), state.device_rngs[k].bit_generator.state, record,
                 ))
         except Exception as exc:
             error = exc
@@ -649,25 +656,26 @@ def _pipe_to(worker, state, t):
                             f"{worker.devices} has stopped ({type(exc).__name__})") from exc
 
 
-def _trained_devices(state, t, devices, stacks, starts, sync_bytes):
-    """Yield (device, mean loss, trained vectors) for each device of round
-    t, in device order. The workers' groups start first; the calling process
-    trains the first group, then merges each worker's devices into the
-    state in order. With diagnostics on, a worker's device's vectors are
-    loaded into the stacks before it is yielded, so the observer reads the
-    stacks as that device left them."""
+def _trained_devices(state, t, devices, stacks, starts, sync_bytes, draws):
+    """Yield (device, mean loss, trained vectors, diagnostics record or None)
+    for each device of round t, in device order. The workers' groups start
+    first, each sent its devices' staleness draws; the calling process
+    trains and measures the first group, then merges each worker's devices
+    into the state in order. The stacks are left as the caller's last
+    device left them: no worker's vectors are loaded."""
     own, workers = _workers(state, devices)
     for worker in workers:
         rng_states = {k: state.device_rngs[k].bit_generator.state for k in worker.devices}
+        their_draws = {k: draws[k] for k in worker.devices if k in draws}
         with _pipe_to(worker, state, t):
-            _send(worker.jobs, (t, starts, rng_states))
+            _send(worker.jobs, (t, starts, rng_states, their_draws))
     for k in own:
-        loss = _train_device(state, t, k, stacks, starts, sync_bytes)
-        yield k, loss, [kernel.param_vector(stack) for stack in stacks]
+        loss, record = _train_device(state, t, k, stacks, starts, sync_bytes, draws)
+        yield k, loss, [kernel.param_vector(stack) for stack in stacks], record
     for worker in workers:
         with _pipe_to(worker, state, t):
             replies, error = pickle.load(worker.replies)
-        for k, loss, vectors, rows, blobs, memo, rng_state in replies:
+        for k, loss, vectors, rows, blobs, memo, rng_state, record in replies:
             state.ledger.entries.update(rows)
             if blobs:
                 state.buffer.adopt(blobs)
@@ -675,10 +683,7 @@ def _trained_devices(state, t, devices, stacks, starts, sync_bytes):
                 out.setflags(write=False)
                 state.frozen_outputs[key] = (stamp, out)
             state.device_rngs[k].bit_generator.state = rng_state
-            if state.config.diagnostics:
-                for stack, vector in zip(stacks, vectors):
-                    kernel.load_param_vector(stack, vector)
-            yield k, loss, vectors
+            yield k, loss, vectors, record
         if error is not None:
             raise error
 
@@ -686,24 +691,26 @@ def _trained_devices(state, t, devices, stacks, starts, sync_bytes):
 def run_round(state, t):
     """One round of any mode: each device trains the global stacks in place
     from the round's start vector, one mode step per batch, and the observer
-    measures it as it finishes; then FedAvg. Devices past the first group
-    train in worker processes (_trained_devices); a round that raises reaps
-    them.
+    measures it as it finishes; then FedAvg. The observer's staleness draws
+    are all made first, in device order (diagnostics.staleness_draws).
+    Devices past the first group train, and are measured, in worker
+    processes (_trained_devices); a round that raises reaps them.
 
     The trained stacks are those the state holds (_trained_stacks); starts,
     vectors and FedAvg run parallel to them."""
     stacks, sync_bytes = _trained_stacks(state)
     starts = [kernel.param_vector(stack) for stack in stacks]
+    draws = diag_mod.staleness_draws(state)
     losses, vectors, counts, measured = {}, [[] for _ in stacks], [], []
     try:
-        for k, loss, device_vectors in _trained_devices(
-                state, t, sorted(state.batches), stacks, starts, sync_bytes):
+        for k, loss, device_vectors, record in _trained_devices(
+                state, t, sorted(state.batches), stacks, starts, sync_bytes, draws):
             losses[k] = loss
             for stack_vectors, vector in zip(vectors, device_vectors):
                 stack_vectors.append(vector)
             counts.append(len(state.shards[k]))
-            if state.config.diagnostics:
-                measured.append(diag_mod.record_round(state, t, k))
+            if record is not None:
+                measured.append(record)
     except BaseException:
         _stop_workers()
         raise

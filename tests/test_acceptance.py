@@ -231,20 +231,21 @@ def test_criterion_03_ledger_matches_cost_model_exactly(desk_runs):
     _report(3, failures, f"all four modes agree to 0 bytes in {elapsed:.2f} s")
 
 
-def test_criterion_04_cached_lossless_path_matches_frozen_split():
-    t0 = time.perf_counter()
+def criterion_04_variants(rounds):
+    """Criterion 4's two runs: replay at rho 1 without quantization, and
+    frozen split."""
     base = dict(
         version=1,
         model="tiny_vgg",
         devices=4,
-        rounds=10,
+        rounds=rounds,
         lr=0.05,
         batch_size=8,
         pretrain_epochs=1,
         seed=77,
         dataset={"kind": "blobs", "per_class": 64, "noise_sigma": 0.05},
     )
-    variants = {
+    return {
         "replay": config_mod.from_dict(
             {**base, "mode": "replay", "rho": 1, "quantized": False}
         ),
@@ -252,6 +253,11 @@ def test_criterion_04_cached_lossless_path_matches_frozen_split():
             {**base, "mode": "split", "freeze_device": True}
         ),
     }
+
+
+def test_criterion_04_cached_lossless_path_matches_frozen_split():
+    t0 = time.perf_counter()
+    variants = criterion_04_variants(rounds=10)
     trajectories = {}
     for name, cfg in variants.items():
         state = runtime.init_state(cfg)
@@ -270,6 +276,31 @@ def test_criterion_04_cached_lossless_path_matches_frozen_split():
     if elapsed >= 120:
         failures.append(f"took {elapsed:.1f} s (budget 120 s)")
     _report(4, failures, f"10-round server trajectories bit-identical ({elapsed:.1f} s)")
+
+
+def test_criterion_04_uplink_bytes_differ_only_by_the_record_framing():
+    # Per round and device, replay uploads each batch as one raw wire record
+    # and frozen split uploads its raw activation and its labels. So their
+    # uplinks differ by each batch's record size (netsim.record_bytes) less
+    # that payload and those labels. Frozen split's device never trains, so
+    # no gradient travels down.
+    runs = {name: runtime.run_training(cfg).state
+            for name, cfg in criterion_04_variants(rounds=2).items()}
+    batches = runs["replay"].batches
+    assert {k: [len(b) for b in bs] for k, bs in batches.items()} == {
+        k: [len(b) for b in bs] for k, bs in runs["split"].batches.items()}
+    facts = models.analyze(models.ZOO["tiny_vgg"])
+    rank, elements = 1 + len(facts.activation_shape), facts.activation_elements
+    for t in range(2):
+        for k, device_batches in sorted(batches.items()):
+            framing = sum(
+                netsim.record_bytes(len(b), elements, rank, quantized=False)
+                - netsim.FLOAT_BYTES * len(b) * elements - netsim.LABEL_BYTES * len(b)
+                for b in device_batches)
+            up = {name: state.ledger.total("up", round_index=t, device=k)
+                  for name, state in runs.items()}
+            assert up["replay"] - up["split"] == framing > 0, (t, k)
+    assert [key for key in runs["split"].ledger.entries if key[2] == "gradient"] == []
 
 
 def test_criterion_05_quantizer_property_suite():

@@ -80,11 +80,11 @@ def scripted_probe_means(state, servers):
 def observe(state, t, servers):
     """The round record the observer makes of ``servers`` (device -> server
     stack): each device's weights loaded into the state's global server
-    stack, then that device's record_round."""
-    records = []
+    stack, then that device's record_round with its staleness draw."""
+    records, draws = [], dg.staleness_draws(state)
     for k in sorted(servers):
         kernel.load_param_vector(state.global_server, kernel.param_vector(servers[k]))
-        records.append(dg.record_round(state, t, k))
+        records.append(dg.record_round(state, t, k, draws.get(k)))
     return dg.round_record(records)
 
 
@@ -119,9 +119,9 @@ class TestRecordRound:
         seen, averaged = [], []
         record_round, fedavg = dg.record_round, runtime.fedavg
 
-        def spy_record(state, t, k):
+        def spy_record(state, t, k, *args):
             seen.append(kernel.param_vector(state.global_server).tobytes())
-            return record_round(state, t, k)
+            return record_round(state, t, k, *args)
 
         def spy_fedavg(vectors, counts):
             averaged.extend(v.tobytes() for v in vectors)
@@ -185,7 +185,7 @@ class TestRecordRound:
         kernel.load_param_vector(
             state.global_server, np.full(kernel.param_vector(state.global_server).size, np.nan))
         with np.errstate(all="ignore"):
-            assert np.isnan(dg.record_round(state, 0, 0).max_sample_grad_sq)
+            assert np.isnan(dg.record_round(state, 0, 0, None).max_sample_grad_sq)
 
 
 class TestSampleGradients:
@@ -596,13 +596,24 @@ SMALL_BLOBS = {"kind": "blobs", "per_class": 12, "noise_sigma": 0.3}
 SEVENTEEN_ROUNDS = pinned("diagnostics_log", "seventeen_rounds")
 
 
-def seventeen_round_log_sha(tmp_path):
-    """The SHA-256 of the SEVENTEEN_ROUNDS run's diagnostics.csv."""
-    out = runtime.run_training(make_config(**SEVENTEEN_ROUNDS["config"]))
+# A 3-round replay run with augmentation and the observer, at rho 2 and
+# quantized: its staleness batches draw their flips from diag_rng, so these
+# digests pin that stream's order along with the weights and metrics rows.
+AUGMENTED_REPLAY = pinned("diagnostics_log", "augmented_replay")
+
+
+def diagnostics_log_sha(out, tmp_path):
+    """The SHA-256 of the diagnostics.csv that ``run`` writes for ``out``."""
     recs = out.state.diagnostics_records
     path = tmp_path / "diagnostics.csv"
     dg.write_diagnostics_csv(path, recs, dg.estimate_G(recs), dg.trajectory_smoothness(out.state))
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def seventeen_round_log_sha(tmp_path):
+    """The SHA-256 of the SEVENTEEN_ROUNDS run's diagnostics.csv."""
+    out = runtime.run_training(make_config(**SEVENTEEN_ROUNDS["config"]))
+    return diagnostics_log_sha(out, tmp_path)
 
 
 class TestObserverBudget:
@@ -616,6 +627,18 @@ class TestObserverBudget:
 
     def test_seventeen_round_diagnostics_log_is_pinned(self, tmp_path):
         assert seventeen_round_log_sha(tmp_path) == SEVENTEEN_ROUNDS["sha256"]["csv"]
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_augmented_replay_run_is_pinned(self, tmp_path, monkeypatch, slots):
+        # With 2 slots the last two devices train, and are measured, in a worker.
+        monkeypatch.setattr(runtime, "parallel_slots", lambda: slots)
+        out = runtime.run_training(make_config(**AUGMENTED_REPLAY["config"]))
+        weights = kernel.param_vector(out.final_model).tobytes()
+        assert {
+            "weights": hashlib.sha256(weights).hexdigest(),
+            "rows": hashlib.sha256(repr(out.rows).encode()).hexdigest(),
+            "csv": diagnostics_log_sha(out, tmp_path),
+        } == AUGMENTED_REPLAY["sha256"]
 
     def test_pinned_digests_hold_on_one_blas_thread(self, tmp_path):
         # The in-process runs use as many BLAS threads as the host has CPUs.
@@ -669,8 +692,9 @@ class TestObserverBudget:
         monkeypatch.setattr(kernel, "forward", counting(kernel.forward, calls))
         monkeypatch.setattr(kernel, "predict", counting(kernel.predict, calls))
         monkeypatch.setattr(kernel, "backward", counting(kernel.backward, backwards))
+        draws = dg.staleness_draws(state)
         for k in sorted(state.batches):
-            dg.record_round(state, 2, k)
+            dg.record_round(state, 2, k, draws[k])
         # A server pass is one forward and one backward: G takes no pass of its own.
         for counted in (calls, backwards):
             assert counted.count(id(state.global_server)) == server_passes * len(state.batches)

@@ -640,7 +640,7 @@ def test_hot_path_does_no_einsum_planning(monkeypatch):
     })
     out = runtime.run_training(cfg)
     state = out.state
-    record = diagnostics.record_round(state, 1, 0)
+    record = diagnostics.record_round(state, 1, 0, diagnostics.staleness_draws(state)[0])
     assert diagnostics.round_record([record]).t == 1
 
 

@@ -11,7 +11,7 @@ import threading
 import pytest
 from test_runtime import MODE_CASES, make_config
 
-from sflsim import cli, kernel, runtime
+from sflsim import cli, diagnostics, kernel, runtime
 
 # Beyond MODE_CASES: augmentation draws, the observer and its diag_rng draws,
 # and the replay cache read by the observer, quantized and raw.
@@ -71,19 +71,61 @@ def fingerprint(out):
     }
 
 
-CASES = MODE_CASES + MORE_CASES
+def sent_jobs(monkeypatch):
+    """Every job the calling process sends a worker from now on, in order:
+    (t, start vectors, RNG states, staleness draws)."""
+    jobs, send = [], runtime._send
+
+    def noting(file, obj):
+        jobs.append(obj)  # a worker's replies are noted in the worker's copy
+        send(file, obj)
+
+    monkeypatch.setattr(runtime, "_send", noting)
+    return jobs
 
 
-@pytest.mark.parametrize("mode,extra", CASES, ids=[
-    "-".join([mode, *(f"{key}={value}" for key, value in extra.items())]) for mode, extra in CASES])
-def test_workers_leave_the_state_byte_for_byte(monkeypatch, mode, extra):
-    prints = {}
-    for slots in (1, 2, 4):
+# (mode, extra config, the group counts compared with one group). The last
+# case cuts 4 devices into 3 groups, of 2, 1 and 1 devices: two workers.
+CASES = [(mode, extra, (2, 4)) for mode, extra in MODE_CASES + MORE_CASES] + [
+    ("replay", {"rho": 2, "quantized": True, "augment": True, "diagnostics": True}, (3,)),
+]
+
+
+@pytest.mark.parametrize("mode,extra,groups", CASES, ids=[
+    ("uneven-" if groups == (3,) else "") + "-".join([mode, *(f"{key}={value}" for key, value in
+                                                              extra.items())])
+    for mode, extra, groups in CASES])
+def test_workers_leave_the_state_byte_for_byte(monkeypatch, mode, extra, groups):
+    prints, pids, jobs = {}, forked_pids(monkeypatch), sent_jobs(monkeypatch)
+    for slots in (1, *groups):
         use_slots(monkeypatch, slots)
-        prints[slots] = fingerprint(runtime.run_training(make_config(mode=mode, **extra)))
-    for slots in (2, 4):
+        pids.clear()
+        jobs.clear()
+        out = runtime.run_training(make_config(mode=mode, **extra))
+        prints[slots] = fingerprint(out)
+        assert len(pids) == slots - 1  # forked at the first round, kept for the others
+        # Each worker is sent its own devices' staleness draws and no others.
+        observed = out.state.buffer is not None and out.state.config.diagnostics
+        for _, _, rng_states, draws in jobs:
+            assert sorted(draws) == (sorted(rng_states) if observed else [])
+    for slots in groups:
         for part, want in prints[1].items():
             assert prints[slots][part] == want, (slots, part)
+
+
+def test_the_caller_measures_only_its_own_group(monkeypatch):
+    use_slots(monkeypatch, 2)
+    seen, record_round = [], diagnostics.record_round
+
+    def spy(state, t, k, *args):
+        seen.append(k)  # a worker's calls are noted in the worker's copy
+        return record_round(state, t, k, *args)
+
+    monkeypatch.setattr(diagnostics, "record_round", spy)
+    out = runtime.run_training(make_config(mode="replay", rho=2, diagnostics=True, rounds=1))
+    assert seen == [0, 1]
+    record = out.results[0].diagnostics
+    assert sorted(record.eps) == sorted(record.delta) == [0, 1, 2, 3]
 
 
 def test_groups_are_contiguous_and_larger_first():
