@@ -38,8 +38,7 @@ class ReplayBuffer:
     """Latest activation record per (device, batch) key, as wire bytes."""
 
     def __init__(self, period):
-        if period < 1:
-            raise BufferError(f"period must be >= 1, got {period}")
+        switch_is_on(0, period)  # the one period check
         self.period = int(period)
         self._blobs = {}  # (device, batch) -> wire bytes
 

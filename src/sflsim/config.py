@@ -119,13 +119,10 @@ def from_dict(raw):
         f"profile must be one of {sorted(netsim.PROFILES)}",
     )
     _require(cfg.device_speed > 0 and cfg.server_speed > 0, "speeds must be positive")
-    if cfg.op_index is not None:
-        _require(cfg.op_index >= 1, "op_index must be >= 1")
-        layer_count = len(models.expand(models.ZOO[cfg.model])[0])
-        _require(
-            cfg.op_index < layer_count,
-            f"op_index {cfg.op_index} must be below {cfg.model}'s layer count {layer_count}",
-        )
+    try:
+        models.analyze(models.ZOO[cfg.model], cfg.op_index)
+    except models.ModelError as exc:
+        raise ConfigError(f"{cfg.model}: {exc}") from exc
     dataset = _validate_dataset(cfg)
     object.__setattr__(cfg, "dataset", dataset)
     return cfg

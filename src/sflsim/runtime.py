@@ -28,11 +28,13 @@ groups in device order, one per usable CPU (parallel_slots): the calling
 process trains the first group, and a forked worker process trains each
 other one on its own copy of the state. Each process also runs the
 observer on the devices it trains, as each finishes, with staleness draws
-the caller made from diag_rng in device order before training began. The
-caller takes each device's results back in device order (its trained
-vectors, ledger rows, stored replay records, frozen-output memo entries,
-RNG state and diagnostics record), so every round leaves the state bit for
-bit as training the devices one after another would, and runs are
+the caller made from diag_rng in device order before training began. Each
+device yields (device, mean loss, trained vectors, diagnostics record), in
+whichever process trained it; a worker replies once per round with its
+devices' tuples and what its group left in the state (ledger rows, stored
+replay records, frozen-output memo entries, RNG states), which the caller
+merges in device order. So every round leaves the state bit for bit as
+training the devices one after another would, and runs are
 bit-deterministic under a fixed seed. What the device side hands the
 server, in every mode, is TrainState.device_output; the stack the server
 trains is TrainState.server_side. Every transfer is recorded in a
@@ -450,13 +452,9 @@ def parallel_slots():
 
 
 def _device_groups(devices, n):
-    """``devices`` cut into ``n`` contiguous runs, in order; their sizes
-    differ by at most one, the larger first."""
-    size, extra = divmod(len(devices), n)
-    bounds = [0]
-    for i in range(n):
-        bounds.append(bounds[-1] + size + (i < extra))
-    return [devices[a:b] for a, b in zip(bounds, bounds[1:])]
+    """``devices`` cut into ``n`` contiguous runs of Python ints, in order;
+    their sizes differ by at most one, the larger first."""
+    return [group.tolist() for group in np.array_split(devices, n)]
 
 
 def _trained_stacks(state):
@@ -477,8 +475,8 @@ def _train_device(state, t, k, stacks, starts, sync_bytes, draws):
     """Device k's part of round t: restore the trained stacks to the start
     vectors, then one mode step per batch; with diagnostics on, the observer
     then measures the stacks as the device left them, with its entry of the
-    round's staleness ``draws``. Returns (mean loss, DiagnosticsRecord or
-    None)."""
+    round's staleness ``draws``. Returns (k, mean loss, trained vectors,
+    DiagnosticsRecord or None)."""
     if sync_bytes is not None:
         state.ledger.record(t, k, "model_down", sync_bytes)
     for stack, start in zip(stacks, starts):
@@ -490,7 +488,7 @@ def _train_device(state, t, k, stacks, starts, sync_bytes, draws):
     if sync_bytes is not None:
         state.ledger.record(t, k, "model_up", sync_bytes)
     record = diag_mod.record_round(state, t, k, draws.get(k)) if state.config.diagnostics else None
-    return total / len(state.shards[k]), record
+    return k, total / len(state.shards[k]), [kernel.param_vector(s) for s in stacks], record
 
 
 def _stores(state):
@@ -511,35 +509,31 @@ def _send(file, obj):
 
 def _serve(state, devices, jobs, replies):
     """A worker's loop. Per round the caller sends (t, start vectors, the
-    devices' RNG states, their staleness draws); the reply is (one tuple per
-    device trained, the exception that stopped the round or None). A
-    device's tuple holds what its training and its measurement left in the
-    state: (device, mean loss, trained vectors, ledger rows, replay records
-    stored, memo entries added, RNG state, diagnostics record or None).
+    devices' staleness draws); the one reply is (the _train_device tuple of
+    each device trained, the exception that stopped the round or None, then
+    what the round left in the state: ledger rows, replay records stored,
+    memo entries added, {device: RNG state}). The caller adopts those RNG
+    states, so the worker's own already equal the caller's at the next job.
     Messages are pickles on the pipes ``jobs`` and ``replies``. Returns at
     EOF."""
     stacks, sync_bytes = _trained_stacks(state)
     while True:
         try:
-            t, starts, rng_states, draws = pickle.load(jobs)
+            t, starts, draws = pickle.load(jobs)
         except EOFError:
             return
+        state.ledger = netsim.TrafficLedger()
+        memo, blobs = _stores(state)
         done, error = [], None
         try:
             for k in devices:
-                state.device_rngs[k].bit_generator.state = rng_states[k]
-                state.ledger = netsim.TrafficLedger()
-                memo, blobs = _stores(state)
-                loss, record = _train_device(state, t, k, stacks, starts, sync_bytes, draws)
-                new_memo, new_blobs = _stores(state)
-                done.append((
-                    k, loss, [kernel.param_vector(s) for s in stacks],
-                    dict(state.ledger.entries), _new_items(blobs, new_blobs),
-                    _new_items(memo, new_memo), state.device_rngs[k].bit_generator.state, record,
-                ))
+                done.append(_train_device(state, t, k, stacks, starts, sync_bytes, draws))
         except Exception as exc:
             error = exc
-        _send(replies, (done, error))
+        new_memo, new_blobs = _stores(state)
+        _send(replies, (done, error, dict(state.ledger.entries), _new_items(blobs, new_blobs),
+                        _new_items(memo, new_memo),
+                        {k: state.device_rngs[k].bit_generator.state for k in devices}))
 
 
 @dataclass
@@ -657,33 +651,30 @@ def _pipe_to(worker, state, t):
 
 
 def _trained_devices(state, t, devices, stacks, starts, sync_bytes, draws):
-    """Yield (device, mean loss, trained vectors, diagnostics record or None)
-    for each device of round t, in device order. The workers' groups start
-    first, each sent its devices' staleness draws; the calling process
-    trains and measures the first group, then merges each worker's devices
-    into the state in order. The stacks are left as the caller's last
-    device left them: no worker's vectors are loaded."""
+    """Yield the _train_device tuple of each device of round t, in device
+    order. The workers' groups start first, each sent its devices'
+    staleness draws; the calling process trains and measures the first
+    group, then merges each worker's reply into the state in order. The
+    stacks are left as the caller's last device left them: no worker's
+    vectors are loaded."""
     own, workers = _workers(state, devices)
     for worker in workers:
-        rng_states = {k: state.device_rngs[k].bit_generator.state for k in worker.devices}
-        their_draws = {k: draws[k] for k in worker.devices if k in draws}
         with _pipe_to(worker, state, t):
-            _send(worker.jobs, (t, starts, rng_states, their_draws))
+            _send(worker.jobs, (t, starts, {k: draws[k] for k in worker.devices if k in draws}))
     for k in own:
-        loss, record = _train_device(state, t, k, stacks, starts, sync_bytes, draws)
-        yield k, loss, [kernel.param_vector(stack) for stack in stacks], record
+        yield _train_device(state, t, k, stacks, starts, sync_bytes, draws)
     for worker in workers:
         with _pipe_to(worker, state, t):
-            replies, error = pickle.load(worker.replies)
-        for k, loss, vectors, rows, blobs, memo, rng_state, record in replies:
-            state.ledger.entries.update(rows)
-            if blobs:
-                state.buffer.adopt(blobs)
-            for key, (stamp, out) in memo.items():
-                out.setflags(write=False)
-                state.frozen_outputs[key] = (stamp, out)
+            done, error, rows, blobs, memo, rng_states = pickle.load(worker.replies)
+        state.ledger.entries.update(rows)
+        if blobs:
+            state.buffer.adopt(blobs)
+        for key, (stamp, out) in memo.items():
+            out.setflags(write=False)
+            state.frozen_outputs[key] = (stamp, out)
+        for k, rng_state in rng_states.items():
             state.device_rngs[k].bit_generator.state = rng_state
-            yield k, loss, vectors, record
+        yield from done
         if error is not None:
             raise error
 

@@ -56,6 +56,8 @@ CASES = [
      buffer.BufferError, "round index and period must be integers"),
     ("buffer.ReplayBuffer.period", lambda tmp: buffer.ReplayBuffer(0),
      buffer.BufferError, "period must be >= 1, got 0"),
+    ("buffer.ReplayBuffer.integer_period", lambda tmp: buffer.ReplayBuffer(1.5),
+     buffer.BufferError, "round index and period must be integers"),
     ("buffer.buffer_distance_proxy.shape", _probe_of_another_shape,
      buffer.BufferError, "probe shape (3, 3) != cached shape (2, 3)"),
     ("data.write_idx.images", _idx(np.zeros((2, 3, 4, 4)), np.zeros(2, dtype=int)),

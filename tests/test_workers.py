@@ -73,7 +73,7 @@ def fingerprint(out):
 
 def sent_jobs(monkeypatch):
     """Every job the calling process sends a worker from now on, in order:
-    (t, start vectors, RNG states, staleness draws)."""
+    (t, start vectors, staleness draws)."""
     jobs, send = [], runtime._send
 
     def noting(file, obj):
@@ -105,9 +105,12 @@ def test_workers_leave_the_state_byte_for_byte(monkeypatch, mode, extra, groups)
         prints[slots] = fingerprint(out)
         assert len(pids) == slots - 1  # forked at the first round, kept for the others
         # Each worker is sent its own devices' staleness draws and no others.
-        observed = out.state.buffer is not None and out.state.config.diagnostics
-        for _, _, rng_states, draws in jobs:
-            assert sorted(draws) == (sorted(rng_states) if observed else [])
+        cfg = out.state.config
+        observed = out.state.buffer is not None and cfg.diagnostics
+        workers = runtime._device_groups(range(cfg.devices), slots)[1:]
+        assert len(jobs) == len(workers) * cfg.rounds
+        for (_, _, draws), group in zip(jobs, workers * cfg.rounds):
+            assert sorted(draws) == (group if observed else [])
     for slots in groups:
         for part, want in prints[1].items():
             assert prints[slots][part] == want, (slots, part)
@@ -131,6 +134,10 @@ def test_the_caller_measures_only_its_own_group(monkeypatch):
 def test_groups_are_contiguous_and_larger_first():
     assert runtime._device_groups(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
     assert runtime._device_groups([0, 1], 2) == [[0], [1]]
+    assert runtime._device_groups([0, 1, 2], 1) == [[0, 1, 2]]
+    assert runtime._device_groups(list(range(5)), 5) == [[0], [1], [2], [3], [4]]
+    for group in runtime._device_groups(list(range(7)), 3):
+        assert all(type(k) is int for k in group)  # numpy ints would change the rows' repr
 
 
 def test_a_process_running_threads_trains_in_one_process():
