@@ -25,7 +25,7 @@ class DataError(ValueError):
     """Malformed dataset file or invalid sharding request."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     images: np.ndarray
     labels: np.ndarray

@@ -148,8 +148,8 @@ def round_record(device_records):
 def probe_batch(state, device_id):
     """One device's fixed probe as the server sees it: (activations, labels),
     from ``state.device_output`` under the key ("probe", device). A frozen
-    device stack never steps, so its probe activations are computed once
-    per stack stamp, read-only, and shared with every later round.
+    device stack is read-only, so its probe activations are computed once,
+    kept read-only, and shared with every later round.
     """
     probe = state.probe_indices[device_id]
     x = state.dataset.images[probe]

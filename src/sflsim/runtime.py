@@ -23,18 +23,19 @@ Modes
 One pass over each device's shard per round; the batch partition and batch
 order are fixed across rounds so cached records keep stable keys. Each
 device trains the global stacks in place from the round's start vector, so
-no device sees another's update. The devices are cut into contiguous
-groups in device order, one per usable CPU (parallel_slots): the calling
-process trains the first group, and a forked worker process trains each
-other one on its own copy of the state. Each process also runs the
-observer on the devices it trains, as each finishes, with staleness draws
-the caller made from diag_rng in device order before training began. Each
-device yields (device, mean loss, trained vectors, diagnostics record), in
-whichever process trained it; a worker replies once per round with its
-devices' tuples and what its group left in the state (ledger rows, stored
-replay records, frozen-output memo entries, RNG states), which the caller
-merges in device order. So every round leaves the state bit for bit as
-training the devices one after another would, and runs are
+no device sees another's update. The devices are cut into contiguous groups
+in device order, one per usable CPU (parallel_slots): the calling process
+trains the first group, and a forked worker process trains each other one
+on its own copy of the state, which no edit to the set-up can make drift:
+init_state makes what no round changes read-only. Each process also runs
+the observer on the devices it trains, as each finishes, with staleness
+draws the caller made from diag_rng in device order before training began.
+Each device yields (device, mean loss, trained vectors, diagnostics
+record), in whichever process trained it; a worker replies once per round
+with its devices' tuples and what its group left in the state (ledger rows,
+stored replay records, frozen-output memo entries, RNG states), which the
+caller merges in device order. So every round leaves the state bit for bit
+as training the devices one after another would, and runs are
 bit-deterministic under a fixed seed. What the device side hands the
 server, in every mode, is TrainState.device_output; the stack the server
 trains is TrainState.server_side. Every transfer is recorded in a
@@ -49,6 +50,7 @@ import os
 import pickle
 import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,16 +88,16 @@ class RoundResult:
     diagnostics: object  # DiagnosticsRecord or None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainState:
-    """Everything a round needs; built once by init_state."""
+    """Everything a round needs; built once, and made partly read-only, by init_state."""
 
     config: object
     spec: models.ModelSpec
     op_index: int
     dataset: data_mod.Dataset
-    shards: dict  # device -> index array into dataset
-    batches: dict  # device -> list of index arrays, fixed across rounds
+    shards: MappingProxyType  # device -> index array into dataset
+    batches: MappingProxyType  # device -> tuple of index arrays, fixed across rounds
     frozen_device: bool  # the one freeze rule: the device stack never trains
     global_model: list | None  # classic: the averaged full model
     global_device: list | None  # split family: averaged device stack
@@ -103,9 +105,9 @@ class TrainState:
     global_head: list | None  # local_loss auxiliary head
     buffer: object  # ReplayBuffer or None
     ledger: netsim.TrafficLedger
-    device_rngs: dict  # device -> Generator (augmentation draws)
+    device_rngs: MappingProxyType  # device -> Generator (augmentation draws)
     diag_rng: object  # Generator for the observer stream
-    probe_indices: dict  # device -> fixed probe subset (diagnostics)
+    probe_indices: MappingProxyType  # device -> fixed probe subset (diagnostics)
     diagnostics_records: list = field(default_factory=list)
     frozen_outputs: dict = field(default_factory=dict)  # device_output's memo
 
@@ -121,21 +123,19 @@ class TrainState:
         device stack (classic) that is ``x``; an unfrozen stack is run
         afresh. ``key`` names the input: ("probe", device), ("batch",
         device, batch index) or ("test", first row). A frozen stack's output
-        is computed once per stack stamp and kept read-only under its key,
-        except a training batch that augmentation redraws."""
+        is computed once, as the stack is read-only, and kept read-only under
+        its key, except a training batch that augmentation redraws."""
         stack = self.global_device
         if not stack:
             return x
         redrawn = key[0] == "batch" and self.config.augment
         if not self.frozen_device or redrawn:
             return kernel.predict(stack, x)
-        stamp = kernel.stamp(stack)
-        memo = self.frozen_outputs.get(key)
-        if memo is None or memo[0] != stamp:
-            out = kernel.predict(stack, x)
-            out.setflags(write=False)
-            memo = self.frozen_outputs[key] = (stamp, out)
-        return memo[1]
+        memo = self.frozen_outputs
+        if key not in memo:
+            memo[key] = kernel.predict(stack, x)
+            memo[key].setflags(write=False)
+        return memo[key]
 
 
 @dataclass
@@ -255,7 +255,7 @@ def init_state(config):
     shard_list = data_mod.shard_uniform(train_idx, config.devices, seed=int(data_words[1]))
     shards = {k: shard_list[k] for k in range(config.devices)}
     batches = {
-        k: [shard[i : i + config.batch_size] for i in range(0, len(shard), config.batch_size)]
+        k: tuple(shard[i : i + config.batch_size] for i in range(0, len(shard), config.batch_size))
         for k, shard in shards.items()
     }
 
@@ -290,13 +290,21 @@ def init_state(config):
     if config.mode == "replay":
         replay_buffer = buffer_mod.ReplayBuffer(config.rho)
 
+    # What no round changes is read-only, so a worker's copy cannot drift.
+    # Each view is flagged: one cut before its base was flagged stays writeable.
+    fixed = [dataset.images, dataset.labels, *dataset.splits.values(), *shards.values(),
+             *(view for views in batches.values() for view in views), *probe_indices.values()]
+    if config.mode == "replay" or config.freeze_device:
+        fixed += [p for layer in global_device for p in layer.params().values()]
+    for array in fixed:
+        array.setflags(write=False)
     return TrainState(
         config=config,
         spec=spec,
         op_index=op_index,
         dataset=dataset,
-        shards=shards,
-        batches=batches,
+        shards=MappingProxyType(shards),
+        batches=MappingProxyType(batches),
         frozen_device=config.mode == "replay" or config.freeze_device,
         global_model=global_model,
         global_device=global_device,
@@ -304,9 +312,9 @@ def init_state(config):
         global_head=global_head,
         buffer=replay_buffer,
         ledger=netsim.TrafficLedger(),
-        device_rngs=device_rngs,
+        device_rngs=MappingProxyType(device_rngs),
         diag_rng=diag_rng,
-        probe_indices=probe_indices,
+        probe_indices=MappingProxyType(probe_indices),
     )
 
 
@@ -522,7 +530,7 @@ def _serve(state, devices, jobs, replies):
             t, starts, draws = pickle.load(jobs)
         except EOFError:
             return
-        state.ledger = netsim.TrafficLedger()
+        state.ledger.entries.clear()
         memo, blobs = _stores(state)
         done, error = [], None
         try:
@@ -669,9 +677,9 @@ def _trained_devices(state, t, devices, stacks, starts, sync_bytes, draws):
         state.ledger.entries.update(rows)
         if blobs:
             state.buffer.adopt(blobs)
-        for key, (stamp, out) in memo.items():
+        for out in memo.values():
             out.setflags(write=False)
-            state.frozen_outputs[key] = (stamp, out)
+        state.frozen_outputs.update(memo)
         for k, rng_state in rng_states.items():
             state.device_rngs[k].bit_generator.state = rng_state
         yield from done

@@ -5,6 +5,7 @@ The weighted-mean oracle values are scripted independently inside the
 tests; the equivalence and ledger-agreement tests are paired seeded runs.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -126,10 +127,11 @@ class TestEvaluate:
         cfg = make_config(dataset={"kind": "blobs", "per_class": 2000, "noise_sigma": 0.5})
         state = runtime.init_state(cfg)
         rng = np.random.default_rng(99)
-        state.dataset.labels = rng.integers(0, 2, size=len(state.dataset.labels))
+        dataset = dataclasses.replace(
+            state.dataset, labels=rng.integers(0, 2, size=len(state.dataset.labels)))
         acc = runtime.evaluate(
             state.global_device + state.global_server,
-            state.dataset,
+            dataset,
             split="test",
         )
         assert abs(acc - 0.5) <= 3 * np.sqrt(0.25 / 1000)
@@ -225,6 +227,35 @@ def test_rounds_clone_no_stack(monkeypatch, mode, extra):
     for t in range(state.config.rounds):
         runtime.run_round(state, t)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode,extra", MODE_CASES)
+def test_what_no_round_changes_is_read_only(mode, extra):
+    # A forked worker keeps its own copy of the state: a set-up array or map
+    # that could be edited between rounds would let the copies drift apart.
+    state = runtime.init_state(make_config(mode=mode, diagnostics=True, **extra))
+    dataset = state.dataset
+    arrays = [dataset.images, dataset.labels, *dataset.splits.values(),
+              *state.shards.values(), *state.probe_indices.values()]
+    for views in state.batches.values():
+        assert type(views) is tuple and views
+        arrays.extend(views)
+    if state.frozen_device:
+        arrays.extend(p for layer in state.global_device for p in layer.params().values())
+    assert len(state.probe_indices) == len(state.batches) == state.config.devices
+    for array in arrays:
+        assert not array.flags.writeable
+    for name, value in (("batches", ()), ("shards", state.shards[0]),
+                        ("probe_indices", state.probe_indices[0]),
+                        ("device_rngs", state.device_rngs[0])):
+        with pytest.raises(TypeError):
+            getattr(state, name)[0] = value
+    with pytest.raises(TypeError):
+        state.batches[0][0] = state.batches[0][0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.dataset = dataset
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dataset.labels = dataset.labels
 
 
 def kernel_macs(layer, out):
@@ -533,8 +564,10 @@ class TestFrozenForward:
             inputs.update({("batch", k, b): state.dataset.images[batch]
                            for b, batch in enumerate(batches)})
         assert set(state.frozen_outputs) == set(inputs)
-        for key, (stamp, out) in state.frozen_outputs.items():
-            assert stamp == kernel.stamp(state.global_device) and not out.flags.writeable
+        assert not any(p.flags.writeable for layer in state.global_device
+                       for p in layer.params().values())
+        for key, out in state.frozen_outputs.items():
+            assert not out.flags.writeable
             assert out.tobytes() == kernel.predict(state.global_device, inputs[key]).tobytes()
         with pytest.raises(ValueError):
             out[...] = 0

@@ -58,7 +58,7 @@ def fingerprint(out):
     frozen-output memo, RNG streams and diagnostics records."""
     state = out.state
     memo = [(key, array.flags.writeable, array.tobytes())
-            for key, (_, array) in state.frozen_outputs.items()]
+            for key, array in state.frozen_outputs.items()]
     return {
         "weights": kernel.param_vector(out.final_model + (state.global_head or [])).tobytes(),
         "rows": repr(out.rows),
@@ -114,6 +114,36 @@ def test_workers_leave_the_state_byte_for_byte(monkeypatch, mode, extra, groups)
     for slots in groups:
         for part, want in prints[1].items():
             assert prints[slots][part] == want, (slots, part)
+
+
+def scale_images(state):
+    state.dataset.images *= 0.5
+
+
+def scale_frozen_stack(state):
+    kernel.load_param_vector(state.global_device, 0.5 * kernel.param_vector(state.global_device))
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_an_edit_between_rounds_raises_and_changes_nothing(monkeypatch, slots):
+    # A worker would not see such an edit, so it must not happen at all:
+    # with 2 slots devices 2 and 3 would train on the unedited copy.
+    use_slots(monkeypatch, slots)
+    for config, edit in ((make_config(), scale_images),
+                         (make_config(mode="replay", rho=2), scale_frozen_stack)):
+        want = runtime.run_training(config)
+        state = runtime.init_state(config)
+        try:
+            for t in range(2):
+                runtime.run_round(state, t)
+            with pytest.raises(ValueError):
+                edit(state)
+            result = runtime.run_round(state, 2)
+        finally:
+            runtime._stop_workers()
+        assert result.server_loss == want.results[2].server_loss
+        got = kernel.param_vector(state.global_device + state.global_server)
+        assert got.tobytes() == kernel.param_vector(want.final_model).tobytes()
 
 
 def test_the_caller_measures_only_its_own_group(monkeypatch):
