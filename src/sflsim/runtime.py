@@ -30,13 +30,14 @@ on its own copy of the state, which no edit to the set-up can make drift:
 init_state makes what no round changes read-only. Each process also runs
 the observer on the devices it trains, as each finishes, with staleness
 draws the caller made from diag_rng in device order before training began.
-Each device yields (device, mean loss, trained vectors, diagnostics
-record), in whichever process trained it; a worker replies once per round
-with its devices' tuples and what its group left in the state (ledger rows,
-stored replay records, frozen-output memo entries, RNG states), which the
-caller merges in device order. So every round leaves the state bit for bit
-as training the devices one after another would, and runs are
-bit-deterministic under a fixed seed. What the device side hands the
+Each device writes its trained layers, as one flat vector, to its row of
+a block that every process shares, and yields (device, mean loss,
+diagnostics record); a worker replies once per round with its devices'
+tuples and what its group left in the state (ledger rows, stored replay
+records, frozen-output memo entries, RNG states), which the caller merges
+in device order before one FedAvg over the rows. So every round leaves the
+state bit for bit as training the devices one after another would, and
+runs are bit-deterministic under a fixed seed. What the device side hands the
 server, in every mode, is TrainState.device_output; the stack the server
 trains is TrainState.server_side. Every transfer is recorded in a
 TrafficLedger whose totals match the cost model to the byte.
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import mmap
 import os
 import pickle
 import weakref
@@ -466,37 +468,38 @@ def _device_groups(devices, n):
 
 
 def _trained_stacks(state):
-    """(the stacks a round trains, the bytes a device syncs each way, or
-    None if it syncs none). They are the stacks the state holds, in the
-    order model, device, head, server, less a frozen device stack; the
+    """(the layers a round trains, the bytes a device syncs each way, or
+    None if it syncs none). They are the layers of the stacks the state
+    holds, in the order model, device, head, server, less a frozen device
+    stack, so their param_vector is the stacks' vectors concatenated; the
     synced ones are those other than the server's, whose weights cross the
     link both ways."""
     device = None if state.frozen_device else state.global_device
     stacks = [s for s in (state.global_model, device, state.global_head, state.global_server) if s]
-    synced = [stack for stack in stacks if stack is not state.global_server]
-    if not synced:
-        return stacks, None
-    return stacks, netsim.FLOAT_BYTES * sum(layer.param_count() for s in synced for layer in s)
+    synced = [layer for s in stacks if s is not state.global_server for layer in s]
+    sync_bytes = netsim.FLOAT_BYTES * sum(layer.param_count() for layer in synced)
+    return [layer for s in stacks for layer in s], sync_bytes if synced else None
 
 
-def _train_device(state, t, k, stacks, starts, sync_bytes, draws):
-    """Device k's part of round t: restore the trained stacks to the start
-    vectors, then one mode step per batch; with diagnostics on, the observer
+def _train_device(state, t, k, layers, rows, sync_bytes, draws):
+    """Device k's part of round t: load the trained layers from the round's
+    start vector, ``rows[-1]``, then one mode step per batch, and write
+    their trained vector to ``rows[k]``; with diagnostics on, the observer
     then measures the stacks as the device left them, with its entry of the
-    round's staleness ``draws``. Returns (k, mean loss, trained vectors,
-    DiagnosticsRecord or None)."""
+    round's staleness ``draws``. Returns (k, mean loss, DiagnosticsRecord or
+    None)."""
     if sync_bytes is not None:
         state.ledger.record(t, k, "model_down", sync_bytes)
-    for stack, start in zip(stacks, starts):
-        kernel.load_param_vector(stack, start)
+    kernel.load_param_vector(layers, rows[-1])
     step, total = _STEPS[state.config.mode], 0.0
     for b, batch in enumerate(state.batches[k]):
         loss, n = step(state, t, k, b, batch)
         total += loss * n
     if sync_bytes is not None:
         state.ledger.record(t, k, "model_up", sync_bytes)
+    rows[k] = kernel.param_vector(layers)
     record = diag_mod.record_round(state, t, k, draws.get(k)) if state.config.diagnostics else None
-    return k, total / len(state.shards[k]), [kernel.param_vector(s) for s in stacks], record
+    return k, total / len(state.shards[k]), record
 
 
 def _stores(state):
@@ -515,19 +518,22 @@ def _send(file, obj):
     file.flush()
 
 
-def _serve(state, devices, jobs, replies):
-    """A worker's loop. Per round the caller sends (t, start vectors, the
-    devices' staleness draws); the one reply is (the _train_device tuple of
+def _serve(state, devices, rows, jobs, replies):
+    """A worker's loop. Per round the caller writes the start vector to
+    ``rows[-1]``, the last row of the pool's shared block, then sends (t,
+    the devices' staleness draws); the worker writes each device's trained
+    vector to its row, and its one reply is (the _train_device tuple of
     each device trained, the exception that stopped the round or None, then
     what the round left in the state: ledger rows, replay records stored,
     memo entries added, {device: RNG state}). The caller adopts those RNG
     states, so the worker's own already equal the caller's at the next job.
-    Messages are pickles on the pipes ``jobs`` and ``replies``. Returns at
+    Messages are pickles on the pipes ``jobs`` and ``replies``; a job's send
+    and a reply's receipt order every access to the block. Returns at
     EOF."""
-    stacks, sync_bytes = _trained_stacks(state)
+    layers, sync_bytes = _trained_stacks(state)
     while True:
         try:
-            t, starts, draws = pickle.load(jobs)
+            t, draws = pickle.load(jobs)
         except EOFError:
             return
         state.ledger.entries.clear()
@@ -535,7 +541,7 @@ def _serve(state, devices, jobs, replies):
         done, error = [], None
         try:
             for k in devices:
-                done.append(_train_device(state, t, k, stacks, starts, sync_bytes, draws))
+                done.append(_train_device(state, t, k, layers, rows, sync_bytes, draws))
         except Exception as exc:
             error = exc
         new_memo, new_blobs = _stores(state)
@@ -562,11 +568,11 @@ class _Worker:
                 pass
 
 
-def _fork(state, devices, siblings):
+def _fork(state, devices, rows, siblings):
     """A worker process serving ``devices`` of ``state`` (_serve) over two
-    pipes. The child closes the caller's ends, its siblings' too, so that
-    each worker sees EOF once the caller closes its end; it leaves only
-    through os._exit."""
+    pipes and the shared ``rows``. The child closes the caller's ends, its
+    siblings' too, so that each worker sees EOF once the caller closes its
+    end; it leaves only through os._exit."""
     jobs_out, jobs_in = os.pipe()
     replies_out, replies_in = os.pipe()
     try:
@@ -582,7 +588,7 @@ def _fork(state, devices, siblings):
             os.close(replies_out)
             for sibling in siblings:
                 sibling.close()
-            _serve(state, devices, open(jobs_out, "rb"), open(replies_in, "wb"))
+            _serve(state, devices, rows, open(jobs_out, "rb"), open(replies_in, "wb"))
             code = 0
         finally:
             os._exit(code)
@@ -606,18 +612,22 @@ def _reap(workers):
 
 class _Pool:
     """The workers of one state: one per device group but the first, forked
-    at the state's first round and kept for its later ones. At most one
-    pool lives (_live); ``stop`` reaps its workers, at the latest when the
-    state is released or the interpreter exits."""
+    at the state's first round and kept for its later ones, and the rows
+    they share with the caller (one per device, then the start vector) in
+    an anonymous shared mmap made before they fork. At most one pool lives
+    (_live); ``stop`` reaps its workers, at the latest when the state is
+    released or the interpreter exits."""
 
-    def __init__(self, state, groups):
+    def __init__(self, state, groups, width):
         self.state = weakref.ref(state)
         self.groups = groups
         self.workers = []
+        block = mmap.mmap(-1, 8 * (sum(map(len, groups)) + 1) * width)
+        self.rows = np.frombuffer(block, np.float64).reshape(-1, width)
         self.stop = weakref.finalize(state, _reap, self.workers)
         try:
             for group in groups[1:]:
-                self.workers.append(_fork(state, group, self.workers))
+                self.workers.append(_fork(state, group, self.rows, self.workers))
         except BaseException:
             self.stop()
             raise
@@ -626,17 +636,24 @@ class _Pool:
 _live = None  # the one _Pool whose workers run
 
 
-def _workers(state, devices):
+def _workers(state, devices, start):
     """(the first of ``devices``' groups, which the calling process trains,
-    the workers that train the others). The workers are forked now if the
-    live pool is another state's or cuts the devices otherwise."""
+    the workers that train the others, the round's rows: one per device,
+    then ``start``). The workers are forked now if the live pool is another
+    state's or cuts the devices otherwise. Without workers the rows are a
+    private array."""
     global _live
     groups = _device_groups(devices, min(parallel_slots(), len(devices)))
     if _live is None or _live.state() is not state or _live.groups != groups:
         _stop_workers()
         if len(groups) > 1:
-            _live = _Pool(state, groups)
-    return groups[0], _live.workers if _live is not None else []
+            _live = _Pool(state, groups, start.size)
+    if _live is None:
+        rows, workers = np.empty((len(devices) + 1, start.size)), []
+    else:
+        rows, workers = _live.rows, _live.workers
+    rows[-1] = start
+    return groups[0], workers, rows
 
 
 def _stop_workers():
@@ -658,23 +675,23 @@ def _pipe_to(worker, state, t):
                             f"{worker.devices} has stopped ({type(exc).__name__})") from exc
 
 
-def _trained_devices(state, t, devices, stacks, starts, sync_bytes, draws):
+def _trained_devices(state, t, own, workers, layers, rows, sync_bytes, draws):
     """Yield the _train_device tuple of each device of round t, in device
     order. The workers' groups start first, each sent its devices'
-    staleness draws; the calling process trains and measures the first
-    group, then merges each worker's reply into the state in order. The
-    stacks are left as the caller's last device left them: no worker's
-    vectors are loaded."""
-    own, workers = _workers(state, devices)
+    staleness draws; the calling process trains and measures its own
+    group, then merges each worker's reply into the state in order. Each
+    device's trained vector is in its row of ``rows`` once its tuple is
+    yielded. The layers are left as the caller's last device left them: no
+    worker's row is loaded."""
     for worker in workers:
         with _pipe_to(worker, state, t):
-            _send(worker.jobs, (t, starts, {k: draws[k] for k in worker.devices if k in draws}))
+            _send(worker.jobs, (t, {k: draws[k] for k in worker.devices if k in draws}))
     for k in own:
-        yield _train_device(state, t, k, stacks, starts, sync_bytes, draws)
+        yield _train_device(state, t, k, layers, rows, sync_bytes, draws)
     for worker in workers:
         with _pipe_to(worker, state, t):
-            done, error, rows, blobs, memo, rng_states = pickle.load(worker.replies)
-        state.ledger.entries.update(rows)
+            done, error, entries, blobs, memo, rng_states = pickle.load(worker.replies)
+        state.ledger.entries.update(entries)
         if blobs:
             state.buffer.adopt(blobs)
         for out in memo.values():
@@ -695,19 +712,19 @@ def run_round(state, t):
     Devices past the first group train, and are measured, in worker
     processes (_trained_devices); a round that raises reaps them.
 
-    The trained stacks are those the state holds (_trained_stacks); starts,
-    vectors and FedAvg run parallel to them."""
-    stacks, sync_bytes = _trained_stacks(state)
-    starts = [kernel.param_vector(stack) for stack in stacks]
+    The trained layers are those of the stacks the state holds
+    (_trained_stacks), as one flat vector per device: row k of the round's
+    rows is device k's, the last row the start. FedAvg is elementwise, so
+    one FedAvg over the rows gives each stack's average byte for byte."""
+    layers, sync_bytes = _trained_stacks(state)
     draws = diag_mod.staleness_draws(state)
-    losses, vectors, counts, measured = {}, [[] for _ in stacks], [], []
+    devices = sorted(state.batches)
+    losses, measured = {}, []
     try:
-        for k, loss, device_vectors, record in _trained_devices(
-                state, t, sorted(state.batches), stacks, starts, sync_bytes, draws):
+        own, workers, rows = _workers(state, devices, kernel.param_vector(layers))
+        for k, loss, record in _trained_devices(
+                state, t, own, workers, layers, rows, sync_bytes, draws):
             losses[k] = loss
-            for stack_vectors, vector in zip(vectors, device_vectors):
-                stack_vectors.append(vector)
-            counts.append(len(state.shards[k]))
             if record is not None:
                 measured.append(record)
     except BaseException:
@@ -716,8 +733,8 @@ def run_round(state, t):
     diag_record = diag_mod.round_record(measured) if measured else None
     if diag_record is not None:
         state.diagnostics_records.append(diag_record)
-    for stack, stack_vectors in zip(stacks, vectors):
-        kernel.load_param_vector(stack, fedavg(stack_vectors, counts))
+    counts = [len(state.shards[k]) for k in devices]
+    kernel.load_param_vector(layers, fedavg(rows[:-1], counts))
     _check_finite(state, t, losses, diag_record)
     return _finish_round(state, t, losses, diag_record)
 

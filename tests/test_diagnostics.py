@@ -237,7 +237,7 @@ class TestProbeMemo:
         assert rec.grad_norm_sq == pytest.approx(sq_mean, rel=1e-12)
         assert state.frozen_outputs == {}
 
-    def test_frozen_memo_recomputes_on_version_change(self):
+    def test_frozen_memo_is_reused_and_its_stack_refuses_writes(self):
         out = runtime.run_training(make_config(rounds=2))
         state = out.state
         probes = {key[1] for key in state.frozen_outputs if key[0] == "probe"}

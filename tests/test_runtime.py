@@ -106,6 +106,16 @@ class TestFedavg:
         vector = small_vectors(5, 1)[0]
         assert np.array_equal(runtime.fedavg([vector], [17]), vector)
 
+    def test_concatenated_stacks_average_as_each_stack_alone(self):
+        # A round averages each device's stacks as one concatenated vector.
+        rng = np.random.default_rng(11)
+        sizes, counts = (5, 130, 17), [3, 1, 8, 2, 5]
+        stacks = [[rng.normal(size=n) for _ in counts] for n in sizes]
+        rows = np.array([np.concatenate(device) for device in zip(*stacks)])
+        merged = np.split(runtime.fedavg(rows, counts), np.cumsum(sizes)[:-1])
+        for piece, vectors in zip(merged, stacks):
+            assert piece.tobytes() == runtime.fedavg(vectors, counts).tobytes()
+
 
 class TestEvaluate:
     def test_constant_predictor_on_single_class(self):

@@ -73,7 +73,7 @@ def fingerprint(out):
 
 def sent_jobs(monkeypatch):
     """Every job the calling process sends a worker from now on, in order:
-    (t, start vectors, staleness draws)."""
+    (t, staleness draws)."""
     jobs, send = [], runtime._send
 
     def noting(file, obj):
@@ -109,11 +109,36 @@ def test_workers_leave_the_state_byte_for_byte(monkeypatch, mode, extra, groups)
         observed = out.state.buffer is not None and cfg.diagnostics
         workers = runtime._device_groups(range(cfg.devices), slots)[1:]
         assert len(jobs) == len(workers) * cfg.rounds
-        for (_, _, draws), group in zip(jobs, workers * cfg.rounds):
+        for (_, draws), group in zip(jobs, workers * cfg.rounds):
             assert sorted(draws) == (group if observed else [])
     for slots in groups:
         for part, want in prints[1].items():
             assert prints[slots][part] == want, (slots, part)
+
+
+@pytest.mark.parametrize("mode", ["split", "local_loss"])
+def test_no_parameter_vector_crosses_a_pipe(monkeypatch, mode):
+    # The trained weights cross in the pool's shared block; a job or reply
+    # carrying even one device's vector would be at least this large.
+    use_slots(monkeypatch, 2)
+    state = runtime.init_state(make_config(mode=mode))
+    trained = state.global_device + (state.global_head or []) + state.global_server
+    vector_bytes = kernel.param_vector(trained).nbytes
+    sizes, send = [], runtime._send
+
+    def small(file, obj):
+        size = len(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+        assert size < vector_bytes, size  # in a worker: a TrainingError
+        sizes.append(size)
+        send(file, obj)
+
+    monkeypatch.setattr(runtime, "_send", small)  # before the fork: workers inherit it
+    try:
+        for t in range(state.config.rounds):
+            runtime.run_round(state, t)
+    finally:
+        runtime._stop_workers()
+    assert len(sizes) == state.config.rounds  # the caller's jobs; replies are sent in the worker
 
 
 def scale_images(state):
