@@ -135,9 +135,18 @@ def shard_uniform(indices, k, seed):
     return [np.sort(part) for part in np.array_split(order, k)]
 
 
-def augment_hflip(images, rng, p=0.5):
-    """Horizontally flip each image independently with probability p."""
-    flip = rng.random(len(images)) < p
+def flip_mask(n, rng, p=0.5):
+    """Which of ``n`` images to flip: each independently with probability p."""
+    return rng.random(n) < p
+
+
+def hflip(images, flip):
+    """A copy of ``images``, those the mask ``flip`` marks flipped horizontally."""
     out = images.copy()
     out[flip] = out[flip][:, :, :, ::-1]
     return out
+
+
+def augment_hflip(images, rng, p=0.5):
+    """Horizontally flip each image independently with probability p."""
+    return hflip(images, flip_mask(len(images), rng, p))

@@ -175,22 +175,20 @@ def probe_gradients(server_layers, a, y):
 
 
 def staleness_draws(state):
-    """A round's staleness batches: {device: (batch index, images)}, drawn
-    from diag_rng in device order, so the measurement never consumes
-    training RNG state. Each device's batch index comes first, then, with
-    augmentation, its flips. Nothing training does feeds these draws, so
-    the runtime makes them all before the round's devices train. {} off
-    replay or with diagnostics off."""
+    """A round's staleness batches: {device: (batch index, flip mask or
+    None)}, drawn from diag_rng in device order, so the measurement never
+    consumes training RNG state. Each device's batch index comes first,
+    then, with augmentation, its flips. Nothing training does feeds these
+    draws, so the runtime makes them all before the round's devices train.
+    {} off replay or with diagnostics off."""
     if state.buffer is None or not state.config.diagnostics:
         return {}
     draws = {}
     for k in sorted(state.batches):
         batches = state.batches[k]
         b = int(state.diag_rng.integers(len(batches)))
-        x = state.dataset.images[batches[b]]
-        if state.config.augment:
-            x = data_mod.augment_hflip(x, state.diag_rng)
-        draws[k] = (b, x)
+        augment = state.config.augment
+        draws[k] = (b, data_mod.flip_mask(len(batches[b]), state.diag_rng) if augment else None)
     return draws
 
 
@@ -198,12 +196,15 @@ def _staleness(state, device_id, draw):
     """Buffer-vs-fresh activation distance for one device (0 off-replay).
 
     The fresh side replays the frozen device forward on the cached batch
-    that ``draw`` names (staleness_draws), with its augmentation. Without
-    augmentation the forward is the memo's (state.device_output).
+    that ``draw`` names (staleness_draws), flipped as its mask says.
+    Without augmentation the forward is the memo's (state.device_output).
     """
     if state.buffer is None:
         return 0.0
-    b, x = draw
+    b, flip = draw
+    x = state.dataset.images[state.batches[device_id][b]]
+    if flip is not None:
+        x = data_mod.hflip(x, flip)
     fresh = state.device_output(("batch", device_id, b), x)
     return buffer_mod.buffer_distance_proxy(state.buffer, device_id, b, fresh)
 

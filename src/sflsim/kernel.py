@@ -460,12 +460,14 @@ def softmax_cross_entropy(logits, labels):
     c = logits.shape[1]
     if labels.min() < 0 or labels.max() >= c:
         raise KernelError(f"labels must lie in [0, {c})")
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
+    # np.max, np.sum and np.mean as their ufunc reductions, bit for bit
+    probs = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
     n = logits.shape[0]
     rows = np.arange(n)
     picked = probs[rows, labels]
-    loss = float(-np.mean(np.log(picked)))
+    total = np.add.reduce(np.log(picked))
+    loss = float(-total.dtype.type(total / np.intp(n)))
     # Softmax minus one-hot, over n, in C order whatever the logits' layout
     # (a later matmul's bits depend on its operand's strides): the probs
     # themselves unless they need that copy.
@@ -533,6 +535,32 @@ def load_param_vector(layers, vector):
         layer.bump()
     if offset != vector.size:
         raise KernelError(f"vector has {vector.size} entries, stack holds {offset}")
+
+
+def _slots(layer):
+    """{params() key: (owner, attribute)} of a layer; a residual block's
+    parameters are held by its named sub-layers."""
+    if isinstance(layer, ResidualBlock):
+        return {f"{name}.{k}": slot for name, sub in layer.named for k, slot in _slots(sub).items()}
+    return {k: (layer, k) for k in layer.params()}
+
+
+def pack_params(layers):
+    """Copy every parameter of ``layers`` into one new block of their dtype,
+    in param_vector order, and rebind each as a C-contiguous view of it of
+    its shape; returns the block. From then on param_vector(layers) is the
+    block as float64, and a vector loads as ``block[...] = vector`` plus
+    each layer's bump(). Mixed dtypes are refused."""
+    slots = [slot for layer in layers for _, slot in sorted(_slots(layer).items())]
+    arrays = [getattr(owner, attr) for owner, attr in slots]
+    if len({a.dtype for a in arrays}) > 1:
+        raise KernelError(f"cannot pack mixed dtypes {sorted({a.dtype.str for a in arrays})}")
+    block = np.concatenate(arrays, axis=None) if arrays else np.zeros(0)
+    offset = 0
+    for (owner, attr), a in zip(slots, arrays):
+        setattr(owner, attr, block[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    return block
 
 
 def grad_vector(grads):

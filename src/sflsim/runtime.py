@@ -30,16 +30,18 @@ on its own copy of the state, which no edit to the set-up can make drift:
 init_state makes what no round changes read-only. Each process also runs
 the observer on the devices it trains, as each finishes, with staleness
 draws the caller made from diag_rng in device order before training began.
-Each device writes its trained layers, as one flat vector, to its row of
-a block that every process shares, and yields (device, mean loss,
-diagnostics record); a worker replies once per round with its devices'
-tuples and what its group left in the state (ledger rows, stored replay
-records, frozen-output memo entries, RNG states), which the caller merges
-in device order before one FedAvg over the rows. So every round leaves the
-state bit for bit as training the devices one after another would, and
-runs are bit-deterministic under a fixed seed. What the device side hands the
-server, in every mode, is TrainState.device_output; the stack the server
-trains is TrainState.server_side. Every transfer is recorded in a
+The trained layers' parameters are views of one float32 block per process
+(kernel.pack_params): a device restores them from the start row, and copies
+them to its row of a float64 block that every process shares, in one array
+op each, and yields (device, mean loss, diagnostics record); a worker
+replies once per round with its devices' tuples and what its group left in
+the state (ledger rows, stored replay records, frozen-output memo entries,
+RNG states), which the caller merges in device order before one FedAvg over
+the rows. So every round leaves the state bit for bit as training the
+devices one after another would, and runs are bit-deterministic under a
+fixed seed. What the device side hands the server, in every mode, is
+TrainState.device_output; the stack the server trains is
+TrainState.server_side. Every transfer is recorded in a
 TrafficLedger whose totals match the cost model to the byte.
 """
 
@@ -92,7 +94,8 @@ class RoundResult:
 
 @dataclass(frozen=True)
 class TrainState:
-    """Everything a round needs; built once, and made partly read-only, by init_state."""
+    """Everything a round needs; built once, and made partly read-only, by
+    init_state, which last packs the trained layers' parameters into ``weights``."""
 
     config: object
     spec: models.ModelSpec
@@ -110,6 +113,8 @@ class TrainState:
     device_rngs: MappingProxyType  # device -> Generator (augmentation draws)
     diag_rng: object  # Generator for the observer stream
     probe_indices: MappingProxyType  # device -> fixed probe subset (diagnostics)
+    built: MappingProxyType  # stack name -> tuple of its layers
+    weights: np.ndarray  # kernel.pack_params of _trained_stacks' layers
     diagnostics_records: list = field(default_factory=list)
     frozen_outputs: dict = field(default_factory=dict)  # device_output's memo
 
@@ -294,12 +299,18 @@ def init_state(config):
 
     # What no round changes is read-only, so a worker's copy cannot drift.
     # Each view is flagged: one cut before its base was flagged stays writeable.
+    frozen = config.mode == "replay" or config.freeze_device
     fixed = [dataset.images, dataset.labels, *dataset.splits.values(), *shards.values(),
              *(view for views in batches.values() for view in views), *probe_indices.values()]
-    if config.mode == "replay" or config.freeze_device:
+    if frozen:
         fixed += [p for layer in global_device for p in layer.params().values()]
     for array in fixed:
         array.setflags(write=False)
+    stacks = {"global_model": global_model, "global_device": global_device,
+              "global_head": global_head, "global_server": global_server}
+    built = {name: tuple(s) for name, s in stacks.items() if s}
+    # Last, the trained layers' parameters move into one block.
+    weights = kernel.pack_params(_trained_stacks(built, frozen)[0])
     return TrainState(
         config=config,
         spec=spec,
@@ -307,16 +318,15 @@ def init_state(config):
         dataset=dataset,
         shards=MappingProxyType(shards),
         batches=MappingProxyType(batches),
-        frozen_device=config.mode == "replay" or config.freeze_device,
-        global_model=global_model,
-        global_device=global_device,
-        global_server=global_server,
-        global_head=global_head,
+        frozen_device=frozen,
+        **stacks,
         buffer=replay_buffer,
         ledger=netsim.TrafficLedger(),
         device_rngs=MappingProxyType(device_rngs),
         diag_rng=diag_rng,
         probe_indices=MappingProxyType(probe_indices),
+        built=MappingProxyType(built),
+        weights=weights,
     )
 
 
@@ -433,9 +443,11 @@ MODES = tuple(_STEPS)  # one batch step per mode
 
 
 def _check_finite(state, t, losses, record):
-    """A diverged round fails loudly instead of logging NaN metrics or diagnostics."""
-    stacks = (state.global_model, state.global_device, state.global_head, state.global_server)
-    values = [np.array(list(losses.values()))] + [kernel.param_vector(s) for s in stacks if s]
+    """A diverged round fails loudly instead of logging NaN metrics or
+    diagnostics. The trained weights are checked as their one block."""
+    values = [np.array(list(losses.values())), state.weights]
+    if state.frozen_device:
+        values.append(kernel.param_vector(state.global_device))
     if record is not None:
         values.append(np.array([record.grad_norm_sq, record.loss, record.max_sample_grad_sq,
                                 *record.eps.values(), *record.delta.values()]))
@@ -467,37 +479,44 @@ def _device_groups(devices, n):
     return [group.tolist() for group in np.array_split(devices, n)]
 
 
-def _trained_stacks(state):
+def _trained_stacks(built, frozen):
     """(the layers a round trains, the bytes a device syncs each way, or
-    None if it syncs none). They are the layers of the stacks the state
-    holds, in the order model, device, head, server, less a frozen device
-    stack, so their param_vector is the stacks' vectors concatenated; the
-    synced ones are those other than the server's, whose weights cross the
-    link both ways."""
-    device = None if state.frozen_device else state.global_device
-    stacks = [s for s in (state.global_model, device, state.global_head, state.global_server) if s]
-    synced = [layer for s in stacks if s is not state.global_server for layer in s]
+    None if it syncs none). They are the layers of the stacks in ``built``
+    (TrainState.built: those the state holds, in the order model, device,
+    head, server), less a frozen device stack, so their param_vector is the
+    stacks' vectors concatenated; the synced ones are those other than the
+    server's, whose weights cross the link both ways."""
+    stacks = {name: s for name, s in built.items() if not (frozen and name == "global_device")}
+    synced = [layer for name, s in stacks.items() if name != "global_server" for layer in s]
     sync_bytes = netsim.FLOAT_BYTES * sum(layer.param_count() for layer in synced)
-    return [layer for s in stacks for layer in s], sync_bytes if synced else None
+    return [layer for s in stacks.values() for layer in s], sync_bytes if synced else None
+
+
+def _load(state, layers, vector):
+    """Load a flat vector into the trained ``layers``, as load_param_vector
+    would: one write into their block, state.weights, then their bumps."""
+    state.weights[...] = vector
+    for layer in layers:
+        layer.bump()
 
 
 def _train_device(state, t, k, layers, rows, sync_bytes, draws):
-    """Device k's part of round t: load the trained layers from the round's
-    start vector, ``rows[-1]``, then one mode step per batch, and write
-    their trained vector to ``rows[k]``; with diagnostics on, the observer
+    """Device k's part of round t: restore the trained layers' block from
+    the round's start vector, ``rows[-1]``, then one mode step per batch,
+    and copy the block to ``rows[k]``; with diagnostics on, the observer
     then measures the stacks as the device left them, with its entry of the
     round's staleness ``draws``. Returns (k, mean loss, DiagnosticsRecord or
     None)."""
     if sync_bytes is not None:
         state.ledger.record(t, k, "model_down", sync_bytes)
-    kernel.load_param_vector(layers, rows[-1])
+    _load(state, layers, rows[-1])
     step, total = _STEPS[state.config.mode], 0.0
     for b, batch in enumerate(state.batches[k]):
         loss, n = step(state, t, k, b, batch)
         total += loss * n
     if sync_bytes is not None:
         state.ledger.record(t, k, "model_up", sync_bytes)
-    rows[k] = kernel.param_vector(layers)
+    rows[k] = state.weights
     record = diag_mod.record_round(state, t, k, draws.get(k)) if state.config.diagnostics else None
     return k, total / len(state.shards[k]), record
 
@@ -530,7 +549,7 @@ def _serve(state, devices, rows, jobs, replies):
     Messages are pickles on the pipes ``jobs`` and ``replies``; a job's send
     and a reply's receipt order every access to the block. Returns at
     EOF."""
-    layers, sync_bytes = _trained_stacks(state)
+    layers, sync_bytes = _trained_stacks(state.built, state.frozen_device)
     while True:
         try:
             t, draws = pickle.load(jobs)
@@ -613,17 +632,17 @@ def _reap(workers):
 class _Pool:
     """The workers of one state: one per device group but the first, forked
     at the state's first round and kept for its later ones, and the rows
-    they share with the caller (one per device, then the start vector) in
-    an anonymous shared mmap made before they fork. At most one pool lives
-    (_live); ``stop`` reaps its workers, at the latest when the state is
-    released or the interpreter exits."""
+    they share with the caller (one per device, then the start vector, as
+    wide as state.weights) in an anonymous shared mmap made before they
+    fork. At most one pool lives (_live); ``stop`` reaps its workers, at the
+    latest when the state is released or the interpreter exits."""
 
-    def __init__(self, state, groups, width):
+    def __init__(self, state, groups):
         self.state = weakref.ref(state)
         self.groups = groups
         self.workers = []
-        block = mmap.mmap(-1, 8 * (sum(map(len, groups)) + 1) * width)
-        self.rows = np.frombuffer(block, np.float64).reshape(-1, width)
+        block = mmap.mmap(-1, 8 * (sum(map(len, groups)) + 1) * state.weights.size)
+        self.rows = np.frombuffer(block, np.float64).reshape(-1, state.weights.size)
         self.stop = weakref.finalize(state, _reap, self.workers)
         try:
             for group in groups[1:]:
@@ -636,10 +655,10 @@ class _Pool:
 _live = None  # the one _Pool whose workers run
 
 
-def _workers(state, devices, start):
+def _workers(state, devices):
     """(the first of ``devices``' groups, which the calling process trains,
     the workers that train the others, the round's rows: one per device,
-    then ``start``). The workers are forked now if the live pool is another
+    then the start vector, state.weights). The workers are forked now if the live pool is another
     state's or cuts the devices otherwise. Without workers the rows are a
     private array."""
     global _live
@@ -647,12 +666,12 @@ def _workers(state, devices, start):
     if _live is None or _live.state() is not state or _live.groups != groups:
         _stop_workers()
         if len(groups) > 1:
-            _live = _Pool(state, groups, start.size)
+            _live = _Pool(state, groups)
     if _live is None:
-        rows, workers = np.empty((len(devices) + 1, start.size)), []
+        rows, workers = np.empty((len(devices) + 1, state.weights.size)), []
     else:
         rows, workers = _live.rows, _live.workers
-    rows[-1] = start
+    rows[-1] = state.weights
     return groups[0], workers, rows
 
 
@@ -713,15 +732,21 @@ def run_round(state, t):
     processes (_trained_devices); a round that raises reaps them.
 
     The trained layers are those of the stacks the state holds
-    (_trained_stacks), as one flat vector per device: row k of the round's
-    rows is device k's, the last row the start. FedAvg is elementwise, so
-    one FedAvg over the rows gives each stack's average byte for byte."""
-    layers, sync_bytes = _trained_stacks(state)
+    (_trained_stacks); their parameters are views of state.weights. Row k
+    of the round's rows is device k's trained block, the last row the start.
+    FedAvg is elementwise, so one FedAvg over the rows gives each stack's
+    average byte for byte. A replaced layer, no view of the block, fails
+    the round before it changes anything."""
+    for name, built in state.built.items():
+        if tuple(getattr(state, name)) != built:
+            raise TrainingError(f"round {t} ({state.config.mode}): state.{name} holds "
+                                "other layers than init_state built it of")
+    layers, sync_bytes = _trained_stacks(state.built, state.frozen_device)
     draws = diag_mod.staleness_draws(state)
     devices = sorted(state.batches)
     losses, measured = {}, []
     try:
-        own, workers, rows = _workers(state, devices, kernel.param_vector(layers))
+        own, workers, rows = _workers(state, devices)
         for k, loss, record in _trained_devices(
                 state, t, own, workers, layers, rows, sync_bytes, draws):
             losses[k] = loss
@@ -734,7 +759,7 @@ def run_round(state, t):
     if diag_record is not None:
         state.diagnostics_records.append(diag_record)
     counts = [len(state.shards[k]) for k in devices]
-    kernel.load_param_vector(layers, fedavg(rows[:-1], counts))
+    _load(state, layers, fedavg(rows[:-1], counts))
     _check_finite(state, t, losses, diag_record)
     return _finish_round(state, t, losses, diag_record)
 

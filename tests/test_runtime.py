@@ -268,6 +268,72 @@ def test_what_no_round_changes_is_read_only(mode, extra):
         dataset.labels = dataset.labels
 
 
+def trained_layers(state):
+    """The layers a round trains, in the order model, device, head, server,
+    less a frozen device stack."""
+    device = None if state.frozen_device else state.global_device
+    stacks = (state.global_model, device, state.global_head, state.global_server)
+    return [layer for stack in stacks if stack for layer in stack]
+
+
+def assert_weights_are_the_block(state):
+    layers, block = trained_layers(state), state.weights
+    assert block.flags.c_contiguous and block.dtype == np.float32
+    assert kernel.param_vector(layers).tobytes() == block.astype(np.float64).tobytes()
+    for layer in layers:
+        for p in layer.params().values():
+            assert np.shares_memory(p, block) and p.flags.c_contiguous and p.flags.writeable
+    if state.frozen_device:
+        for layer in state.global_device:
+            for p in layer.params().values():
+                assert not np.shares_memory(p, block) and not p.flags.writeable
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+@pytest.mark.parametrize("mode,extra", MODE_CASES)
+def test_trained_parameters_are_views_of_one_block(monkeypatch, mode, extra, slots):
+    monkeypatch.setattr(runtime, "parallel_slots", lambda: slots)
+    state = runtime.init_state(make_config(mode=mode, **extra))
+    assert_weights_are_the_block(state)
+    try:
+        for t in range(2):
+            runtime.run_round(state, t)
+            assert_weights_are_the_block(state)
+    finally:
+        runtime._stop_workers()
+
+
+@pytest.mark.parametrize("mode", ["split", "local_loss"])
+def test_rounds_take_no_parameter_vector(monkeypatch, mode):
+    # Restoring, snapshotting, averaging and checking the trained weights
+    # are array ops on the block; with diagnostics off nothing else flattens
+    # a stack.
+    monkeypatch.setattr(runtime, "parallel_slots", lambda: 1)
+    state = runtime.init_state(make_config(mode=mode))
+    calls = []
+    for name in ("param_vector", "load_param_vector"):
+        fn = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    runtime.run_round(state, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["classic", "split", "local_loss"])
+def test_weights_that_overflow_fail_the_round(mode):
+    # One batch per device: each loss is taken before the device's only
+    # step, which makes its weights non-finite, so only the weights' check
+    # can stop the round.
+    state = runtime.init_state(make_config(mode=mode, lr=1e39, batch_size=128,
+                                           pretrain_epochs=0))
+    try:
+        with np.errstate(all="ignore"), pytest.raises(runtime.TrainingError, match="non-finite"):
+            runtime.run_round(state, 0)
+    finally:
+        runtime._stop_workers()
+    assert not np.isfinite(state.weights).all()
+
+
 def kernel_macs(layer, out):
     """The MACs of one forward of ``layer`` that gave ``out`` (or of the
     backward that took a gradient of its shape), from the shapes that ran."""

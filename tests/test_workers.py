@@ -11,7 +11,7 @@ import threading
 import pytest
 from test_runtime import MODE_CASES, make_config
 
-from sflsim import cli, diagnostics, kernel, runtime
+from sflsim import cli, diagnostics, kernel, models, runtime
 
 # Beyond MODE_CASES: augmentation draws, the observer and its diag_rng draws,
 # and the replay cache read by the observer, quantized and raw.
@@ -116,19 +116,30 @@ def test_workers_leave_the_state_byte_for_byte(monkeypatch, mode, extra, groups)
             assert prints[slots][part] == want, (slots, part)
 
 
-@pytest.mark.parametrize("mode", ["split", "local_loss"])
-def test_no_parameter_vector_crosses_a_pipe(monkeypatch, mode):
+@pytest.mark.parametrize("mode,extra", [
+    ("split", {}),
+    ("local_loss", {}),
+    ("replay", {"rho": 2, "diagnostics": True, "augment": True}),
+], ids=["split", "local_loss", "replay"])
+def test_no_parameter_vector_crosses_a_pipe(monkeypatch, mode, extra):
     # The trained weights cross in the pool's shared block; a job or reply
-    # carrying even one device's vector would be at least this large.
+    # carrying even one device's vector would be at least this large. A job
+    # names each staleness batch and its flips: one carrying the batch's
+    # images would be at least one batch large. A replay reply is not
+    # bounded here: it carries the records and memo entries its group made.
     use_slots(monkeypatch, 2)
-    state = runtime.init_state(make_config(mode=mode))
+    state = runtime.init_state(make_config(mode=mode, **extra))
     trained = state.global_device + (state.global_head or []) + state.global_server
     vector_bytes = kernel.param_vector(trained).nbytes
-    sizes, send = [], runtime._send
+    batch_bytes = state.dataset.images[state.batches[0][0]].nbytes
+    caller, sizes, send = os.getpid(), [], runtime._send
 
     def small(file, obj):
         size = len(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-        assert size < vector_bytes, size  # in a worker: a TrainingError
+        if os.getpid() == caller:
+            assert size < min(vector_bytes, batch_bytes), size
+        elif mode != "replay":
+            assert size < vector_bytes, size  # in a worker: a TrainingError
         sizes.append(size)
         send(file, obj)
 
@@ -169,6 +180,56 @@ def test_an_edit_between_rounds_raises_and_changes_nothing(monkeypatch, slots):
         assert result.server_loss == want.results[2].server_loss
         got = kernel.param_vector(state.global_device + state.global_server)
         assert got.tobytes() == kernel.param_vector(want.final_model).tobytes()
+
+
+def halve_a_layer(stack):
+    """Replace the first layer of ``stack`` that has parameters by a clone
+    with halved weights."""
+    i = next(i for i, layer in enumerate(stack) if layer.params())
+    clone = models.clone_stack(stack[i : i + 1])
+    kernel.load_param_vector(clone, 0.5 * kernel.param_vector(clone))
+    stack[i : i + 1] = clone
+
+
+def round_state(state, name):
+    """What a round may change in ``state``, as bytes and plain values,
+    with the parameters of the stack ``name`` as its list holds them."""
+    built = [layer for stack in state.built.values() for layer in stack]
+    return {
+        "built": kernel.param_vector(built).tobytes(),
+        "versions": [layer.version for layer in built],
+        "stack": kernel.param_vector(getattr(state, name)).tobytes(),
+        "block": state.weights.tobytes(),
+        "ledger": list(state.ledger.entries.items()),
+        "buffer": list(state.buffer.blobs().items()) if state.buffer is not None else None,
+        "memo": [(key, array.tobytes()) for key, array in state.frozen_outputs.items()],
+        "rngs": [state.device_rngs[k].bit_generator.state for k in sorted(state.device_rngs)]
+                + [state.diag_rng.bit_generator.state],
+        "records": pickle.dumps(state.diagnostics_records),
+    }
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+@pytest.mark.parametrize("extra,name", [
+    ({"mode": "replay", "rho": 2, "diagnostics": True}, "global_device"),
+    ({"mode": "split"}, "global_server"),
+], ids=["replay-device", "split-server"])
+def test_a_replaced_layer_raises_and_changes_nothing(monkeypatch, slots, extra, name):
+    # A layer put into a stack's list after init_state is no view of the
+    # state's weights block: it would train from stale weights, or, in a
+    # frozen stack, the kept outputs of the layer it replaced would still
+    # feed the server. A worker would not see the swap at all.
+    use_slots(monkeypatch, slots)
+    state = runtime.init_state(make_config(**extra))
+    try:
+        runtime.run_round(state, 0)
+        halve_a_layer(getattr(state, name))
+        before = round_state(state, name)
+        with pytest.raises(runtime.TrainingError, match=rf"round 1 .*state\.{name} "):
+            runtime.run_round(state, 1)
+        assert round_state(state, name) == before
+    finally:
+        runtime._stop_workers()
 
 
 def test_the_caller_measures_only_its_own_group(monkeypatch):
