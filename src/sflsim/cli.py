@@ -124,7 +124,7 @@ def cmd_run(args):
         diag_mod.write_diagnostics_csv(diag_path, records, g_hat, l_hat)
         print(f"diagnostics written to {diag_path}")
     weights_path = os.path.join(args.out, "weights.sfl")
-    kernel.save_weights(weights_path, output.final_model + (output.state.global_head or []))
+    kernel.save_weights(weights_path, output.final_model + (output.state.global_head or ()))
     with open(weights_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     print(f"weights written to {weights_path} (sha256 {digest})")

@@ -27,21 +27,21 @@ no device sees another's update. The devices are cut into contiguous groups
 in device order, one per usable CPU (parallel_slots): the calling process
 trains the first group, and a forked worker process trains each other one
 on its own copy of the state, which no edit to the set-up can make drift:
-init_state makes what no round changes read-only. Each process also runs
-the observer on the devices it trains, as each finishes, with staleness
-draws the caller made from diag_rng in device order before training began.
-The trained layers' parameters are views of one float32 block per process
-(kernel.pack_params): a device restores them from the start row, and copies
-them to its row of a float64 block that every process shares, in one array
-op each, and yields (device, mean loss, diagnostics record); a worker
-replies once per round with its devices' tuples and what its group left in
-the state (ledger rows, stored replay records, frozen-output memo entries,
-RNG states), which the caller merges in device order before one FedAvg over
-the rows. So every round leaves the state bit for bit as training the
-devices one after another would, and runs are bit-deterministic under a
-fixed seed. What the device side hands the server, in every mode, is
-TrainState.device_output; the stack the server trains is
-TrainState.server_side. Every transfer is recorded in a
+init_state makes what no round changes read-only, and the stacks tuples.
+Each process also runs the observer on the devices it trains, as each
+finishes, with staleness draws the caller made from diag_rng in device
+order before training began. The trained layers' parameters are views of
+one float32 block per process (kernel.pack_params): a device restores them
+from the start row, and copies them to its row of a float64 block that
+every process shares, in one array op each, giving (device, mean loss,
+diagnostics record); a worker replies once per round with its devices'
+tuples and what its group left in the state (ledger rows, stored replay
+records, frozen-output memo entries, RNG states), which the caller merges
+in device order before one FedAvg over the rows. So every round leaves the
+state bit for bit as training the devices one after another would, and runs
+are bit-deterministic under a fixed seed. What the device side hands the
+server, in every mode, is TrainState.device_output; the stack the server
+trains is TrainState.server_side. Every transfer is recorded in a
 TrafficLedger whose totals match the cost model to the byte.
 """
 
@@ -76,6 +76,7 @@ METRICS_COLUMNS = (
     "sim_latency_s",
 )
 EVAL_BATCH = 256  # rows per evaluation chunk
+_STACKS = ("global_model", "global_device", "global_head", "global_server")  # in training order
 
 
 class TrainingError(RuntimeError):
@@ -95,7 +96,8 @@ class RoundResult:
 @dataclass(frozen=True)
 class TrainState:
     """Everything a round needs; built once, and made partly read-only, by
-    init_state, which last packs the trained layers' parameters into ``weights``."""
+    init_state, which holds each stack as a tuple and last packs the trained
+    layers' parameters into ``weights``."""
 
     config: object
     spec: models.ModelSpec
@@ -104,16 +106,15 @@ class TrainState:
     shards: MappingProxyType  # device -> index array into dataset
     batches: MappingProxyType  # device -> tuple of index arrays, fixed across rounds
     frozen_device: bool  # the one freeze rule: the device stack never trains
-    global_model: list | None  # classic: the averaged full model
-    global_device: list | None  # split family: averaged device stack
-    global_server: list | None
-    global_head: list | None  # local_loss auxiliary head
+    global_model: tuple | None  # classic: the averaged full model
+    global_device: tuple | None  # split family: averaged device stack
+    global_server: tuple | None
+    global_head: tuple | None  # local_loss auxiliary head
     buffer: object  # ReplayBuffer or None
     ledger: netsim.TrafficLedger
     device_rngs: MappingProxyType  # device -> Generator (augmentation draws)
     diag_rng: object  # Generator for the observer stream
     probe_indices: MappingProxyType  # device -> fixed probe subset (diagnostics)
-    built: MappingProxyType  # stack name -> tuple of its layers
     weights: np.ndarray  # kernel.pack_params of _trained_stacks' layers
     diagnostics_records: list = field(default_factory=list)
     frozen_outputs: dict = field(default_factory=dict)  # device_output's memo
@@ -147,15 +148,15 @@ class TrainState:
 
 @dataclass
 class RunOutput:
-    final_model: list
+    final_model: tuple
     results: list  # RoundResult per round
     rows: list  # metrics dicts, one per (round, device)
     state: TrainState
 
 
 def fedavg(vectors, sample_counts):
-    """Sample-count-weighted mean of kernel.param_vector snapshots, one per
-    device; returns one float64 vector.
+    """Sample-count-weighted mean of parameter vectors, one per device (a
+    round's rows); returns one float64 vector.
 
     Computed as W_0 + sum_k lambda_k * (W_k - W_0), summed in device order:
     identical inputs give bit-identical output for any counts, and
@@ -297,20 +298,21 @@ def init_state(config):
     if config.mode == "replay":
         replay_buffer = buffer_mod.ReplayBuffer(config.rho)
 
+    frozen = config.mode == "replay" or config.freeze_device
+    if frozen and not np.isfinite(kernel.param_vector(global_device)).all():
+        raise TrainingError(f"{config.mode}: the pretrained device stack is not finite")
     # What no round changes is read-only, so a worker's copy cannot drift.
     # Each view is flagged: one cut before its base was flagged stays writeable.
-    frozen = config.mode == "replay" or config.freeze_device
     fixed = [dataset.images, dataset.labels, *dataset.splits.values(), *shards.values(),
              *(view for views in batches.values() for view in views), *probe_indices.values()]
     if frozen:
         fixed += [p for layer in global_device for p in layer.params().values()]
     for array in fixed:
         array.setflags(write=False)
-    stacks = {"global_model": global_model, "global_device": global_device,
-              "global_head": global_head, "global_server": global_server}
-    built = {name: tuple(s) for name, s in stacks.items() if s}
+    held = (global_model, global_device, global_head, global_server)
+    stacks = {name: None if s is None else tuple(s) for name, s in zip(_STACKS, held)}
     # Last, the trained layers' parameters move into one block.
-    weights = kernel.pack_params(_trained_stacks(built, frozen)[0])
+    weights = kernel.pack_params(_trained_stacks(stacks, frozen)[0])
     return TrainState(
         config=config,
         spec=spec,
@@ -325,7 +327,6 @@ def init_state(config):
         device_rngs=MappingProxyType(device_rngs),
         diag_rng=diag_rng,
         probe_indices=MappingProxyType(probe_indices),
-        built=MappingProxyType(built),
         weights=weights,
     )
 
@@ -446,8 +447,6 @@ def _check_finite(state, t, losses, record):
     """A diverged round fails loudly instead of logging NaN metrics or
     diagnostics. The trained weights are checked as their one block."""
     values = [np.array(list(losses.values())), state.weights]
-    if state.frozen_device:
-        values.append(kernel.param_vector(state.global_device))
     if record is not None:
         values.append(np.array([record.grad_norm_sq, record.loss, record.max_sample_grad_sq,
                                 *record.eps.values(), *record.delta.values()]))
@@ -479,17 +478,18 @@ def _device_groups(devices, n):
     return [group.tolist() for group in np.array_split(devices, n)]
 
 
-def _trained_stacks(built, frozen):
+def _trained_stacks(stacks, frozen):
     """(the layers a round trains, the bytes a device syncs each way, or
-    None if it syncs none). They are the layers of the stacks in ``built``
-    (TrainState.built: those the state holds, in the order model, device,
-    head, server), less a frozen device stack, so their param_vector is the
-    stacks' vectors concatenated; the synced ones are those other than the
-    server's, whose weights cross the link both ways."""
-    stacks = {name: s for name, s in built.items() if not (frozen and name == "global_device")}
-    synced = [layer for name, s in stacks.items() if name != "global_server" for layer in s]
+    None if it syncs none). ``stacks`` maps each name in _STACKS to its
+    stack or None: init_state's dict, or vars(state). The trained layers are
+    those of the stacks held, in _STACKS order, less a frozen device stack,
+    so their param_vector is the stacks' vectors concatenated; the synced
+    ones are those other than the server's, whose weights cross the link
+    both ways."""
+    names = [name for name in _STACKS if stacks[name] and not (frozen and name == "global_device")]
+    synced = [layer for name in names if name != "global_server" for layer in stacks[name]]
     sync_bytes = netsim.FLOAT_BYTES * sum(layer.param_count() for layer in synced)
-    return [layer for s in stacks.values() for layer in s], sync_bytes if synced else None
+    return [layer for name in names for layer in stacks[name]], sync_bytes if synced else None
 
 
 def _load(state, layers, vector):
@@ -549,7 +549,7 @@ def _serve(state, devices, rows, jobs, replies):
     Messages are pickles on the pipes ``jobs`` and ``replies``; a job's send
     and a reply's receipt order every access to the block. Returns at
     EOF."""
-    layers, sync_bytes = _trained_stacks(state.built, state.frozen_device)
+    layers, sync_bytes = _trained_stacks(vars(state), state.frozen_device)
     while True:
         try:
             t, draws = pickle.load(jobs)
@@ -630,12 +630,13 @@ def _reap(workers):
 
 
 class _Pool:
-    """The workers of one state: one per device group but the first, forked
-    at the state's first round and kept for its later ones, and the rows
-    they share with the caller (one per device, then the start vector, as
-    wide as state.weights) in an anonymous shared mmap made before they
-    fork. At most one pool lives (_live); ``stop`` reaps its workers, at the
-    latest when the state is released or the interpreter exits."""
+    """The workers of one state: one per device group but the first (none
+    at one group), forked at the state's first round and kept for its later
+    ones, and the rows they share with the caller (one per device, then the
+    start vector, as wide as state.weights) in an anonymous shared mmap made
+    before they fork. At most one pool lives (_live); ``stop`` reaps its
+    workers, at the latest when the state is released or the interpreter
+    exits."""
 
     def __init__(self, state, groups):
         self.state = weakref.ref(state)
@@ -658,21 +659,16 @@ _live = None  # the one _Pool whose workers run
 def _workers(state, devices):
     """(the first of ``devices``' groups, which the calling process trains,
     the workers that train the others, the round's rows: one per device,
-    then the start vector, state.weights). The workers are forked now if the live pool is another
-    state's or cuts the devices otherwise. Without workers the rows are a
-    private array."""
+    then the start vector, state.weights). A new pool is made, and its
+    workers forked, if the live pool is another state's or cuts the devices
+    otherwise."""
     global _live
     groups = _device_groups(devices, min(parallel_slots(), len(devices)))
     if _live is None or _live.state() is not state or _live.groups != groups:
         _stop_workers()
-        if len(groups) > 1:
-            _live = _Pool(state, groups)
-    if _live is None:
-        rows, workers = np.empty((len(devices) + 1, state.weights.size)), []
-    else:
-        rows, workers = _live.rows, _live.workers
-    rows[-1] = state.weights
-    return groups[0], workers, rows
+        _live = _Pool(state, groups)
+    _live.rows[-1] = state.weights
+    return groups[0], _live.workers, _live.rows
 
 
 def _stop_workers():
@@ -695,18 +691,16 @@ def _pipe_to(worker, state, t):
 
 
 def _trained_devices(state, t, own, workers, layers, rows, sync_bytes, draws):
-    """Yield the _train_device tuple of each device of round t, in device
-    order. The workers' groups start first, each sent its devices'
-    staleness draws; the calling process trains and measures its own
-    group, then merges each worker's reply into the state in order. Each
-    device's trained vector is in its row of ``rows`` once its tuple is
-    yielded. The layers are left as the caller's last device left them: no
-    worker's row is loaded."""
+    """The _train_device tuple of each device of round t, in device order.
+    The workers' groups start first, each sent its devices' staleness
+    draws; the calling process trains and measures its own group, then
+    merges each worker's reply into the state in order. Each device's
+    trained vector is then in its row of ``rows``. The layers are left as
+    the caller's last device left them: no worker's row is loaded."""
     for worker in workers:
         with _pipe_to(worker, state, t):
             _send(worker.jobs, (t, {k: draws[k] for k in worker.devices if k in draws}))
-    for k in own:
-        yield _train_device(state, t, k, layers, rows, sync_bytes, draws)
+    trained = [_train_device(state, t, k, layers, rows, sync_bytes, draws) for k in own]
     for worker in workers:
         with _pipe_to(worker, state, t):
             done, error, entries, blobs, memo, rng_states = pickle.load(worker.replies)
@@ -718,9 +712,10 @@ def _trained_devices(state, t, own, workers, layers, rows, sync_bytes, draws):
         state.frozen_outputs.update(memo)
         for k, rng_state in rng_states.items():
             state.device_rngs[k].bit_generator.state = rng_state
-        yield from done
+        trained += done
         if error is not None:
             raise error
+    return trained
 
 
 def run_round(state, t):
@@ -732,29 +727,26 @@ def run_round(state, t):
     processes (_trained_devices); a round that raises reaps them.
 
     The trained layers are those of the stacks the state holds
-    (_trained_stacks); their parameters are views of state.weights. Row k
-    of the round's rows is device k's trained block, the last row the start.
-    FedAvg is elementwise, so one FedAvg over the rows gives each stack's
-    average byte for byte. A replaced layer, no view of the block, fails
-    the round before it changes anything."""
-    for name, built in state.built.items():
-        if tuple(getattr(state, name)) != built:
-            raise TrainingError(f"round {t} ({state.config.mode}): state.{name} holds "
-                                "other layers than init_state built it of")
-    layers, sync_bytes = _trained_stacks(state.built, state.frozen_device)
+    (_trained_stacks), tuples that no one can edit; their parameters are
+    views of state.weights. Row k of the round's rows is device k's trained
+    block, the last row the start. FedAvg is elementwise, so one FedAvg over
+    the rows gives each stack's average byte for byte. A parameter rebound
+    to an array that is no view of the block fails the round before it
+    changes anything."""
+    layers, sync_bytes = _trained_stacks(vars(state), state.frozen_device)
+    if any(p.base is not state.weights for layer in layers for p in layer.params().values()):
+        raise TrainingError(f"round {t} ({state.config.mode}): "
+                            "a trained parameter is no view of state.weights")
     draws = diag_mod.staleness_draws(state)
     devices = sorted(state.batches)
-    losses, measured = {}, []
     try:
         own, workers, rows = _workers(state, devices)
-        for k, loss, record in _trained_devices(
-                state, t, own, workers, layers, rows, sync_bytes, draws):
-            losses[k] = loss
-            if record is not None:
-                measured.append(record)
+        trained = _trained_devices(state, t, own, workers, layers, rows, sync_bytes, draws)
     except BaseException:
         _stop_workers()
         raise
+    losses = {k: loss for k, loss, _ in trained}
+    measured = [record for _, _, record in trained if record is not None]
     diag_record = diag_mod.round_record(measured) if measured else None
     if diag_record is not None:
         state.diagnostics_records.append(diag_record)
@@ -785,7 +777,7 @@ def run_training(config):
             rows.extend(_metrics_rows(config, result))
     finally:
         _stop_workers()
-    final_model = (state.global_device or []) + state.server_side
+    final_model = (state.global_device or ()) + state.server_side
     return RunOutput(final_model=final_model, results=results, rows=rows, state=state)
 
 

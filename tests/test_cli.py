@@ -61,7 +61,7 @@ def assert_weights_load_back(path, output):
     """``path`` (a run's weights.sfl) loads into fresh stacks with the bits
     of the run's final model and local-loss head."""
     state = output.state
-    trained = output.final_model + (state.global_head or [])
+    trained = output.final_model + (state.global_head or ())
     fresh = models.build_model(state.spec, seed=12345)
     if state.global_head:
         fresh += models.auxiliary_head(state.spec, seed=12345, op_index=state.op_index)
@@ -502,6 +502,17 @@ def test_diverged_run_exits_5_without_metrics(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "metrics.csv").exists()
     assert not (tmp_path / "weights.sfl").exists()
+
+
+def test_a_diverged_pretraining_exits_5_before_any_round(tmp_path, capsys):
+    # The frozen device stack is checked once, when set-up has pretrained it.
+    cfg = smoke_config(tmp_path, mode="split", rho=1, freeze_device=True, lr=1e39,
+                       pretrain_epochs=1)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == cli.EXIT_TRAINING
+    assert capsys.readouterr().err.splitlines() == [
+        "training error: split: the pretrained device stack is not finite"]
+    assert not out_dir.exists()
 
 
 def test_diverged_run_prints_one_stderr_line_in_a_real_process(tmp_path):

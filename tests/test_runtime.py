@@ -262,6 +262,13 @@ def test_what_no_round_changes_is_read_only(mode, extra):
             getattr(state, name)[0] = value
     with pytest.raises(TypeError):
         state.batches[0][0] = state.batches[0][0]
+    stacks = [getattr(state, name) for name in runtime._STACKS if getattr(state, name)]
+    assert len(stacks) == (1 if mode == "classic" else 3 if mode == "local_loss" else 2)
+    for stack in stacks:
+        with pytest.raises(TypeError):
+            stack[0] = stack[0]
+        with pytest.raises(TypeError):
+            stack[:] = stack
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.dataset = dataset
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -303,13 +310,18 @@ def test_trained_parameters_are_views_of_one_block(monkeypatch, mode, extra, slo
         runtime._stop_workers()
 
 
-@pytest.mark.parametrize("mode", ["split", "local_loss"])
-def test_rounds_take_no_parameter_vector(monkeypatch, mode):
+@pytest.mark.parametrize("mode,extra", [
+    ("split", {}),
+    ("local_loss", {}),
+    ("split", {"freeze_device": True}),
+    ("replay", {"rho": 2}),
+], ids=["split", "local_loss", "split-freeze_device", "replay"])
+def test_rounds_take_no_parameter_vector(monkeypatch, mode, extra):
     # Restoring, snapshotting, averaging and checking the trained weights
-    # are array ops on the block; with diagnostics off nothing else flattens
-    # a stack.
+    # are array ops on the block, and init_state checked a frozen device
+    # stack once; with diagnostics off nothing else flattens a stack.
     monkeypatch.setattr(runtime, "parallel_slots", lambda: 1)
-    state = runtime.init_state(make_config(mode=mode))
+    state = runtime.init_state(make_config(mode=mode, **extra))
     calls = []
     for name in ("param_vector", "load_param_vector"):
         fn = getattr(kernel, name)
@@ -599,7 +611,7 @@ def pinned_run_digests(mode):
     """The SHA-256 of the final weights and of the metrics rows of the
     PINNED_RUNS run of ``mode``."""
     out = runtime.run_training(make_config(**PINNED_RUNS[mode]["config"]))
-    weights = kernel.param_vector(out.final_model + (out.state.global_head or [])).tobytes()
+    weights = kernel.param_vector(out.final_model + (out.state.global_head or ())).tobytes()
     return hashlib.sha256(weights).hexdigest(), hashlib.sha256(repr(out.rows).encode()).hexdigest()
 
 

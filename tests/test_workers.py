@@ -60,7 +60,7 @@ def fingerprint(out):
     memo = [(key, array.flags.writeable, array.tobytes())
             for key, array in state.frozen_outputs.items()]
     return {
-        "weights": kernel.param_vector(out.final_model + (state.global_head or [])).tobytes(),
+        "weights": kernel.param_vector(out.final_model + (state.global_head or ())).tobytes(),
         "rows": repr(out.rows),
         "ledger": list(state.ledger.entries.items()),
         "buffer": list(state.buffer.blobs().items()) if state.buffer is not None else None,
@@ -129,7 +129,7 @@ def test_no_parameter_vector_crosses_a_pipe(monkeypatch, mode, extra):
     # bounded here: it carries the records and memo entries its group made.
     use_slots(monkeypatch, 2)
     state = runtime.init_state(make_config(mode=mode, **extra))
-    trained = state.global_device + (state.global_head or []) + state.global_server
+    trained = state.global_device + (state.global_head or ()) + state.global_server
     vector_bytes = kernel.param_vector(trained).nbytes
     batch_bytes = state.dataset.images[state.batches[0][0]].nbytes
     caller, sizes, send = os.getpid(), [], runtime._send
@@ -193,11 +193,11 @@ def halve_a_layer(stack):
 
 def round_state(state, name):
     """What a round may change in ``state``, as bytes and plain values,
-    with the parameters of the stack ``name`` as its list holds them."""
-    built = [layer for stack in state.built.values() for layer in stack]
+    with the parameters of the stack ``name`` as its tuple holds them."""
+    layers = [layer for stack in runtime._STACKS for layer in getattr(state, stack) or ()]
     return {
-        "built": kernel.param_vector(built).tobytes(),
-        "versions": [layer.version for layer in built],
+        "layers": kernel.param_vector(layers).tobytes(),
+        "versions": [layer.version for layer in layers],
         "stack": kernel.param_vector(getattr(state, name)).tobytes(),
         "block": state.weights.tobytes(),
         "ledger": list(state.ledger.entries.items()),
@@ -215,19 +215,42 @@ def round_state(state, name):
     ({"mode": "split"}, "global_server"),
 ], ids=["replay-device", "split-server"])
 def test_a_replaced_layer_raises_and_changes_nothing(monkeypatch, slots, extra, name):
-    # A layer put into a stack's list after init_state is no view of the
+    # A layer put into a stack after init_state would be no view of the
     # state's weights block: it would train from stale weights, or, in a
     # frozen stack, the kept outputs of the layer it replaced would still
-    # feed the server. A worker would not see the swap at all.
+    # feed the server. A worker would not see the swap at all. The stacks
+    # are tuples, so the swap itself raises, and the next round runs as if
+    # it had not been tried.
     use_slots(monkeypatch, slots)
+    want = runtime.run_training(make_config(**extra, rounds=2))
     state = runtime.init_state(make_config(**extra))
     try:
         runtime.run_round(state, 0)
-        halve_a_layer(getattr(state, name))
         before = round_state(state, name)
-        with pytest.raises(runtime.TrainingError, match=rf"round 1 .*state\.{name} "):
-            runtime.run_round(state, 1)
+        with pytest.raises(TypeError):
+            halve_a_layer(getattr(state, name))
         assert round_state(state, name) == before
+        assert runtime.run_round(state, 1).server_loss == want.results[1].server_loss
+    finally:
+        runtime._stop_workers()
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_a_rebound_parameter_raises_and_changes_nothing(monkeypatch, slots):
+    # A parameter rebound after init_state is no view of the weights block:
+    # no restore would reach it, so each device would train on from the one
+    # before, and a worker would not see it at all.
+    use_slots(monkeypatch, slots)
+    state = runtime.init_state(make_config())
+    try:
+        runtime.run_round(state, 0)
+        layer = next(layer for layer in state.global_server if "w" in layer.params())
+        layer.w = layer.w * 0.5
+        before = round_state(state, "global_server")
+        with pytest.raises(runtime.TrainingError, match=r"^round 1 \(split\): a trained "
+                                                        r"parameter is no view of state\.weights$"):
+            runtime.run_round(state, 1)
+        assert round_state(state, "global_server") == before
     finally:
         runtime._stop_workers()
 
