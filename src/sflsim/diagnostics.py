@@ -71,7 +71,7 @@ class DiagnosticsRecord:
     delta: dict  # device -> buffer staleness estimate
     loss: float  # mean probe server loss
     max_sample_grad_sq: float  # max per-sample squared gradient norm seen
-    server_params: np.ndarray | None  # first device's stack, at L centres only
+    server_params: np.ndarray | None  # first device's stack in its own dtype, at L centres only
     probe: tuple | None = None  # first device's (activations, labels), final round only
 
     @property
@@ -106,9 +106,9 @@ def record_round(state, t, device_id, draw):
     quantization_error (which reuses the probe gradient for the clean side).
     A lossless pipeline skips the second pass: its eps is 0. A frozen device
     side adds no pass after round 0: the probe and the staleness batch come
-    from the memo. The first device keeps its server parameters only at
-    trajectory centres (_is_centre) and its probe only in the final round,
-    for trajectory_smoothness.
+    from the memo. The first device keeps its server parameters, in their
+    own dtype, only at trajectory centres (_is_centre) and its probe only in
+    the final round, for trajectory_smoothness.
     """
     cfg, server_stack = state.config, state.server_side
     a, y = probe_batch(state, device_id)
@@ -124,7 +124,7 @@ def record_round(state, t, device_id, draw):
         delta={device_id: _staleness(state, device_id, draw)},
         loss=loss,
         max_sample_grad_sq=float(sample_sqs.max()),
-        server_params=(kernel.param_vector(server_stack)
+        server_params=(kernel.param_vector(server_stack, dtype=None)
                        if first and _is_centre(t, cfg.rounds) else None),
         probe=(a, y) if first and t == cfg.rounds - 1 else None,
     )

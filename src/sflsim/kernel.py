@@ -505,17 +505,18 @@ def sgd_step(layers, grads, lr):
         layer.bump()
 
 
-def _flat(dicts):
-    """The arrays of a list of per-layer dicts as one float64 vector, keys
-    visited in sorted order per layer."""
+def _flat(dicts, dtype=np.float64):
+    """The arrays of a list of per-layer dicts as one vector of ``dtype``
+    (None: their own), keys visited in sorted order per layer."""
     chunks = [d[k].reshape(-1) for d in dicts for k in sorted(d)]
-    return np.concatenate(chunks, dtype=np.float64) if chunks else np.zeros(0)
+    return np.concatenate(chunks, dtype=dtype) if chunks else np.zeros(0, dtype)
 
 
-def param_vector(layers):
-    """All parameters flattened into one float64 vector, in the layout of
+def param_vector(layers, dtype=np.float64):
+    """All parameters flattened into one vector, float64 unless ``dtype``
+    says otherwise (None: the parameters' own), in the layout of
     grad_vector and load_param_vector; the one in-memory snapshot format."""
-    return _flat([layer.params() for layer in layers])
+    return _flat([layer.params() for layer in layers], dtype)
 
 
 def load_param_vector(layers, vector):

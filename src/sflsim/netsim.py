@@ -3,9 +3,10 @@
 Byte accounting is exact and integer: 4-byte float32 model/activation
 elements, 1-byte quantized codes, 2-byte labels, and the real wire-format
 record overhead for replay transmissions. The traffic ledger records what a
-simulated run actually moved; the analytic model predicts the same totals
-to the byte. Latency is first-order: transfer time = bytes * 8 / (Mbps *
-1e6), sequential with compute, no pipelining.
+simulated run actually moved, 8 bytes per (round, device, purpose) cell of
+one int64 table; the analytic model predicts the same totals to the byte.
+Latency is first-order: transfer time = bytes * 8 / (Mbps * 1e6),
+sequential with compute, no pipelining.
 
 Methods: classic (full-model FedAvg), split (activation up, gradient down),
 local_loss (activation up only, auxiliary head on device), replay_tx (a
@@ -15,8 +16,10 @@ replay-mode transmission round), replay_buffer (a replay-mode cached round).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import models, quantize
 
@@ -26,6 +29,9 @@ METHODS = ("classic", "split", "local_loss", "replay_tx", "replay_buffer")
 # Every kind of transfer and the one direction it travels.
 PURPOSES = {"activation": "up", "labels": "up", "model_up": "up",
             "gradient": "down", "model_down": "down"}
+_PURPOSE_INDEX = {purpose: i for i, purpose in enumerate(PURPOSES)}
+# Column 0 sums a row of ledger cells' uplink bytes, column 1 its downlink.
+_DIRECTIONS = np.array([(d == "up", d == "down") for d in PURPOSES.values()], np.int64)
 
 FLOAT_BYTES = 4
 CODE_BYTES = 1
@@ -57,29 +63,114 @@ def _up_down(purpose_bytes):
 
 
 class TrafficLedger:
-    """Bytes of every simulated transfer, summed per (round, device, purpose)."""
+    """Bytes of every simulated transfer, summed per (round, device, purpose)
+    in one int64 table indexed by round, device and purpose (PURPOSES
+    order). The table grows as rows arrive: the round axis doubles, the
+    device axis widens only to the highest device recorded. Queries read it
+    and add nothing; ``entries`` is a live, read-only view of the cells
+    that hold bytes, so a zero-byte record leaves no row."""
 
     def __init__(self):
-        self.entries = Counter()
+        self._table = np.zeros((0, 0, len(PURPOSES)), np.int64)
+
+    @property
+    def entries(self):
+        # Made per access: a view the ledger held would be a reference
+        # cycle, which keeps a dropped ledger's table until a full collection.
+        return _Cells(self)
 
     def record(self, round_index, device, purpose, nbytes):
-        if purpose not in PURPOSES:
+        p = _PURPOSE_INDEX.get(purpose)
+        if p is None:
             raise NetsimError(f"purpose must be one of {tuple(PURPOSES)}, got {purpose!r}")
         if nbytes < 0:
             raise NetsimError("byte counts cannot be negative")
-        self.entries[round_index, device, purpose] += int(nbytes)
+        if round_index < 0 or device < 0:
+            raise NetsimError("rounds and devices are numbered from 0")
+        self._grow(round_index, device)
+        cell = int(self._table[round_index, device, p]) + int(nbytes)
+        self._table[round_index, device, p] = cell  # past int64: OverflowError, no wrap
+
+    def _grow(self, round_index, device):
+        """Widen the table, if need be, to hold cell (round_index, device):
+        the round axis at least doubles, the device axis grows only as far
+        as needed."""
+        rounds, devices, purposes = self._table.shape
+        if round_index < rounds and device < devices:
+            return
+        if round_index >= rounds:
+            rounds = max(round_index + 1, 2 * rounds)
+        table = np.zeros((rounds, max(devices, device + 1), purposes), np.int64)
+        table[: len(self._table), :devices] = self._table
+        self._table = table
 
     def total(self, direction=None, purpose=None, round_index=None, device=None):
         """Bytes summed over the rows that match every given filter."""
-        want = (round_index, device, purpose)
-        return sum(n for key, n in self.entries.items()
-                   if all(w is None or w == v for w, v in zip(want, key))
-                   and direction in (None, PURPOSES[key[2]]))
+        kept = [purpose in (None, p) and direction in (None, d) for p, d in PURPOSES.items()]
+        rounds, devices, _ = self._table.shape
+        cells = self._table[_axis(round_index, rounds), _axis(device, devices)]
+        return int(cells[..., kept].sum())
+
+    def rows(self, round_index, devices):
+        """The listed devices' bytes in one round: a new (devices, purposes)
+        int64 array in PURPOSES order, zeros where nothing was recorded;
+        add_rows takes it, or its bytes."""
+        devices = list(devices)
+        rounds, known, _ = self._table.shape
+        out = np.zeros((len(devices), len(PURPOSES)), np.int64)
+        if 0 <= round_index < rounds:
+            hit = [i for i, k in enumerate(devices) if 0 <= k < known]
+            out[hit] = self._table[round_index, [devices[i] for i in hit]]
+        return out
+
+    def add_rows(self, round_index, devices, rows):
+        """Add ``rows``, as rows() gives them or as their bytes, to the
+        listed devices' cells of one round."""
+        rows = np.frombuffer(rows, np.int64)
+        if rows.size != len(devices) * len(PURPOSES) or (rows < 0).any():
+            raise NetsimError(f"{rows.size} ledger cells for {len(devices)} devices, "
+                              "or a negative one")
+        if rows.any():
+            self._grow(round_index, max(devices))
+            self._table[round_index, devices] += rows.reshape(len(devices), len(PURPOSES))
 
     def per_device_traffic(self, round_index, devices):
         """{device: (bytes up, bytes down)} in one round, for each listed device."""
-        return {k: _up_down({p: self.entries[round_index, k, p] for p in PURPOSES})
-                for k in devices}
+        devices = list(devices)
+        traffic = self.rows(round_index, devices) @ _DIRECTIONS
+        return dict(zip(devices, map(tuple, traffic.tolist())))
+
+
+class _Cells(Mapping):
+    """A ledger's cells that hold bytes, read-only and live, as
+    {(round, device, purpose): bytes} in (round, device, PURPOSES) order."""
+
+    def __init__(self, ledger):
+        self._ledger = ledger
+
+    def __getitem__(self, key):
+        round_index, device, purpose = key
+        nbytes = self._ledger.total(purpose=purpose, round_index=round_index, device=device)
+        if purpose not in PURPOSES or nbytes == 0:
+            raise KeyError(key)
+        return nbytes
+
+    def __iter__(self):
+        names = tuple(PURPOSES)
+        cells = np.nonzero(self._ledger._table)
+        for round_index, device, p in zip(*(axis.tolist() for axis in cells)):
+            yield round_index, device, names[p]
+
+    def __len__(self):
+        return int(np.count_nonzero(self._ledger._table))
+
+
+def _axis(index, size):
+    """What a filter keeps of an axis of ``size``: all of it for None, else
+    position ``index``, or nothing if it lies outside."""
+    if index is None:
+        return slice(None)
+    return slice(index, index + 1) if 0 <= index < size else slice(0)
 
 
 @dataclass

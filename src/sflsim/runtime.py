@@ -35,9 +35,10 @@ one float32 block per process (kernel.pack_params): a device restores them
 from the start row, and copies them to its row of a float64 block that
 every process shares, in one array op each, giving (device, mean loss,
 diagnostics record); a worker replies once per round with its devices'
-tuples and what its group left in the state (ledger rows, stored replay
-records, frozen-output memo entries, RNG states), which the caller merges
-in device order before one FedAvg over the rows. So every round leaves the
+tuples and what its group left in the state (the round's ledger rows of its
+devices as one int64 array, stored replay records, frozen-output memo
+entries and, with augmentation, RNG states), which the caller merges in
+device order before one FedAvg over the rows. So every round leaves the
 state bit for bit as training the devices one after another would, and runs
 are bit-deterministic under a fixed seed. What the device side hands the
 server, in every mode, is TrainState.device_output; the stack the server
@@ -543,19 +544,21 @@ def _serve(state, devices, rows, jobs, replies):
     the devices' staleness draws); the worker writes each device's trained
     vector to its row, and its one reply is (the _train_device tuple of
     each device trained, the exception that stopped the round or None, then
-    what the round left in the state: ledger rows, replay records stored,
-    memo entries added, {device: RNG state}). The caller adopts those RNG
-    states, so the worker's own already equal the caller's at the next job.
-    Messages are pickles on the pipes ``jobs`` and ``replies``; a job's send
-    and a reply's receipt order every access to the block. Returns at
-    EOF."""
+    what the round left in the state: its devices' ledger rows of round t
+    (TrafficLedger.rows, one small int64 array, sent as its bytes, which
+    pickle far faster than the array), replay records stored, memo entries
+    added, and {device: RNG state} with augmentation on, else {}: only
+    augmentation draws from those streams. The caller adds the rows into
+    its ledger and adopts the RNG states, so the worker's own already equal
+    the caller's at the next job. Messages are pickles on the pipes
+    ``jobs`` and ``replies``; a job's send and a reply's receipt order every
+    access to the block. Returns at EOF."""
     layers, sync_bytes = _trained_stacks(vars(state), state.frozen_device)
     while True:
         try:
             t, draws = pickle.load(jobs)
         except EOFError:
             return
-        state.ledger.entries.clear()
         memo, blobs = _stores(state)
         done, error = [], None
         try:
@@ -564,9 +567,10 @@ def _serve(state, devices, rows, jobs, replies):
         except Exception as exc:
             error = exc
         new_memo, new_blobs = _stores(state)
-        _send(replies, (done, error, dict(state.ledger.entries), _new_items(blobs, new_blobs),
-                        _new_items(memo, new_memo),
-                        {k: state.device_rngs[k].bit_generator.state for k in devices}))
+        rngs = ({k: state.device_rngs[k].bit_generator.state for k in devices}
+                if state.config.augment else {})
+        _send(replies, (done, error, state.ledger.rows(t, devices).tobytes(),
+                        _new_items(blobs, new_blobs), _new_items(memo, new_memo), rngs))
 
 
 @dataclass
@@ -703,8 +707,8 @@ def _trained_devices(state, t, own, workers, layers, rows, sync_bytes, draws):
     trained = [_train_device(state, t, k, layers, rows, sync_bytes, draws) for k in own]
     for worker in workers:
         with _pipe_to(worker, state, t):
-            done, error, entries, blobs, memo, rng_states = pickle.load(worker.replies)
-        state.ledger.entries.update(entries)
+            done, error, ledger_rows, blobs, memo, rng_states = pickle.load(worker.replies)
+        state.ledger.add_rows(t, worker.devices, ledger_rows)
         if blobs:
             state.buffer.adopt(blobs)
         for out in memo.values():

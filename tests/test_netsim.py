@@ -19,8 +19,14 @@ batch 100, split activation 8*8*128 = 8192 elements, 4-byte raw elements,
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sflsim import models, netsim
 
@@ -159,6 +165,113 @@ def test_ledger_totals_and_slices():
         ledger.record(0, 0, "nonsense", 1)
     with pytest.raises(netsim.NetsimError):
         ledger.record(0, 0, "labels", -1)
+
+
+# Some records land on the same cell, some record 0 bytes, and filters also
+# name rounds and devices that hold nothing or lie outside the table.
+ledger_records = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
+                                    st.sampled_from(list(netsim.PURPOSES)),
+                                    st.integers(0, 10**12)), max_size=40)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(ledger_records)
+def test_ledger_answers_every_query_as_a_plain_dict_does(records):
+    ledger, want = netsim.TrafficLedger(), {}
+    for key in records:
+        ledger.record(*key)
+        want[key[:3]] = want.get(key[:3], 0) + key[3]
+    want = {key: n for key, n in want.items() if n}  # a zero-byte record leaves no row
+    rounds, devices = [None, -1, *range(8)], [None, -1, *range(7)]
+    for direction in (None, "up", "down"):
+        for purpose in (None, *netsim.PURPOSES):
+            for t in rounds:
+                for k in devices:
+                    got = ledger.total(direction, purpose, t, k)
+                    assert type(got) is int
+                    assert got == sum(n for (r, d, p), n in want.items()
+                                      if t in (None, r) and k in (None, d)
+                                      and purpose in (None, p)
+                                      and direction in (None, netsim.PURPOSES[p]))
+    for t in rounds[1:]:
+        traffic = ledger.per_device_traffic(t, devices[1:])
+        for k in devices[1:]:
+            up = sum(n for (r, d, p), n in want.items()
+                     if (r, d) == (t, k) and netsim.PURPOSES[p] == "up")
+            everything = sum(n for (r, d, _), n in want.items() if (r, d) == (t, k))
+            assert traffic[k] == (up, everything - up)
+            assert all(type(n) is int for n in traffic[k])
+    assert dict(ledger.entries) == want and len(ledger.entries) == len(want)
+    assert list(ledger.entries) == sorted(
+        want, key=lambda key: (key[0], key[1], list(netsim.PURPOSES).index(key[2])))
+    # Rows added into another ledger round by round, as an array or as the
+    # bytes a worker sends, rebuild it.
+    copy = netsim.TrafficLedger()
+    for t in range(6):
+        copy.add_rows(t, [2, 3, 4], ledger.rows(t, [2, 3, 4]).tobytes())
+        copy.add_rows(t, [0, 1], ledger.rows(t, [0, 1]))
+    assert dict(copy.entries) == want
+    for t in range(6):
+        copy.add_rows(t, [0, 1, 2, 3, 4], ledger.rows(t, [0, 1, 2, 3, 4]))
+    assert dict(copy.entries) == {key: 2 * n for key, n in want.items()}
+
+
+def test_ledger_entries_are_a_read_only_view():
+    ledger = netsim.TrafficLedger()
+    entries = ledger.entries
+    ledger.record(3, 2, "gradient", 7)
+    assert dict(entries) == {(3, 2, "gradient"): 7}
+    with pytest.raises(KeyError):
+        entries[3, 2, "labels"]
+    with pytest.raises(TypeError):
+        entries[3, 2, "labels"] = 1
+
+
+def test_a_dropped_ledger_is_freed_at_once():
+    # With no reference cycle, the table goes with the ledger's last
+    # reference, not at some later full collection.
+    ledger = netsim.TrafficLedger()
+    ledger.record(0, 0, "labels", 1)
+    assert len(ledger.entries) == 1
+    freed = weakref.ref(ledger)
+    gc.disable()
+    try:
+        del ledger
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_ledger_refuses_what_its_table_cannot_hold():
+    ledger = netsim.TrafficLedger()
+    for round_index, device in ((-1, 0), (0, -1)):
+        with pytest.raises(netsim.NetsimError):
+            ledger.record(round_index, device, "labels", 1)
+    ledger.record(0, 0, "labels", 2**63 - 1)
+    with pytest.raises(OverflowError):  # a full cell does not wrap
+        ledger.record(0, 0, "labels", 1)
+    width = len(netsim.PURPOSES)
+    for rows in (np.zeros((2, width), np.int64), -np.ones((1, width), np.int64)):
+        with pytest.raises(netsim.NetsimError):
+            ledger.add_rows(1, [0], rows)
+    assert dict(ledger.entries) == {(0, 0, "labels"): 2**63 - 1}
+
+
+def test_a_long_ledger_stays_small():
+    # 1,000 rounds of 16 devices and 4 purposes: 64,000 rows, as 8-byte cells.
+    ledger = netsim.TrafficLedger()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in range(1000):
+            for k in range(16):
+                for purpose in ("model_down", "activation", "labels", "model_up"):
+                    ledger.record(t, k, purpose, 1000 + k)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ledger.entries) == 64_000
+    assert grown < 2 * 2**20, grown
 
 
 def test_round_latency_composition():
